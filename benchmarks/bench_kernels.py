@@ -1,7 +1,15 @@
-"""Throughput comparison of the jitted kernels against the numpy fallback.
+"""Kernel timings per backend, plus the cost of one coefficient (lambda) step.
 
-Run with ``python3 benchmarks/bench_kernels.py``. Pass ``--size`` to change
-the triplet batch size and ``--repeats`` for more stable timings.
+Run with ``python3 benchmarks/bench_kernels.py``. The kernel table times the
+numpy fallback and, when numba is importable, the jitted kernels beside it.
+Pass ``--size`` to change the triplet batch size and ``--repeats`` for more
+stable timings.
+
+The lambda-step case times ``adaptive.lambda_step`` (Adam, K=32, ``full``
+granularity, 1024-triplet train and validation batches drawn uniformly at
+random) on a small and a large catalog, and prints the large/small ratio: the
+step should cost O(batch), not O(|U|+|I|). Building the large catalog takes
+about 1 GB of memory.
 """
 
 import argparse
@@ -10,6 +18,11 @@ import time
 import numpy as np
 
 from adaptreg import _kernels
+from adaptreg.adaptive import RegCoefficients, lambda_step
+from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
+from adaptreg.optim import make_optimizer
+
+LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
 
 
 def triplet_case(rng, size, U, I, K):
@@ -35,6 +48,28 @@ def time_call(fn, repeats):
     return best
 
 
+def lambda_step_ms(users, items, dim=32, batch=1024, steps=20, repeats=5):
+    """Best-of-``repeats`` mean milliseconds per lambda step over ``steps``
+    pre-drawn batch pairs, after one warm-up pass."""
+    rng = np.random.default_rng(0)
+
+    def draw():
+        return TripletBatch(rng.integers(0, users, batch), rng.integers(0, items, batch),
+                            rng.integers(0, items, batch))
+
+    emb = Embeddings.init(users, items, dim, 0.1, rng)
+    opt = make_optimizer("adam")
+    opt.step(emb, bpr_gradient(emb, draw()))  # allocates the moments
+    lam = RegCoefficients.create("full", users, items, dim, init=0.01)
+    pairs = [(draw(), draw()) for _ in range(steps)]
+
+    def run():
+        for tb, vb in pairs:
+            lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0)
+
+    return time_call(run, repeats) / steps * 1e3
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=100_000)
@@ -45,10 +80,10 @@ def main():
     args = ap.parse_args()
 
     impls = _kernels.implementations()
+    backends = [name for name in ("numpy", "numba") if name in impls]
     if "numba" not in impls:
         print("numba backend unavailable (ADAPTREG_DISABLE_NUMBA set or numba "
-              "missing); nothing to compare")
-        return
+              "missing); timing the numpy backend alone")
 
     rng = np.random.default_rng(0)
     c = triplet_case(rng, args.size, args.users, args.items, args.dim)
@@ -79,12 +114,20 @@ def main():
         }
 
     print(f"batch={args.size} users={args.users} items={args.items} dim={args.dim}")
-    print(f"{'kernel':<12} {'numpy (ms)':>11} {'numba (ms)':>11} {'speedup':>8}")
+    print(f"{'kernel':<12}" + "".join(f" {name + ' (ms)':>11}" for name in backends)
+          + (f" {'speedup':>8}" if len(backends) == 2 else ""))
     for name in ("bpr_loss", "bpr_grad", "sgd_step", "adam_step", "scatter_add"):
-        t_np = time_call(cases(impls["numpy"])[name], args.repeats)
-        t_nb = time_call(cases(impls["numba"])[name], args.repeats)
-        print(f"{name:<12} {t_np * 1e3:>11.3f} {t_nb * 1e3:>11.3f} "
-              f"{t_np / t_nb:>7.1f}x")
+        times = [time_call(cases(impls[b])[name], args.repeats) for b in backends]
+        print(f"{name:<12}" + "".join(f" {t * 1e3:>11.3f}" for t in times)
+              + (f" {times[0] / times[1]:>7.1f}x" if len(times) == 2 else ""))
+
+    print()
+    print("lambda step: adam, dim=32, batch=1024, granularity=full")
+    times = []
+    for users, items in LAMBDA_SIZES:
+        times.append(lambda_step_ms(users, items))
+        print(f"{users:>7} users x {items:>7} items {times[-1]:>8.2f} ms/step")
+    print(f"large/small ratio {times[-1] / times[0]:.2f}")
 
 
 if __name__ == "__main__":

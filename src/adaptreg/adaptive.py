@@ -8,10 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .data import frequency_groups, sample_triplets
 from .errors import AdaptRegError, ConfigError
-from .mf import Embeddings, SparseGrad, bpr_gradient, bpr_loss
+from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient, bpr_loss
 from .optim import make_optimizer
 
 GRANULARITIES = ("global", "dim", "user", "item", "user-dim", "item-dim", "full")
@@ -112,35 +111,67 @@ def compose_gradient(grad, emb, lam):
                       item_rows=grad.item_rows, item_vals=gi)
 
 
-def hypergradient(lam, emb, optimizer, train_batch, val_batch):
-    """Gradient of validation BPR loss w.r.t. each coefficient entry, via the
-    assumed next-step parameters.
+def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
+    """Gradient of validation BPR loss w.r.t. the coefficient entries, via the
+    assumed next-step parameters, as ``(entries, values)``: the sorted unique
+    entries the train batch can move and their hypergradients. Every other
+    entry's hypergradient is zero.
 
     Separate non-regularized pass on the train batch, composition with the
-    penalty gradient, a side-effect-free optimizer step, a validation backward
-    pass at the assumed parameters, then chain-rule aggregation per entry.
-    Coordinates untouched by the train batch contribute zero.
+    penalty gradient, a side-effect-free optimizer step on the touched rows,
+    a validation backward pass at the assumed parameters, then chain-rule
+    aggregation per entry. The validation pass runs on a compact overlay that
+    holds only the rows the validation batch reads (current rows, replaced by
+    their assumed values where the train batch touched them), so the cost is
+    O(batch), independent of |U|+|I| and of the number of entries.
     """
     g_bar = bpr_gradient(emb, train_batch)
     composed = compose_gradient(g_bar, emb, lam)
-    theta_bar = optimizer.assumed_step(emb, composed)
-    v = bpr_gradient(theta_bar, val_batch)
+    new_user, new_item = optimizer.assumed_rows(emb, composed)
     j_user, j_item = optimizer.lambda_jacobian(emb, composed)
 
-    G = np.zeros(lam.num_entries)
-    for rows, J, v_rows, v_vals, index in (
-        (composed.user_rows, j_user, v.user_rows, v.user_vals, lam.user_index),
-        (composed.item_rows, j_item, v.item_rows, v.item_vals, lam.item_index),
-    ):
+    n = len(val_batch.users)
+    v_users, u_inv = np.unique(val_batch.users, return_inverse=True)
+    v_items, i_inv = np.unique(np.concatenate([val_batch.pos, val_batch.neg]),
+                               return_inverse=True)
+    overlay, shared_rows = [], []
+    for rows, new, theta, v_rows in ((composed.user_rows, new_user, emb.user, v_users),
+                                     (composed.item_rows, new_item, emb.item, v_items)):
         shared, ia, ib = np.intersect1d(rows, v_rows, assume_unique=True,
                                         return_indices=True)
-        if len(shared) == 0:
-            continue
-        contrib = v_vals[ib] * J[ia]
-        _kernels.scatter_add(G, index[shared].ravel(), contrib.ravel())
-    if not np.isfinite(G).all():
-        bad = int(np.flatnonzero(~np.isfinite(G))[0])
-        raise AdaptRegError(f"non-finite hypergradient at coefficient entry {bad}")
+        part = theta[v_rows]
+        part[ib] = new[ia]
+        overlay.append(part)
+        shared_rows.append((shared, ia, ib))
+    # unique() is order-preserving, so the remapped batch reads the same
+    # values in the same order and the kernel arithmetic is unchanged
+    v = bpr_gradient(Embeddings(*overlay), TripletBatch(u_inv, i_inv[:n], i_inv[n:]))
+
+    # user contributions before item ones, each row-major: the order in which
+    # a dense scatter-add would accumulate them, so the sums are bit-equal
+    idx, contrib = [], []
+    for (shared, ia, ib), J, v_vals, index in zip(
+            shared_rows, (j_user, j_item), (v.user_vals, v.item_vals),
+            (lam.user_index, lam.item_index)):
+        idx.append(index[shared].ravel())
+        contrib.append((v_vals[ib] * J[ia]).ravel())
+    entries, inverse = np.unique(np.concatenate(idx), return_inverse=True)
+    values = np.bincount(inverse, weights=np.concatenate(contrib),
+                         minlength=len(entries))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise AdaptRegError(
+            f"non-finite hypergradient at coefficient entry {int(entries[bad[0]])}")
+    return entries, values
+
+
+def hypergradient(lam, emb, optimizer, train_batch, val_batch):
+    """Dense form of ``sparse_hypergradient``: one value per coefficient entry,
+    zero where the train batch moves nothing. Allocating it is O(num_entries);
+    the computation itself is O(batch)."""
+    entries, values = sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch)
+    G = np.zeros(lam.num_entries)
+    G[entries] = values
     return G
 
 
@@ -150,6 +181,28 @@ def project_and_step(lam, G, step_size, clip):
     values = lam.values - step_size * g
     np.maximum(values, 0.0, out=values)
     return lam.with_values(values)
+
+
+def lambda_step(lam, emb, optimizer, train_batch, val_batch, step_size, clip,
+                lam_opt=None):
+    """One coefficient update of the training loop; returns the coefficients.
+
+    Without ``lam_opt`` only the entries with a hypergradient are clipped,
+    stepped and projected, in place in ``lam.values``: every other entry has
+    G = 0, which the dense update leaves unchanged, so the result is the same
+    at O(batch) cost. With ``lam_opt`` (Adam on lambda) every entry's moments
+    decay on every step, so the update stays dense through ``hypergradient``
+    and ``project_and_step``.
+    """
+    if lam_opt is not None:
+        G = hypergradient(lam, emb, optimizer, train_batch, val_batch)
+        G = lam_opt.direction(np.clip(G, -clip, clip))
+        return project_and_step(lam, G, step_size, clip)
+    entries, G = sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch)
+    values = lam.values[entries] - step_size * np.clip(G, -clip, clip)
+    np.maximum(values, 0.0, out=values)
+    lam.values[entries] = values
+    return lam
 
 
 class LambdaAdam:
@@ -264,8 +317,8 @@ def train_model(split, cfg, eval_fn=None):
     trajectory = []
     best_auc = -np.inf
     best_epoch = 0
-    best_emb = emb.copy()
-    best_lam = lam.copy()
+    # emb, lam and the optimizer state are mutated in place by every step
+    best = (emb.copy(), lam.copy(), optimizer.clone())
     bad_evals = 0
     global_step = 0
     aborted = False
@@ -280,30 +333,18 @@ def train_model(split, cfg, eval_fn=None):
                 grad = bpr_gradient(emb, batch)
                 loss_sum += bpr_loss(emb, batch)
                 triplets += len(batch.users)
-                if reg.dense_penalty:
-                    full = SparseGrad(
-                        user_rows=np.arange(split.num_users),
-                        user_vals=np.zeros_like(emb.user),
-                        item_rows=np.arange(split.num_items),
-                        item_vals=np.zeros_like(emb.item))
-                    full.user_vals[grad.user_rows] = grad.user_vals
-                    full.item_vals[grad.item_rows] = grad.item_vals
-                    composed = compose_gradient(full, emb, lam)
-                else:
-                    composed = compose_gradient(grad, emb, lam)
-                optimizer.step(emb, composed, step_index=global_step)
+                optimizer.step(emb, compose_gradient(grad, emb, lam),
+                               step_index=global_step)
                 if adaptive and global_step % reg.every == 0:
                     tb = sample_triplets(split, rng, tr.lambda_batch_size, "train")
                     vb = sample_triplets(split, rng, tr.lambda_batch_size, "validation")
-                    G = hypergradient(lam, emb, optimizer, tb, vb)
-                    if lam_opt is not None:
-                        G = lam_opt.direction(np.clip(G, -reg.clip, reg.clip))
-                    lam = project_and_step(lam, G, reg.step_size, reg.clip)
+                    lam = lambda_step(lam, emb, optimizer, tb, vb, reg.step_size,
+                                      reg.clip, lam_opt)
                 global_step += 1
         except AdaptRegError as exc:
             aborted = True
             abort_reason = str(exc)
-            emb, lam = best_emb, best_lam
+            emb, lam, optimizer = best
             break
         mean_loss = loss_sum / max(triplets, 1)
         trajectory.append(record_trajectory(lam, split, epoch, user_groups, item_groups))
@@ -312,7 +353,7 @@ def train_model(split, cfg, eval_fn=None):
             if not np.isfinite(mean_loss):
                 aborted = True
                 abort_reason = f"non-finite training loss at epoch {epoch}"
-                emb, lam = best_emb, best_lam
+                emb, lam, optimizer = best
                 history.append(row)
                 break
             val_auc = eval_fn(emb)
@@ -320,8 +361,11 @@ def train_model(split, cfg, eval_fn=None):
             if val_auc > best_auc:
                 best_auc = val_auc
                 best_epoch = epoch
-                best_emb = emb.copy()
-                best_lam = lam.copy()
+                # after the final epoch no step mutates the state any more
+                if epoch == tr.epochs:
+                    best = (emb, lam, optimizer)
+                else:
+                    best = (emb.copy(), lam.copy(), optimizer.clone())
                 bad_evals = 0
             else:
                 bad_evals += 1
@@ -332,7 +376,7 @@ def train_model(split, cfg, eval_fn=None):
             history.append(row)
 
     if best_epoch:
-        emb, lam = best_emb, best_lam
+        emb, lam, optimizer = best
     return TrainResult(emb=emb, lam=lam, optimizer=optimizer, history=history,
                        trajectory=trajectory, best_epoch=best_epoch,
                        aborted=aborted, abort_reason=abort_reason)

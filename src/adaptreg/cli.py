@@ -23,7 +23,6 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true", default=None)
 
 
 def _load(args):

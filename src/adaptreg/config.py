@@ -53,7 +53,6 @@ class RegularizationConfig:
     clip: float = 1.0
     every: int = 1
     adam_on_lambda: bool = False
-    dense_penalty: bool = False
 
 
 @dataclass
@@ -82,7 +81,6 @@ class RunConfig:
     groups: GroupsConfig = field(default_factory=GroupsConfig)
     output: str = "runs"
     threads: int = 0
-    deterministic: bool = True
 
 
 _SECTIONS = {
@@ -103,6 +101,9 @@ def load_config(path=None, overrides=()):
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
     cfg = RunConfig()
+    unknown = sorted(set(raw) - set(_SECTIONS) - {"output", "threads"})
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]}")
     for section, cls in _SECTIONS.items():
         block = raw.get(section, {})
         if not isinstance(block, dict):
@@ -112,7 +113,7 @@ def load_config(path=None, overrides=()):
             if not hasattr(obj, key):
                 raise ConfigError(f"unknown config key {section}.{key}")
             setattr(obj, key, value)
-    for key in ("output", "threads", "deterministic"):
+    for key in ("output", "threads"):
         if key in raw:
             setattr(cfg, key, raw[key])
     for ov in overrides:
@@ -194,7 +195,6 @@ def semantic_dict(cfg):
     d = asdict(cfg)
     d.pop("output", None)
     d.pop("threads", None)
-    d.pop("deterministic", None)
     d["training"].pop("seed", None)
     return d
 

@@ -20,6 +20,12 @@ def _check_finite(grad, step=None):
             raise NonFiniteGradientError(side, int(rows[bad]), step)
 
 
+def _with_rows(emb, grad, rows):
+    out = emb.copy()
+    out.user[grad.user_rows], out.item[grad.item_rows] = rows
+    return out
+
+
 class SgdOptimizer:
     kind = "sgd"
 
@@ -34,13 +40,18 @@ class SgdOptimizer:
         _kernels.sgd_step(emb.user, grad.user_rows, grad.user_vals, self.lr)
         _kernels.sgd_step(emb.item, grad.item_rows, grad.item_vals, self.lr)
 
-    def assumed_step(self, emb, grad):
-        """Same arithmetic as step on copies; neither emb nor state is mutated."""
+    def assumed_rows(self, emb, grad):
+        """Post-step values of the rows ``grad`` touches, as (user, item) arrays
+        aligned with ``grad.user_rows``/``grad.item_rows``; same arithmetic as
+        step, O(touched rows), and neither emb nor state is mutated."""
         _check_finite(grad)
-        out = emb.copy()
-        out.user[grad.user_rows] -= self.lr * grad.user_vals
-        out.item[grad.item_rows] -= self.lr * grad.item_vals
-        return out
+        return (emb.user[grad.user_rows] - self.lr * grad.user_vals,
+                emb.item[grad.item_rows] - self.lr * grad.item_vals)
+
+    def assumed_step(self, emb, grad):
+        """Full post-step embeddings: a copy of emb with ``assumed_rows``
+        written in. O(|U|+|I|); the training loop only needs the rows."""
+        return _with_rows(emb, grad, self.assumed_rows(emb, grad))
 
     def lambda_jacobian(self, emb, grad):
         """d theta_bar / d lambda per touched coordinate: -2 * lr * theta."""
@@ -105,19 +116,26 @@ class AdamOptimizer:
         r_bar = self.r_decay * side_r[rows] + (1.0 - self.r_decay) * g * g
         return s_bar, r_bar
 
-    def assumed_step(self, emb, grad):
-        """Simulated t+1 step from cloned moments; state and emb untouched."""
+    def assumed_rows(self, emb, grad):
+        """Simulated t+1 values of the touched rows from cloned moments, as
+        (user, item) arrays aligned with ``grad.user_rows``/``grad.item_rows``;
+        O(touched rows), and state and emb are untouched."""
         _check_finite(grad)
         self._ensure(emb)
         c = self._correction(self.t + 1)
-        out = emb.copy()
+        out = []
         for param, s, r, rows, g in (
-            (out.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
-            (out.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals),
+            (emb.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
+            (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals),
         ):
             s_bar, r_bar = self._assumed_moments(s, r, rows, g)
-            param[rows] = param[rows] - self.lr * c * s_bar / (np.sqrt(r_bar) + self.eps)
-        return out
+            out.append(param[rows] - self.lr * c * s_bar / (np.sqrt(r_bar) + self.eps))
+        return tuple(out)
+
+    def assumed_step(self, emb, grad):
+        """Full simulated t+1 embeddings: a copy of emb with ``assumed_rows``
+        written in. O(|U|+|I|); the training loop only needs the rows."""
+        return _with_rows(emb, grad, self.assumed_rows(emb, grad))
 
     def lambda_jacobian(self, emb, grad):
         """Sensitivity of the assumed step to the lambda entry of each coordinate.

@@ -316,3 +316,23 @@ class TestTrainLoop:
         project_and_step(lam, G, 1e-3, 1.0)
         assert opt.state_digest() == digest
         assert (emb.user == theta_u).all()
+
+    def test_best_epoch_checkpoint_is_consistent(self, small_split, tmp_path):
+        from adaptreg.checkpoint import load_checkpoint, save_checkpoint
+        scores = iter([0.9, 0.5, 0.4])
+        res = train_model(small_split, quick_cfg(epochs=3, eval_every=1),
+                          eval_fn=lambda e: next(scores))
+        assert res.best_epoch == 1 and len(res.history) == 3
+        assert res.optimizer.t == res.history[0]["step"]
+        # the same run stopped after epoch 1 holds exactly the restored state
+        one = train_model(small_split, quick_cfg(epochs=1), eval_fn=lambda e: 0.9)
+        assert res.optimizer.state_digest() == one.optimizer.state_digest()
+        assert res.emb.user.tobytes() == one.emb.user.tobytes()
+        assert res.lam.values.tobytes() == one.lam.values.tobytes()
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, res.emb, res.lam, res.optimizer)
+        emb, lam, opt, _ = load_checkpoint(path)
+        assert emb.user.tobytes() == res.emb.user.tobytes()
+        assert emb.item.tobytes() == res.emb.item.tobytes()
+        assert lam.values.tobytes() == res.lam.values.tobytes()
+        assert opt.state_digest() == res.optimizer.state_digest()

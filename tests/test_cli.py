@@ -128,6 +128,14 @@ class TestConfigHash:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("text", ["regularization:\n  dense_penalty: true\n",
+                                      "deterministic: true\n"])
+    def test_removed_keys_rejected(self, tmp_path, text):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(str(p))
+
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["no_equals_sign"])
