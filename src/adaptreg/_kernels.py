@@ -1,9 +1,10 @@
-"""Hot numeric kernels: numba-jitted inner loops with a pure-numpy fallback.
+"""Hot numeric kernels: pure-numpy implementations, and numba-jitted inner
+loops beside them when numba is installed (the optional ``fast`` extra).
 
-The numba path is the default. Set ``ADAPTREG_DISABLE_NUMBA=1`` in the
-environment (before import) to force the numpy fallback; the two paths agree
-elementwise, with tiny float reassociation differences only in batch
-reductions. ``benchmarks/bench_kernels.py`` compares their throughput.
+The numba path is used whenever numba imports. Set ``ADAPTREG_DISABLE_NUMBA=1``
+in the environment (before import) to force the numpy implementations; the two
+paths agree elementwise, with tiny float reassociation differences only in
+batch reductions. ``benchmarks/bench_kernels.py`` compares their throughput.
 """
 
 import math
@@ -19,7 +20,7 @@ if not _DISABLE:
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is optional
         NUMBA_ENABLED = False
 
 

@@ -4,7 +4,7 @@ optimizer step, the clip-then-clamp projection, the alternating training loop,
 and trajectory recording."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,83 +30,94 @@ def canonical_granularity(name):
     return name
 
 
+# granularity -> (offset, rows, cols) of the user block and of the item block
+# of the flat vector, given |U|, |I| and K. The order within the flat vector
+# is fixed: checkpoints and hypergradient entry ids depend on it.
+_LAYOUT = {
+    "global":   lambda U, I, K: ((0, 1, 1), (0, 1, 1)),
+    "dim":      lambda U, I, K: ((0, 1, K), (0, 1, K)),
+    "user":     lambda U, I, K: ((0, U, 1), (U, 1, 1)),
+    "item":     lambda U, I, K: ((I, 1, 1), (0, I, 1)),
+    "user-dim": lambda U, I, K: ((0, U, K), (U * K, 1, K)),
+    "item-dim": lambda U, I, K: ((0, 1, K), (K, I, K)),
+    "full":     lambda U, I, K: ((0, U, K), (U * K, I, K)),
+}
+
+
 @dataclass
 class RegCoefficients:
     """Nonnegative L2 coefficients at a chosen granularity.
 
-    Stored as a flat parameter vector plus (|U|,K)/(|I|,K) index maps into it;
-    broadcasting and chain-rule aggregation both go through the index maps, so
-    tied granularities are exact special cases of the fully fine-grained form.
+    Stored as one flat vector. Each side (0: users, 1: items) reads a
+    contiguous slice of it as a block of shape (1,1), (1,K), (n,1) or (n,K),
+    which broadcasts to that side's (n,K) embedding matrix: a block with one
+    row is shared by every entity of the side, a block with one column by
+    every dimension. ``global`` and ``dim`` give both sides the same block.
+    Every granularity is thus a tied special case of ``full`` (one entry per
+    embedding coordinate), and the chain rule sums a coordinate's
+    hypergradient into the entry its coefficient is read from.
     """
 
     granularity: str
-    values: np.ndarray      # flat float64, always >= 0
-    user_index: np.ndarray  # (|U|, K) int64 into values
-    item_index: np.ndarray  # (|I|, K)
+    values: np.ndarray  # flat float64, always >= 0
+    num_users: int
+    num_items: int
+    dim: int
 
     @classmethod
     def create(cls, granularity, num_users, num_items, dim, init=0.0):
         granularity = canonical_granularity(granularity)
-        U, I, K = num_users, num_items, dim
-        uu, kk = np.meshgrid(np.arange(U), np.arange(K), indexing="ij")
-        ii, ki = np.meshgrid(np.arange(I), np.arange(K), indexing="ij")
-        if granularity == "global":
-            n = 1
-            uidx = np.zeros((U, K), dtype=np.int64)
-            iidx = np.zeros((I, K), dtype=np.int64)
-        elif granularity == "dim":
-            n = K
-            uidx = kk.astype(np.int64)
-            iidx = ki.astype(np.int64)
-        elif granularity == "user":
-            n = U + 1
-            uidx = uu.astype(np.int64)
-            iidx = np.full((I, K), U, dtype=np.int64)
-        elif granularity == "item":
-            n = I + 1
-            uidx = np.full((U, K), I, dtype=np.int64)
-            iidx = ii.astype(np.int64)
-        elif granularity == "user-dim":
-            n = U * K + K
-            uidx = (uu * K + kk).astype(np.int64)
-            iidx = (U * K + ki).astype(np.int64)
-        elif granularity == "item-dim":
-            n = K + I * K
-            uidx = kk.astype(np.int64)
-            iidx = (K + ii * K + ki).astype(np.int64)
-        else:  # full
-            n = U * K + I * K
-            uidx = (uu * K + kk).astype(np.int64)
-            iidx = (U * K + ii * K + ki).astype(np.int64)
-        values = np.full(n, float(init))
         if init < 0:
             raise ConfigError("initial coefficient must be nonnegative")
-        return cls(granularity=granularity, values=values,
-                   user_index=uidx, item_index=iidx)
+        blocks = _LAYOUT[granularity](num_users, num_items, dim)
+        n = max(offset + rows * cols for offset, rows, cols in blocks)
+        return cls(granularity, np.full(n, float(init)), num_users, num_items, dim)
 
     @property
     def num_entries(self):
         return len(self.values)
 
-    def user_dense(self, num_users=None, dim=None):
-        return self.values[self.user_index]
+    def _block(self, side):
+        """``(offset, view)``: where a side's block starts and the block itself."""
+        offset, rows, cols = _LAYOUT[self.granularity](
+            self.num_users, self.num_items, self.dim)[side]
+        return offset, self.values[offset:offset + rows * cols].reshape(rows, cols)
 
-    def item_dense(self, num_items=None, dim=None):
-        return self.values[self.item_index]
+    def user_dense(self):
+        """Read-only (|U|,K) view of the user coefficients."""
+        return np.broadcast_to(self._block(0)[1], (self.num_users, self.dim))
+
+    def item_dense(self):
+        """Read-only (|I|,K) view of the item coefficients."""
+        return np.broadcast_to(self._block(1)[1], (self.num_items, self.dim))
+
+    def gather(self, side, rows):
+        """Coefficients of the given entity rows of a side; a shared one-row
+        block is returned as it is and broadcasts against (len(rows), K)."""
+        block = self._block(side)[1]
+        return block[rows] if len(block) > 1 else block
+
+    def entries(self, side, rows):
+        """(len(rows), K) entry ids of the coefficients of the given entity
+        rows of a side: offset + row * cols + k, without the row (k) term
+        on a block shared by all rows (dimensions)."""
+        offset, block = self._block(side)
+        n, cols = block.shape
+        ids = (offset + (rows[:, None] * cols if n > 1 else 0)
+               + (np.arange(cols) if cols > 1 else 0))
+        return np.broadcast_to(ids, (len(rows), self.dim))
 
     def copy(self):
-        return RegCoefficients(self.granularity, self.values.copy(),
-                               self.user_index, self.item_index)
+        return self.with_values(self.values.copy())
 
     def with_values(self, values):
-        return RegCoefficients(self.granularity, np.asarray(values, dtype=np.float64),
-                               self.user_index, self.item_index)
+        return replace(self, values=np.asarray(values, dtype=np.float64))
 
 
 def compose_gradient(grad, emb, lam):
     """Non-regularized gradient plus 2*lambda*theta, restricted to touched rows."""
-    gu = grad.user_vals + 2.0 * lam.values[lam.user_index[grad.user_rows]] * emb.user[grad.user_rows]
-    gi = grad.item_vals + 2.0 * lam.values[lam.item_index[grad.item_rows]] * emb.item[grad.item_rows]
+    gu = grad.user_vals + 2.0 * lam.gather(0, grad.user_rows) * emb.user[grad.user_rows]
+    gi = grad.item_vals + 2.0 * lam.gather(1, grad.item_rows) * emb.item[grad.item_rows]
     return SparseGrad(user_rows=grad.user_rows, user_vals=gu,
                       item_rows=grad.item_rows, item_vals=gi)
 
@@ -150,10 +161,9 @@ def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
     # user contributions before item ones, each row-major: the order in which
     # a dense scatter-add would accumulate them, so the sums are bit-equal
     idx, contrib = [], []
-    for (shared, ia, ib), J, v_vals, index in zip(
-            shared_rows, (j_user, j_item), (v.user_vals, v.item_vals),
-            (lam.user_index, lam.item_index)):
-        idx.append(index[shared].ravel())
+    for side, ((shared, ia, ib), J, v_vals) in enumerate(zip(
+            shared_rows, (j_user, j_item), (v.user_vals, v.item_vals))):
+        idx.append(lam.entries(side, shared).ravel())
         contrib.append((v_vals[ib] * J[ia]).ravel())
     entries, inverse = np.unique(np.concatenate(idx), return_inverse=True)
     values = np.bincount(inverse, weights=np.concatenate(contrib),
@@ -241,8 +251,10 @@ class TrajectoryRow:
 
 def record_trajectory(lam, split, step, user_groups, item_groups, keep_entities=False):
     """Per-entity mean coefficient over dims plus per-frequency-group mean/variance."""
-    u_means = lam.user_dense().mean(axis=1)
-    i_means = lam.item_dense().mean(axis=1)
+    # a C-ordered copy, so each mean sums its row in the same order as over
+    # a dense (n,K) array (copying a broadcast view may give another layout)
+    u_means = np.ascontiguousarray(lam.user_dense()).mean(axis=1)
+    i_means = np.ascontiguousarray(lam.item_dense()).mean(axis=1)
     rows = []
     for groups, means in ((user_groups, u_means), (item_groups, i_means)):
         stats = []

@@ -42,9 +42,15 @@ def load_checkpoint(path):
                 f"unsupported checkpoint version {header.get('version')}")
         emb = Embeddings(user=np.array(data["user_factors"]),
                          item=np.array(data["item_factors"]))
-        lam = RegCoefficients.create(header["granularity"], header["num_users"],
-                                     header["num_items"], header["dim"])
-        lam.values[:] = np.array(data["lambda_values"])
+        U, I, K = header["num_users"], header["num_items"], header["dim"]
+        lam = RegCoefficients.create(header["granularity"], U, I, K)
+        values = np.array(data["lambda_values"])
+        if (emb.user.shape, emb.item.shape, values.shape) != ((U, K), (I, K), lam.values.shape):
+            raise IncompatibleCheckpointError(
+                f"checkpoint arrays {emb.user.shape}/{emb.item.shape}/{values.shape} "
+                f"do not match its header ({U} users, {I} items, dim {K}, "
+                f"{lam.num_entries} {lam.granularity} coefficients)")
+        lam.values[:] = values
         optimizer = make_optimizer(header["optimizer"])
         opt_state = {k[4:]: np.array(v) for k, v in data.items() if k.startswith("opt_")}
         optimizer.load_state(opt_state)

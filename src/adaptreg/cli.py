@@ -22,7 +22,6 @@ def _common_flags(p):
                    metavar="KEY=VALUE", help="config override (flags win)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=None)
 
 
 def _load(args):
@@ -31,16 +30,7 @@ def _load(args):
         overrides.append(f"training.seed={args.seed}")
     if args.out is not None:
         overrides.append(f"output={args.out}")
-    if args.threads is not None:
-        overrides.append(f"threads={args.threads}")
-    cfg = load_config(args.config, overrides)
-    if cfg.threads and cfg.threads > 0:
-        try:
-            import numba
-            numba.set_num_threads(cfg.threads)
-        except (ImportError, ValueError):
-            pass
-    return cfg
+    return load_config(args.config, overrides)
 
 
 def cmd_ingest(args):

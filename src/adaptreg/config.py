@@ -80,7 +80,6 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     groups: GroupsConfig = field(default_factory=GroupsConfig)
     output: str = "runs"
-    threads: int = 0
 
 
 _SECTIONS = {
@@ -101,7 +100,7 @@ def load_config(path=None, overrides=()):
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
     cfg = RunConfig()
-    unknown = sorted(set(raw) - set(_SECTIONS) - {"output", "threads"})
+    unknown = sorted(set(raw) - set(_SECTIONS) - {"output"})
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]}")
     for section, cls in _SECTIONS.items():
@@ -113,9 +112,8 @@ def load_config(path=None, overrides=()):
             if not hasattr(obj, key):
                 raise ConfigError(f"unknown config key {section}.{key}")
             setattr(obj, key, value)
-    for key in ("output", "threads"):
-        if key in raw:
-            setattr(cfg, key, raw[key])
+    if "output" in raw:
+        cfg.output = raw["output"]
     for ov in overrides:
         _apply_override(cfg, ov)
     return resolve(cfg)
@@ -191,10 +189,9 @@ def resolve(cfg):
 
 
 def semantic_dict(cfg):
-    """Config content that affects results (excludes output/threads/seed)."""
+    """Config content that affects results (excludes output/seed)."""
     d = asdict(cfg)
     d.pop("output", None)
-    d.pop("threads", None)
     d["training"].pop("seed", None)
     return d
 

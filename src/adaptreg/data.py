@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCorpusError, ParseError, SaturatedSamplerError
+from .mf import TripletBatch
 
 
 @dataclass
@@ -23,13 +24,6 @@ class InteractionLog:
 
     def __len__(self):
         return len(self.users)
-
-
-@dataclass
-class TripletBatchArrays:
-    users: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
 
 
 def load_interactions(path, delimiter=",", has_header=False,
@@ -276,7 +270,7 @@ def sample_triplets(split, rng, size, partition="train"):
                 u[n], i[n] = eu[k], ei[k]
                 eligible = np.setdiff1d(all_items, excluded[u[n]], assume_unique=True)
             j[n] = eligible[rng.integers(0, len(eligible))]
-    return TripletBatchArrays(users=u, pos=i, neg=j)
+    return TripletBatch(users=u, pos=i, neg=j)
 
 
 def frequency_groups(frequencies, boundaries):

@@ -58,12 +58,6 @@ class TripletBatch:
         return len(self.users)
 
 
-def as_batch(obj):
-    if isinstance(obj, TripletBatch):
-        return obj
-    return TripletBatch(np.asarray(obj.users), np.asarray(obj.pos), np.asarray(obj.neg))
-
-
 def score(emb, u, i):
     """Predicted preference of user u for item i (dot product)."""
     return float(np.dot(emb.user[u], emb.item[i]))
@@ -71,13 +65,11 @@ def score(emb, u, i):
 
 def bpr_loss(emb, batch):
     """Summed -ln sigma(score_ui - score_uj) over the batch (softplus form)."""
-    batch = as_batch(batch)
     return float(_kernels.bpr_loss_batch(emb.user, emb.item, batch.users, batch.pos, batch.neg))
 
 
 def bpr_gradient(emb, batch):
     """Sparse gradient of bpr_loss w.r.t. the embeddings."""
-    batch = as_batch(batch)
     u_rows, u_inv = np.unique(batch.users, return_inverse=True)
     all_items = np.concatenate([batch.pos, batch.neg])
     i_rows, i_inv = np.unique(all_items, return_inverse=True)
@@ -93,8 +85,8 @@ def bpr_gradient(emb, batch):
 
 def penalty(emb, lam):
     """Fine-grained L2 penalty: sum of broadcast(lambda) * theta^2 over all entries."""
-    lu = lam.user_dense(emb.num_users, emb.dim)
-    li = lam.item_dense(emb.num_items, emb.dim)
+    lu = lam.user_dense()
+    li = lam.item_dense()
     if lu.shape != emb.user.shape or li.shape != emb.item.shape:
         raise ShapeMismatchError(
             f"coefficient shapes {lu.shape}/{li.shape} incompatible with "
@@ -104,8 +96,8 @@ def penalty(emb, lam):
 
 def penalty_gradient(emb, lam):
     """Dense gradient of the penalty: elementwise 2 * broadcast(lambda) * theta."""
-    lu = lam.user_dense(emb.num_users, emb.dim)
-    li = lam.item_dense(emb.num_items, emb.dim)
+    lu = lam.user_dense()
+    li = lam.item_dense()
     if lu.shape != emb.user.shape or li.shape != emb.item.shape:
         raise ShapeMismatchError(
             f"coefficient shapes {lu.shape}/{li.shape} incompatible with "

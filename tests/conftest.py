@@ -29,6 +29,29 @@ def random_instance(seed, num_users=5, num_items=8, dim=4, scale=0.3):
     return emb, rng
 
 
+def oracle_index_maps(granularity, num_users, num_items, dim):
+    """(|U|,K) and (|I|,K) maps from each embedding coordinate to the flat
+    coefficient entry it reads, built coordinate by coordinate: the layout
+    reference for ``RegCoefficients``."""
+    U, I, K = num_users, num_items, dim
+    uu, kk = np.meshgrid(np.arange(U), np.arange(K), indexing="ij")
+    ii, ki = np.meshgrid(np.arange(I), np.arange(K), indexing="ij")
+    if granularity == "global":
+        return np.zeros((U, K), dtype=np.int64), np.zeros((I, K), dtype=np.int64)
+    if granularity == "dim":
+        return kk, ki
+    if granularity == "user":
+        return uu, np.full((I, K), U, dtype=np.int64)
+    if granularity == "item":
+        return np.full((U, K), I, dtype=np.int64), ii
+    if granularity == "user-dim":
+        return uu * K + kk, U * K + ki
+    if granularity == "item-dim":
+        return kk, K + ii * K + ki
+    assert granularity == "full"
+    return uu * K + kk, U * K + ii * K + ki
+
+
 def random_batch(rng, num_users, num_items, size):
     return TripletBatch(
         users=rng.integers(0, num_users, size),

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from adaptreg.adaptive import (
-    RegCoefficients, canonical_granularity, compose_gradient, hypergradient,
-    project_and_step, record_trajectory, train_model,
+    GRANULARITIES, RegCoefficients, canonical_granularity, compose_gradient,
+    hypergradient, project_and_step, record_trajectory, train_model,
 )
 from adaptreg.config import RunConfig
 from adaptreg.data import frequency_groups
@@ -11,7 +13,7 @@ from adaptreg.errors import ConfigError
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient, bpr_loss, penalty
 from adaptreg.optim import make_optimizer
 
-from conftest import random_batch, random_instance
+from conftest import oracle_index_maps, random_batch, random_instance
 
 
 class TestGranularity:
@@ -57,6 +59,40 @@ class TestBroadcast:
         lam.values[:] = [0.1, 0.2, 0.3]
         assert (lam.user_dense()[1] == [0.1, 0.2, 0.3]).all()
         assert (lam.item_dense()[0] == [0.1, 0.2, 0.3]).all()
+
+
+class TestLayout:
+    @pytest.mark.parametrize("shape", [(3, 5, 2), (1, 1, 1), (6, 1, 1), (1, 6, 1),
+                                       (1, 1, 4), (4, 3, 1)])
+    @pytest.mark.parametrize("gran", GRANULARITIES)
+    def test_matches_oracle_index_maps(self, gran, shape):
+        U, I, K = shape
+        lam = RegCoefficients.create(gran, U, I, K)
+        # every entry holds its own id, so a read shows which entry it reads
+        lam.values[:] = np.arange(lam.num_entries)
+        user_index, item_index = oracle_index_maps(gran, U, I, K)
+        read = np.concatenate([user_index.ravel(), item_index.ravel()])
+        assert (np.unique(read) == np.arange(lam.num_entries)).all()
+        rng = np.random.default_rng(0)
+        for side, n, index, dense in ((0, U, user_index, lam.user_dense()),
+                                      (1, I, item_index, lam.item_dense())):
+            assert dense.shape == index.shape and (dense == index).all()
+            for rows in (np.arange(n), rng.integers(0, n, 7), np.empty(0, np.int64)):
+                entries = lam.entries(side, rows)
+                assert entries.dtype == np.int64
+                assert entries.shape == (len(rows), K)
+                assert (entries == index[rows]).all()
+                gathered = np.broadcast_to(lam.gather(side, rows), (len(rows), K))
+                assert (gathered == index[rows]).all()
+
+    @pytest.mark.parametrize("gran", GRANULARITIES)
+    def test_values_are_the_only_array(self, gran):
+        lam = RegCoefficients.create(gran, 4, 3, 2)
+        assert np.shares_memory(lam.user_dense(), lam.values)
+        assert np.shares_memory(lam.item_dense(), lam.values)
+        arrays = [k for k, v in vars(lam).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["values"]
+        assert not np.shares_memory(lam.copy().values, lam.values)
 
 
 class TestComposeGradient:
@@ -236,6 +272,24 @@ class TestRecordTrajectory:
         assert size == 2
         assert mean == pytest.approx(0.2)
         assert var == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("gran", GRANULARITIES)
+    def test_bit_equal_to_dense_index_maps(self, gran):
+        U, I, K = 40, 60, 32
+        lam = RegCoefficients.create(gran, U, I, K)
+        lam.values[:] = np.random.default_rng(1).uniform(0, 0.3, lam.num_entries)
+        groups = (np.arange(U) % 3, np.arange(I) % 4)
+        row = record_trajectory(lam, None, 0, *groups, keep_entities=True)
+        user_index, item_index = oracle_index_maps(gran, U, I, K)
+        ref = record_trajectory(SimpleNamespace(
+            user_dense=lambda: lam.values[user_index],
+            item_dense=lambda: lam.values[item_index]), None, 0, *groups,
+            keep_entities=True)
+        for name in ("user_mean", "item_mean", "user_var", "item_var",
+                     "user_group_stats", "item_group_stats"):
+            assert getattr(row, name) == getattr(ref, name)
+        assert row.user_entity_means.tobytes() == ref.user_entity_means.tobytes()
+        assert row.item_entity_means.tobytes() == ref.item_entity_means.tobytes()
 
 
 def quick_cfg(**kw):

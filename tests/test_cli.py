@@ -7,7 +7,7 @@ import pytest
 from adaptreg.checkpoint import load_checkpoint, save_checkpoint
 from adaptreg.cli import main
 from adaptreg.config import RunConfig, config_hash, load_config, resolve
-from adaptreg.errors import ConfigError
+from adaptreg.errors import ConfigError, IncompatibleCheckpointError
 from adaptreg.mf import Embeddings
 from adaptreg.adaptive import RegCoefficients
 from adaptreg.optim import make_optimizer
@@ -103,12 +103,11 @@ class TestConfigHash:
         b.model.dim = 16
         assert config_hash(a) != config_hash(b)
 
-    def test_seed_output_threads_do_not_change_hash(self):
+    def test_seed_output_do_not_change_hash(self):
         a = resolve(RunConfig())
         b = resolve(RunConfig())
         b.training.seed = 99
         b.output = "elsewhere"
-        b.threads = 4
         assert config_hash(a) == config_hash(b)
 
     def test_stable_across_processes_inputs(self):
@@ -129,7 +128,7 @@ class TestConfigHash:
             load_config(str(p))
 
     @pytest.mark.parametrize("text", ["regularization:\n  dense_penalty: true\n",
-                                      "deterministic: true\n"])
+                                      "deterministic: true\n", "threads: 2\n"])
     def test_removed_keys_rejected(self, tmp_path, text):
         p = tmp_path / "cfg.yaml"
         p.write_text(text)
@@ -254,9 +253,26 @@ class TestCheckpointRoundTrip:
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
-        from adaptreg.errors import IncompatibleCheckpointError
         path = tmp_path / "old.npz"
         header = np.frombuffer(json.dumps({"version": 99}).encode(), dtype=np.uint8)
         np.savez(path, header=header)
+        with pytest.raises(IncompatibleCheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("forged", [
+        {"lambda_values": np.array([0.3])},  # would broadcast into every entry
+        {"lambda_values": np.full(7, 0.3)},
+        {"user_factors": np.zeros((5, 4))},
+        {"item_factors": np.zeros((9, 3))},
+    ], ids=["one_lambda", "short_lambda", "user_rows", "item_dim"])
+    def test_arrays_disagreeing_with_header_rejected(self, tmp_path, forged):
+        rng = np.random.default_rng(0)
+        emb = Embeddings.init(6, 9, 4, 0.1, rng)
+        lam = RegCoefficients.create("full", 6, 9, 4, init=0.3)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, emb, lam, make_optimizer("sgd"))
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, **forged})
         with pytest.raises(IncompatibleCheckpointError):
             load_checkpoint(path)

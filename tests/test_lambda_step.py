@@ -23,7 +23,7 @@ from adaptreg.errors import AdaptRegError
 from adaptreg.mf import TripletBatch, bpr_gradient
 from adaptreg.optim import make_optimizer
 
-from conftest import random_batch, random_instance
+from conftest import oracle_index_maps, random_batch, random_instance
 
 U, I, K = 30, 40, 4
 
@@ -51,9 +51,11 @@ def oracle_hypergradient(lam, emb, opt, train_batch, val_batch):
     v = bpr_gradient(oracle_assumed_step(opt, emb, composed), val_batch)
     j_user, j_item = opt.lambda_jacobian(emb, composed)
     G = np.zeros(lam.num_entries)
+    user_index, item_index = oracle_index_maps(lam.granularity, emb.num_users,
+                                               emb.num_items, emb.dim)
     for rows, J, v_rows, v_vals, index in (
-        (composed.user_rows, j_user, v.user_rows, v.user_vals, lam.user_index),
-        (composed.item_rows, j_item, v.item_rows, v.item_vals, lam.item_index),
+        (composed.user_rows, j_user, v.user_rows, v.user_vals, user_index),
+        (composed.item_rows, j_item, v.item_rows, v.item_vals, item_index),
     ):
         shared, ia, ib = np.intersect1d(rows, v_rows, assume_unique=True,
                                         return_indices=True)

@@ -142,9 +142,10 @@ class TestPenalty:
 
     def test_shape_mismatch(self):
         emb, _ = random_instance(0)
-        lam = RegCoefficients.create("full", 4, 8, 4)  # wrong user count
-        with pytest.raises(ShapeMismatchError):
-            penalty(emb, lam)
+        for gran in ("full", "global"):
+            lam = RegCoefficients.create(gran, 4, 8, 4)  # wrong user count
+            with pytest.raises(ShapeMismatchError):
+                penalty(emb, lam)
 
 
 class TestPenaltyGradient:

@@ -8,7 +8,7 @@ from adaptreg.errors import NonFiniteGradientError
 from adaptreg.mf import Embeddings, SparseGrad, bpr_gradient
 from adaptreg.optim import AdamOptimizer, SgdOptimizer, make_optimizer
 
-from conftest import random_batch, random_instance
+from conftest import oracle_index_maps, random_batch, random_instance
 
 
 def scalar_grad(val, side="user"):
@@ -169,9 +169,9 @@ class TestLambdaJacobian:
         composed = compose_gradient(g_bar, emb, lam)
         ju, ji = opt.lambda_jacobian(emb, composed)
         h = 1e-6
-        for side, rows, J in (("user", composed.user_rows, ju),
-                              ("item", composed.item_rows, ji)):
-            index = lam.user_index if side == "user" else lam.item_index
+        user_index, item_index = oracle_index_maps("full", 6, 6, 4)
+        for side, rows, J, index in (("user", composed.user_rows, ju, user_index),
+                                     ("item", composed.item_rows, ji, item_index)):
             for n, row in enumerate(rows):
                 for k in range(emb.dim):
                     entry = index[row, k]
