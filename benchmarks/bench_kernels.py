@@ -10,6 +10,11 @@ granularity, 1024-triplet train and validation batches drawn uniformly at
 random) on a small and a large catalog, and prints the large/small ratio: the
 step should cost O(batch), not O(|U|+|I|). Building the large catalog takes
 about 1 GB of memory.
+
+The evaluation case times full-catalog evaluation in milliseconds per user:
+``evaluate.user_auc`` (validation stage) and ``evaluate.corpus_metrics``
+(test stage, HR/NDCG at 50 and 100) on 200 users with 40 random events each,
+K=32, over a 3k and a 50k item catalog.
 """
 
 import argparse
@@ -19,10 +24,13 @@ import numpy as np
 
 from adaptreg import _kernels
 from adaptreg.adaptive import RegCoefficients, lambda_step
+from adaptreg.data import InteractionLog, chronological_split
+from adaptreg.evaluate import corpus_metrics, user_auc
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
 from adaptreg.optim import make_optimizer
 
 LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
+EVAL_ITEMS = (3_000, 50_000)
 
 
 def triplet_case(rng, size, U, I, K):
@@ -68,6 +76,24 @@ def lambda_step_ms(users, items, dim=32, batch=1024, steps=20, repeats=5):
             lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0)
 
     return time_call(run, repeats) / steps * 1e3
+
+
+def eval_ms(items, users=200, events=40, dim=32, repeats=3):
+    """Best-of-``repeats`` milliseconds per user for ``user_auc`` over every
+    user and for one ``corpus_metrics`` call."""
+    rng = np.random.default_rng(0)
+    log = InteractionLog(
+        users=np.repeat(np.arange(users), events),
+        items=np.concatenate([rng.choice(items, events, replace=False)
+                              for _ in range(users)]),
+        times=rng.integers(0, 10**6, users * events),
+        num_users=users, num_items=items)
+    split = chronological_split(log)
+    emb = Embeddings.init(users, items, dim, 0.1, rng)
+    auc_s = time_call(lambda: [user_auc(emb, split, u, "validation")
+                               for u in range(users)], repeats)
+    metrics_s = time_call(lambda: corpus_metrics(emb, split), repeats)
+    return auc_s / users * 1e3, metrics_s / users * 1e3
 
 
 def main():
@@ -128,6 +154,12 @@ def main():
         times.append(lambda_step_ms(users, items))
         print(f"{users:>7} users x {items:>7} items {times[-1]:>8.2f} ms/step")
     print(f"large/small ratio {times[-1] / times[0]:.2f}")
+
+    print()
+    print("evaluation: dim=32, 200 users, ms per user")
+    for items in EVAL_ITEMS:
+        auc_ms, metrics_ms = eval_ms(items)
+        print(f"{items:>7} items  user_auc {auc_ms:>7.3f}  corpus_metrics {metrics_ms:>7.3f}")
 
 
 if __name__ == "__main__":

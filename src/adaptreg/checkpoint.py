@@ -2,6 +2,7 @@
 state in a single npz; round-trip load is bit-exact."""
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -11,6 +12,8 @@ from .mf import Embeddings
 from .optim import make_optimizer
 
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("num_users", "num_items", "dim", "granularity", "optimizer")
+_ARRAYS = ("user_factors", "item_factors", "lambda_values")
 
 
 def save_checkpoint(path, emb, lam, optimizer, meta=None):
@@ -34,12 +37,39 @@ def save_checkpoint(path, emb, lam, optimizer, meta=None):
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path):
-    with np.load(path) as data:
+def _read_header(path, data):
+    """The JSON header of an open checkpoint archive, once the header and
+    every key and array that loading needs are known to be present."""
+    if "header" not in data.files:
+        raise IncompatibleCheckpointError(f"checkpoint {path} has no header")
+    try:
         header = json.loads(bytes(data["header"]).decode())
-        if header.get("version") != FORMAT_VERSION:
-            raise IncompatibleCheckpointError(
-                f"unsupported checkpoint version {header.get('version')}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IncompatibleCheckpointError(
+            f"checkpoint {path} has an unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise IncompatibleCheckpointError(f"checkpoint {path} header is not a JSON object")
+    if header.get("version") != FORMAT_VERSION:
+        raise IncompatibleCheckpointError(
+            f"unsupported checkpoint version {header.get('version')}")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    missing += [k for k in _ARRAYS if k not in data.files]
+    if missing:
+        raise IncompatibleCheckpointError(
+            f"checkpoint {path} lacks {', '.join(missing)}")
+    return header
+
+
+def load_checkpoint(path):
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # pickled, empty, truncated
+        raise IncompatibleCheckpointError(
+            f"{path} is not an npz checkpoint: {exc}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise IncompatibleCheckpointError(f"{path} is not an npz checkpoint")
+    with archive as data:
+        header = _read_header(path, data)
         emb = Embeddings(user=np.array(data["user_factors"]),
                          item=np.array(data["item_factors"]))
         U, I, K = header["num_users"], header["num_items"], header["dim"]

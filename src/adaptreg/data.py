@@ -316,7 +316,10 @@ def save_manifest(path, split):
 
 
 def load_manifest(path):
+    """Rebuild a split from ``save_manifest`` rows; every (user, item) pair
+    appears once."""
     per_user = {}
+    seen = set()
     num_items = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -331,6 +334,14 @@ def load_manifest(path):
                 ts = int(row[3])
             except (IndexError, ValueError) as exc:
                 raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
+            if part not in ("train", "validation", "test"):
+                raise ParseError(path, line_no, f"unknown partition {part!r}")
+            if u < 0 or it < 0:
+                raise ParseError(path, line_no, f"negative id in {row!r}")
+            # a repeated pair would be both a positive and an excluded item
+            if (u, it) in seen:
+                raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
+            seen.add((u, it))
             per_user.setdefault(u, {"train": [], "validation": [], "test": []})
             per_user[u][part].append((it, ts))
             num_items = max(num_items, it + 1)

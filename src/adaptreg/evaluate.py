@@ -6,27 +6,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def average_ranks(scores):
-    """1-based ranks ascending by score, ties averaged (midranks)."""
-    uniq, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    csum = np.cumsum(counts)
-    start = csum - counts + 1
-    mean_rank = (start + csum) / 2.0
-    return mean_rank[inv]
+from .errors import AdaptRegError
 
 
-def auc_from_scores(pos_scores, neg_scores):
-    """Mann-Whitney AUC with ties counting one half."""
-    npos, nneg = len(pos_scores), len(neg_scores)
-    allsc = np.concatenate([pos_scores, neg_scores])
-    ranks = average_ranks(allsc)
-    rsum = ranks[:npos].sum()
-    return (rsum - npos * (npos + 1) / 2.0) / (npos * nneg)
+def _below(sorted_scores, scores):
+    """Per score: how many of ``sorted_scores`` lie strictly below it, and how
+    many lie at or below it."""
+    return (np.searchsorted(sorted_scores, scores, "left"),
+            np.searchsorted(sorted_scores, scores, "right"))
 
 
-def _candidates(split, u, stage):
-    """Candidate item ids (ascending) and this user's positives for the stage."""
+def auc_from_scores(pos_scores, neg_scores, neg_sorted=False):
+    """Mann-Whitney AUC with ties counting one half: each positive earns one
+    per negative below it and one half per negative it ties. The numerator is
+    a sum of half-integers, so it is exact. ``neg_sorted=True`` says that
+    ``neg_scores`` is already ascending."""
+    neg = neg_scores if neg_sorted else np.sort(neg_scores)
+    lo, hi = _below(neg, pos_scores)
+    return (lo.sum() + 0.5 * (hi - lo).sum()) / (len(pos_scores) * len(neg))
+
+
+def _score_user(emb, split, u, stage):
+    """Score user ``u`` once over the whole catalog.
+
+    Returns None when the user has no positives for the stage, else
+    ``(positives, ranks, auc)``: the positives as listed in the split, their
+    1-based ranks among the candidates (every item not excluded for the
+    stage; score descending, ties by ascending item id), and the AUC against
+    the non-positive candidates (None when there are none). A stage's
+    positives are distinct and disjoint from its excluded items.
+    """
     if stage == "test":
         excluded = split.user_pos_train_val[u]
         positives = split.test[u]
@@ -35,35 +44,44 @@ def _candidates(split, u, stage):
         positives = split.val[u]
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    mask = np.ones(split.num_items, dtype=bool)
-    mask[excluded] = False
-    return np.flatnonzero(mask), positives
+    if len(positives) == 0:
+        return None
+    scores = emb.item @ emb.user[u]
+    is_neg = np.ones(split.num_items, dtype=bool)
+    is_neg[excluded] = False
+    is_neg[positives] = False
+    neg = scores[is_neg]
+    neg.sort()
+    pos = scores[positives]
+    # sorting puts NaN last, where a rank would read it as the best score
+    if np.isnan(pos).any() or (len(neg) and np.isnan(neg[-1])):
+        is_nan = np.isnan(scores)
+        is_nan[excluded] = False
+        raise AdaptRegError(
+            f"NaN score for user {u} at item {int(np.flatnonzero(is_nan)[0])}")
+    auc = float(auc_from_scores(pos, neg, neg_sorted=True)) if len(neg) else None
+    neg_lo, neg_hi = _below(neg, pos)
+    pos_lo, pos_hi = _below(np.sort(pos), pos)
+    ranks = 1 + len(neg) + len(pos) - neg_hi - pos_hi
+    # a positive that ties another candidate also trails its lower-id ties
+    for n in np.flatnonzero(neg_hi - neg_lo + pos_hi - pos_lo > 1):
+        item, s = positives[n], pos[n]
+        ranks[n] += (np.count_nonzero(is_neg[:item] & (scores[:item] == s))
+                     + np.count_nonzero((positives < item) & (pos == s)))
+    return positives, ranks, auc
 
 
 def user_auc(emb, split, u, stage="test"):
     """Probability a random test positive outranks a random non-interacted item."""
-    cands, positives = _candidates(split, u, stage)
-    if len(positives) == 0:
-        return None
-    scores = emb.item[cands] @ emb.user[u]
-    pos_mask = np.isin(cands, positives)
-    if (~pos_mask).sum() == 0:
-        return None
-    return float(auc_from_scores(scores[pos_mask], scores[~pos_mask]))
+    scored = _score_user(emb, split, u, stage)
+    return None if scored is None else scored[2]
 
 
 def user_topk_ranks(emb, split, u, stage="test"):
     """1-based ranks of the user's positives in the full-catalog candidate
     ranking (score descending, ties by ascending item id)."""
-    cands, positives = _candidates(split, u, stage)
-    if len(positives) == 0:
-        return None
-    scores = emb.item[cands] @ emb.user[u]
-    order = np.lexsort((cands, -scores))
-    rank_of = np.empty(len(cands), dtype=np.int64)
-    rank_of[order] = np.arange(1, len(cands) + 1)
-    pos_idx = np.searchsorted(cands, positives)
-    return rank_of[pos_idx]
+    scored = _score_user(emb, split, u, stage)
+    return None if scored is None else scored[1]
 
 
 def user_topk(emb, split, u, k, stage="test"):
@@ -109,17 +127,13 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
     item_gains = {k: {} for k in ks}
     skipped = 0
     for u in range(split.num_users):
-        ranks = user_topk_ranks(emb, split, u, stage)
-        if ranks is None:
+        scored = _score_user(emb, split, u, stage)
+        if scored is None or scored[2] is None:
             skipped += 1
             continue
-        a = user_auc(emb, split, u, stage)
-        if a is None:
-            skipped += 1
-            continue
+        positives, ranks, a = scored
         user_ids.append(u)
         aucs.append(a)
-        positives = split.test[u] if stage == "test" else split.val[u]
         for k in ks:
             hits = ranks <= k
             gains = np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
@@ -160,7 +174,8 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
 
 
 def corpus_auc(emb, split, stage="validation"):
-    """Mean per-user AUC only (cheap loop for in-training evaluation)."""
+    """Mean AUC over the users with at least one positive and one negative
+    for the stage: the in-training validation metric."""
     vals = []
     for u in range(split.num_users):
         a = user_auc(emb, split, u, stage)

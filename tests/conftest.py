@@ -64,3 +64,120 @@ def random_batch(rng, num_users, num_items, size):
 def small_split():
     from _synth import make_split
     return make_split(num_users=40, num_items=60, seed=7, min_events=6, max_events=30)
+
+
+# ---------------------------------------------------------------------------
+# Per-user evaluation oracle: gather the candidates, score them, midrank AUC
+# and lexsort ranks, each function rebuilding the candidates on its own.
+# ---------------------------------------------------------------------------
+
+def average_ranks(scores):
+    """1-based ranks ascending by score, ties averaged (midranks)."""
+    uniq, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    csum = np.cumsum(counts)
+    start = csum - counts + 1
+    mean_rank = (start + csum) / 2.0
+    return mean_rank[inv]
+
+
+def oracle_auc_from_scores(pos_scores, neg_scores):
+    npos, nneg = len(pos_scores), len(neg_scores)
+    allsc = np.concatenate([pos_scores, neg_scores])
+    ranks = average_ranks(allsc)
+    rsum = ranks[:npos].sum()
+    return (rsum - npos * (npos + 1) / 2.0) / (npos * nneg)
+
+
+def oracle_candidates(split, u, stage):
+    """Candidate item ids (ascending) and this user's positives for the stage."""
+    if stage == "test":
+        excluded = split.user_pos_train_val[u]
+        positives = split.test[u]
+    else:
+        assert stage == "validation"
+        excluded = split.user_pos_train[u]
+        positives = split.val[u]
+    mask = np.ones(split.num_items, dtype=bool)
+    mask[excluded] = False
+    return np.flatnonzero(mask), positives
+
+
+def oracle_user_auc(emb, split, u, stage="test"):
+    cands, positives = oracle_candidates(split, u, stage)
+    if len(positives) == 0:
+        return None
+    scores = emb.item[cands] @ emb.user[u]
+    pos_mask = np.isin(cands, positives)
+    if (~pos_mask).sum() == 0:
+        return None
+    return float(oracle_auc_from_scores(scores[pos_mask], scores[~pos_mask]))
+
+
+def oracle_user_topk_ranks(emb, split, u, stage="test"):
+    cands, positives = oracle_candidates(split, u, stage)
+    if len(positives) == 0:
+        return None
+    scores = emb.item[cands] @ emb.user[u]
+    order = np.lexsort((cands, -scores))
+    rank_of = np.empty(len(cands), dtype=np.int64)
+    rank_of[order] = np.arange(1, len(cands) + 1)
+    pos_idx = np.searchsorted(cands, positives)
+    return rank_of[pos_idx]
+
+
+def oracle_corpus_auc(emb, split, stage="validation"):
+    vals = [oracle_user_auc(emb, split, u, stage) for u in range(split.num_users)]
+    vals = [a for a in vals if a is not None]
+    return float(np.mean(vals)) if vals else float("nan")
+
+
+def oracle_corpus_metrics(emb, split, ks=(50, 100), stage="test",
+                          item_metric_mode="item-specific"):
+    """``corpus_metrics`` built on the oracle's per-user functions."""
+    from adaptreg.evaluate import MetricReport
+    user_ids, aucs = [], []
+    per_user_hr = {k: [] for k in ks}
+    per_user_ndcg = {k: [] for k in ks}
+    item_hits = {k: {} for k in ks}
+    item_gains = {k: {} for k in ks}
+    skipped = 0
+    for u in range(split.num_users):
+        ranks = oracle_user_topk_ranks(emb, split, u, stage)
+        a = None if ranks is None else oracle_user_auc(emb, split, u, stage)
+        if a is None:
+            skipped += 1
+            continue
+        user_ids.append(u)
+        aucs.append(a)
+        positives = split.test[u] if stage == "test" else split.val[u]
+        for k in ks:
+            hits = ranks <= k
+            gains = np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
+            hr_u, ndcg_u = float(hits.mean()), float(gains.mean())
+            per_user_hr[k].append(hr_u)
+            per_user_ndcg[k].append(ndcg_u)
+            for it, h, g in zip(positives, hits, gains):
+                if item_metric_mode == "item-specific":
+                    h, g = float(h), float(g)
+                else:
+                    h, g = hr_u, ndcg_u
+                item_hits[k].setdefault(int(it), []).append(h)
+                item_gains[k].setdefault(int(it), []).append(g)
+    aucs = np.asarray(aucs)
+    item_ids = {k: np.asarray(sorted(item_hits[k]), dtype=np.int64) for k in ks}
+    return MetricReport(
+        ks=tuple(ks),
+        auc=float(aucs.mean()) if len(aucs) else float("nan"),
+        hr={k: float(np.mean(per_user_hr[k])) for k in ks},
+        ndcg={k: float(np.mean(per_user_ndcg[k])) for k in ks},
+        user_ids=np.asarray(user_ids, dtype=np.int64),
+        user_auc=aucs,
+        user_hr={k: np.asarray(per_user_hr[k]) for k in ks},
+        user_ndcg={k: np.asarray(per_user_ndcg[k]) for k in ks},
+        item_ids=item_ids,
+        item_hr={k: np.asarray([np.mean(item_hits[k][i]) for i in item_ids[k]])
+                 for k in ks},
+        item_ndcg={k: np.asarray([np.mean(item_gains[k][i]) for i in item_ids[k]])
+                   for k in ks},
+        skipped_users=skipped,
+    )

@@ -142,6 +142,7 @@ class TestConfigHash:
             load_config(None, ["bogus.path=1"])
 
 
+
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("train")
@@ -176,6 +177,17 @@ class TestEvaluate:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "ERROR:INCOMPATIBLE_CHECKPOINT" in capsys.readouterr().err
+
+    def test_nan_score_fails_with_typed_error(self, trained, tmp_path, capsys):
+        manifest, ckpt = trained
+        emb, lam, opt, _ = load_checkpoint(ckpt)
+        emb.item[:, 0] = np.nan
+        bad = tmp_path / "nan.npz"
+        save_checkpoint(bad, emb, lam, opt)
+        rc = main(["evaluate", "--checkpoint", str(bad), "--manifest", manifest,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "ERROR:GENERIC: NaN score for user" in capsys.readouterr().err
 
 
 class TestGridSearch:
@@ -276,3 +288,35 @@ class TestCheckpointRoundTrip:
         np.savez(path, **{**arrays, **forged})
         with pytest.raises(IncompatibleCheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [
+        "header_only", "missing_key", "not_npz", "bad_json", "bad_utf8",
+    ])
+    def test_unreadable_files_rejected(self, corpus, tmp_path, content, capsys):
+        import json
+        path = tmp_path / "bad.npz"
+        if content == "not_npz":
+            path.write_text("not a checkpoint\n")
+        else:
+            rng = np.random.default_rng(0)
+            save_checkpoint(path, Embeddings.init(2, 3, 4, 0.1, rng),
+                            RegCoefficients.create("global", 2, 3, 4), make_optimizer("sgd"))
+            with np.load(path) as data:
+                arrays = dict(data)
+            header = json.loads(bytes(arrays["header"]).decode())
+            if content == "header_only":
+                arrays = {"header": np.frombuffer(b'{"version": 1}', dtype=np.uint8)}
+            elif content == "missing_key":
+                del header["granularity"]
+                arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+            else:
+                text = b"{not json" if content == "bad_json" else b"\xff\xfe"
+                arrays["header"] = np.frombuffer(text, dtype=np.uint8)
+            np.savez(path, **arrays)
+        with pytest.raises(IncompatibleCheckpointError):
+            load_checkpoint(path)
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["evaluate", "--checkpoint", str(path), "--manifest", manifest,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "ERROR:INCOMPATIBLE_CHECKPOINT" in capsys.readouterr().err

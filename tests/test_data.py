@@ -220,6 +220,20 @@ class TestPersistence:
         assert (loaded.train_keys == small_split.train_keys).all()
         assert (loaded.item_frequency == small_split.item_frequency).all()
 
+    @pytest.mark.parametrize("rows", [
+        ["0,train,0,1", "0,train,1,2", "0,test,0,3"],        # test item also a train item
+        ["0,train,1,1", "0,validation,2,2", "0,validation,2,3"],
+        ["0,train,1,1", "0,validation,2,2", "0,bogus,3,3"],
+        ["0,train,1,1", "0,validation,2,2", "0,test,-1,3"],
+        ["0,train,1,1", "0,validation,2,2", "-1,test,3,3"],
+    ], ids=["across_partitions", "same_partition", "unknown_partition",
+            "negative_item", "negative_user"])
+    def test_bad_manifest_row_rejected(self, tmp_path, rows):
+        path = write_lines(tmp_path / "manifest.csv", ["user,partition,item,timestamp"] + rows)
+        with pytest.raises(ParseError) as exc:
+            load_manifest(path)
+        assert exc.value.line_no == 4
+
     def test_id_map_round_trip(self, tmp_path):
         path = tmp_path / "idmap.csv"
         save_id_map(path, ["alpha", "beta", "gamma"])

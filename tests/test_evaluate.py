@@ -1,14 +1,22 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from adaptreg.data import _build_split, frequency_groups
+from adaptreg.data import _build_split, chronological_split, frequency_groups
+from adaptreg.errors import AdaptRegError
 from adaptreg.evaluate import (
-    auc_from_scores, average_ranks, corpus_auc, corpus_metrics,
+    MetricReport, auc_from_scores, corpus_auc, corpus_metrics,
     group_improvement_report, user_auc, user_topk, user_topk_ranks,
 )
 from adaptreg.mf import Embeddings
 
-from conftest import random_instance
+from _synth import make_log
+from conftest import (
+    average_ranks, oracle_corpus_auc, oracle_corpus_metrics, oracle_user_auc,
+    oracle_user_topk_ranks, random_instance,
+)
 
 
 Z = np.empty(0, dtype=np.int64)
@@ -190,6 +198,132 @@ class TestCorpusMetrics:
                            [l[2] for l in lists])
         rep = corpus_metrics(emb, split, ks=(5,), stage="test")
         assert corpus_auc(emb, split, stage="test") == pytest.approx(rep.auc, rel=1e-12)
+
+
+def integer_instance():
+    """Small-integer factors: exact scores and many forced ties. Every test
+    candidate of user 6 is a positive (ranks but no AUC); user 7 has no test
+    positives."""
+    rng = np.random.default_rng(11)
+    U, I = 8, 40
+    train, val, test = [], [], []
+    for u in range(U - 2):
+        perm = rng.permutation(I)
+        train.append(sorted(perm[:6].tolist()))
+        val.append(perm[6:10].tolist())
+        test.append(perm[10:15].tolist())
+    train += [list(range(37)), list(range(5))]
+    val += [[37], [5, 6]]
+    test += [[38, 39], []]
+    emb = Embeddings(user=rng.integers(-2, 3, (U, 3)).astype(float),
+                     item=rng.integers(-2, 3, (I, 3)).astype(float))
+    return emb, make_split(I, train, val, test)
+
+
+def infinite_instance():
+    """1-D scores with +inf and -inf ties among candidates and positives."""
+    rng = np.random.default_rng(12)
+    U, I = 5, 30
+    item = rng.integers(-3, 4, I).astype(float)
+    item[[2, 9, 17]] = np.inf
+    item[[4, 5, 21]] = -np.inf
+    user = np.array([[1.0], [-1.0], [2.0], [0.5], [-3.0]])
+    train = [[0, 1], [9], [3, 4], [], [10, 11, 12]]
+    val = [[2, 7], [5, 17], [21, 6], [9], [4]]
+    test = [[9, 4, 13], [2, 21], [17, 5], [2, 4, 8], [9, 0]]
+    return Embeddings(user=user, item=item.reshape(-1, 1)), make_split(I, train, val, test)
+
+
+def synthetic_instance():
+    """A chronological split of the synthetic corpus with float factors."""
+    split = chronological_split(make_log(num_users=60, num_items=90, seed=4))
+    emb, _ = random_instance(5, split.num_users, split.num_items, dim=6)
+    return emb, split
+
+
+INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
+             "synthetic": synthetic_instance}
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMatchesOracle:
+    """The one-pass scoring core against the gather-and-rerank oracle."""
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_per_user_and_corpus_auc(self, name, stage):
+        emb, split = INSTANCES[name]()
+        for u in range(split.num_users):
+            a, b = user_auc(emb, split, u, stage), oracle_user_auc(emb, split, u, stage)
+            assert (a is None) == (b is None)
+            assert a is None or same_bytes(a, b), (u, a, b)
+            r, q = user_topk_ranks(emb, split, u, stage), oracle_user_topk_ranks(emb, split, u, stage)
+            assert (r is None) == (q is None)
+            assert r is None or same_bytes(r, q), (u, r, q)
+        assert same_bytes(corpus_auc(emb, split, stage), oracle_corpus_auc(emb, split, stage))
+
+    @pytest.mark.parametrize("mode", ["item-specific", "user-average"])
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_every_report_field(self, name, stage, mode):
+        emb, split = INSTANCES[name]()
+        ks = (1, 3, 10)
+        got = corpus_metrics(emb, split, ks=ks, stage=stage, item_metric_mode=mode)
+        want = oracle_corpus_metrics(emb, split, ks=ks, stage=stage, item_metric_mode=mode)
+        for f in fields(MetricReport):
+            x, y = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(x, dict):
+                assert list(x) == list(y), f.name
+                assert all(same_bytes(x[k], y[k]) for k in x), f.name
+            else:
+                assert same_bytes(x, y), f.name
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("fn", [user_auc, user_topk_ranks])
+    def test_peak_below_eight_score_vectors(self, fn):
+        # a (n_cand, K) gather alone would be K score vectors
+        I, K = 20_000, 64
+        rng = np.random.default_rng(0)
+        emb = Embeddings.init(1, I, K, 0.1, rng)
+        perm = rng.permutation(I)
+        split = make_split(I, [np.sort(perm[:300])], [perm[300:320]], [perm[320:340]])
+        fn(emb, split, 0)
+        tracemalloc.start()
+        try:
+            fn(emb, split, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * I * 8
+
+
+class TestNaNScores:
+    def nan_instance(self):
+        # item 3 scores NaN: user 0's test positive, a validation negative
+        # for user 0, and a train item (never scored) for user 1
+        split = make_split(5, [[0], [1, 3]], [[2], [0]], [[3], [4]])
+        item = np.arange(5.0).reshape(-1, 1)
+        item[3] = np.nan
+        return Embeddings(user=np.ones((2, 1)), item=item), split
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    def test_candidate_nan_names_user_and_item(self, stage):
+        emb, split = self.nan_instance()
+        for fn in (user_auc, user_topk_ranks):
+            with pytest.raises(AdaptRegError, match="user 0 at item 3"):
+                fn(emb, split, 0, stage)
+        with pytest.raises(AdaptRegError, match="user 0 at item 3"):
+            corpus_metrics(emb, split, ks=(1,), stage=stage)
+
+    def test_excluded_nan_is_not_scored(self):
+        emb, split = self.nan_instance()
+        assert user_auc(emb, split, 1, "test") == 1.0
+        assert list(user_topk_ranks(emb, split, 1, "test")) == [1]
 
 
 class TestGroupReport:
