@@ -1,9 +1,11 @@
 """Kernel timings per backend, plus the cost of one coefficient (lambda) step.
 
 Run with ``python3 benchmarks/bench_kernels.py``. The kernel table times the
-numpy fallback and, when numba is importable, the jitted kernels beside it.
-Pass ``--size`` to change the triplet batch size and ``--repeats`` for more
-stable timings.
+numpy fallback and, when numba is importable, the jitted kernels beside it,
+at the ``--size`` triplet batch and again at a training batch of 8192
+triplets. The ``bpr_grad`` row is one scoring pass that gives the gradient and
+the batch loss together; ``bpr_loss`` scores for the loss alone. Pass
+``--repeats`` for more stable timings.
 
 The lambda-step case times ``adaptive.lambda_step`` (Adam, K=32, ``full``
 granularity, 1024-triplet train and validation batches drawn uniformly at
@@ -31,6 +33,7 @@ from adaptreg.optim import make_optimizer
 
 LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
 EVAL_ITEMS = (3_000, 50_000)
+TRAIN_BATCH = 8192
 
 
 def triplet_case(rng, size, U, I, K):
@@ -96,30 +99,16 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
     return auc_s / users * 1e3, metrics_s / users * 1e3
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--size", type=int, default=100_000)
-    ap.add_argument("--users", type=int, default=5_000)
-    ap.add_argument("--items", type=int, default=20_000)
-    ap.add_argument("--dim", type=int, default=32)
-    ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args()
-
-    impls = _kernels.implementations()
-    backends = [name for name in ("numpy", "numba") if name in impls]
-    if "numba" not in impls:
-        print("numba backend unavailable (ADAPTREG_DISABLE_NUMBA set or numba "
-              "missing); timing the numpy backend alone")
-
+def kernel_table(impls, backends, size, args):
     rng = np.random.default_rng(0)
-    c = triplet_case(rng, args.size, args.users, args.items, args.dim)
+    c = triplet_case(rng, size, args.users, args.items, args.dim)
     K = args.dim
     lr, corr, b1, b2, eps = 0.01, 0.3162, 0.9, 0.999, 1e-8
     g_user = rng.normal(0, 1, (len(c["urows"]), K))
     s = np.zeros((args.users, K))
     r = np.zeros((args.users, K))
-    scatter_idx = rng.integers(0, args.users * K, args.size)
-    scatter_vals = rng.normal(0, 1, args.size)
+    scatter_idx = rng.integers(0, args.users * K, size)
+    scatter_vals = rng.normal(0, 1, size)
 
     def cases(impl):
         gu = np.zeros((len(c["urows"]), K))
@@ -139,13 +128,32 @@ def main():
                 np.zeros(args.users * K), scatter_idx, scatter_vals),
         }
 
-    print(f"batch={args.size} users={args.users} items={args.items} dim={args.dim}")
+    print()
+    print(f"batch={size} users={args.users} items={args.items} dim={args.dim}")
     print(f"{'kernel':<12}" + "".join(f" {name + ' (ms)':>11}" for name in backends)
           + (f" {'speedup':>8}" if len(backends) == 2 else ""))
     for name in ("bpr_loss", "bpr_grad", "sgd_step", "adam_step", "scatter_add"):
         times = [time_call(cases(impls[b])[name], args.repeats) for b in backends]
         print(f"{name:<12}" + "".join(f" {t * 1e3:>11.3f}" for t in times)
               + (f" {times[0] / times[1]:>7.1f}x" if len(times) == 2 else ""))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--size", type=int, default=100_000)
+    ap.add_argument("--users", type=int, default=5_000)
+    ap.add_argument("--items", type=int, default=20_000)
+    ap.add_argument("--dim", type=int, default=32)
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args()
+
+    impls = _kernels.implementations()
+    backends = [name for name in ("numpy", "numba") if name in impls]
+    if "numba" not in impls:
+        print("numba backend unavailable (ADAPTREG_DISABLE_NUMBA set or numba "
+              "missing); timing the numpy backend alone")
+    for size in (args.size, TRAIN_BATCH):
+        kernel_table(impls, backends, size, args)
 
     print()
     print("lambda step: adam, dim=32, batch=1024, granularity=full")

@@ -5,6 +5,14 @@ The numba path is used whenever numba imports. Set ``ADAPTREG_DISABLE_NUMBA=1``
 in the environment (before import) to force the numpy implementations; the two
 paths agree elementwise, with tiny float reassociation differences only in
 batch reductions. ``benchmarks/bench_kernels.py`` compares their throughput.
+
+``bpr_grad_batch`` scores each triplet once and returns the batch's summed BPR
+loss along with the gradient it accumulates, so a training step never scores a
+batch twice. The numpy version scatters each side's rows with one flat
+``np.bincount``, which adds in index order exactly as ``np.add.at`` does, and
+``adam_step`` reads and writes each touched row of the parameter and of both
+moments once, in blocks of rows small enough to stay in cache; both give the
+same bits as the plain ``np.add.at`` and fancy-index forms.
 """
 
 import math
@@ -38,31 +46,73 @@ def _sigmoid_minus_one(x):
     return out
 
 
-def _bpr_loss_np(uf, itf, users, pos, neg):
-    x = np.einsum("tk,tk->t", uf[users], itf[pos] - itf[neg])
-    # softplus(-x) = -ln sigma(x), stable via logaddexp
+def _softplus_sum(x):
+    # sum of softplus(-x) = -ln sigma(x), stable via logaddexp
     return float(np.sum(np.logaddexp(0.0, -x)))
 
 
+def _bpr_loss_np(uf, itf, users, pos, neg):
+    return _softplus_sum(np.einsum("tk,tk->t", uf[users], itf[pos] - itf[neg]))
+
+
+def _scatter_rows(out, inv, vals):
+    # out[inv[t]] += vals[t] for every t, in t order (as np.add.at)
+    K = out.shape[1]
+    flat = (inv[:, None] * K + np.arange(K)).ravel()
+    out += np.bincount(flat, weights=vals.ravel(), minlength=out.size).reshape(out.shape)
+
+
 def _bpr_grad_np(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi):
+    n = len(users)
     diff = itf[pos] - itf[neg]
-    x = np.einsum("tk,tk->t", uf[users], diff)
-    d = _sigmoid_minus_one(x)
-    du = d[:, None] * diff
-    dv = d[:, None] * uf[users]
-    np.add.at(gu, u_inv, du)
-    np.add.at(gi, p_inv, dv)
-    np.add.at(gi, n_inv, -dv)
+    uv = uf[users]
+    x = np.einsum("tk,tk->t", uv, diff)
+    d = _sigmoid_minus_one(x)[:, None]
+    _scatter_rows(gu, u_inv, d * diff)
+    # +d*theta_u on the positive items, then -d*theta_u on the negative ones
+    dv = np.empty((2 * n, uf.shape[1]))
+    np.multiply(d, uv, out=dv[:n])
+    np.negative(dv[:n], out=dv[n:])
+    _scatter_rows(gi, np.concatenate([p_inv, n_inv]), dv)
+    # a NaN score gives a NaN loss without a warning: the finiteness checks on
+    # the gradient and on the epoch loss report it as a typed error
+    with np.errstate(invalid="ignore"):
+        return _softplus_sum(x)
 
 
 def _sgd_step_np(param, rows, g, lr):
     param[rows] -= lr * g
 
 
+# rows per block of the Adam step: 32768 float64 (256 KB) per temporary,
+# which stays in cache where a whole batch's rows would not
+_BLOCK_ELEMS = 1 << 15
+
+
+def _adam_rows(param, s, r, rows, g, lr, c, b1, b2, eps):
+    # one gather and one write-back per array, in-place arithmetic in the
+    # order of s = b1*s + (1-b1)*g, r = b2*r + (1-b2)*g*g,
+    # param -= lr*c*s / (sqrt(r) + eps)
+    sr = np.take(s, rows, axis=0)
+    sr *= b1
+    sr += (1.0 - b1) * g
+    s[rows] = sr
+    rr = np.take(r, rows, axis=0)
+    rr *= b2
+    rr += ((1.0 - b2) * g) * g
+    r[rows] = rr
+    den = np.sqrt(rr)
+    den += eps
+    pr = np.take(param, rows, axis=0)
+    pr -= lr * c * sr / den
+    param[rows] = pr
+
+
 def _adam_step_np(param, s, r, rows, g, lr, c, b1, b2, eps):
-    s[rows] = b1 * s[rows] + (1.0 - b1) * g
-    r[rows] = b2 * r[rows] + (1.0 - b2) * g * g
-    param[rows] -= lr * c * s[rows] / (np.sqrt(r[rows]) + eps)
+    # rows are unique, so each row's update is independent of the others
+    block = max(1, _BLOCK_ELEMS // param.shape[1])
+    for a in range(0, len(rows), block):
+        _adam_rows(param, s, r, rows[a:a + block], g[a:a + block], lr, c, b1, b2, eps)
 
 
 def _scatter_add_np(out, idx, vals):
@@ -94,6 +144,7 @@ if NUMBA_ENABLED:
 
     @njit(cache=True)
     def _bpr_grad_nb(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi):
+        total = 0.0
         K = uf.shape[1]
         for t in range(users.shape[0]):
             u = users[t]
@@ -105,8 +156,11 @@ if NUMBA_ENABLED:
             if x >= 0.0:
                 e = math.exp(-x)
                 d = -e / (1.0 + e)
+                total += math.log1p(e)
             else:
-                d = -1.0 / (1.0 + math.exp(x))
+                e = math.exp(x)
+                d = -1.0 / (1.0 + e)
+                total += -x + math.log1p(e)
             ui = u_inv[t]
             pi = p_inv[t]
             ni = n_inv[t]
@@ -115,6 +169,7 @@ if NUMBA_ENABLED:
                 gu[ui, k] += d * diff
                 gi[pi, k] += d * uf[u, k]
                 gi[ni, k] -= d * uf[u, k]
+        return total
 
     @njit(cache=True)
     def _sgd_step_nb(param, rows, g, lr):

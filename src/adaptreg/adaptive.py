@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import frequency_groups, sample_triplets
 from .errors import AdaptRegError, ConfigError
-from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient, bpr_loss
+from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient
 from .optim import make_optimizer
 
 GRANULARITIES = ("global", "dim", "user", "item", "user-dim", "item-dim", "full")
@@ -138,8 +138,9 @@ def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
     """
     g_bar = bpr_gradient(emb, train_batch)
     composed = compose_gradient(g_bar, emb, lam)
-    new_user, new_item = optimizer.assumed_rows(emb, composed)
-    j_user, j_item = optimizer.lambda_jacobian(emb, composed)
+    moments = optimizer.assumed_moments(emb, composed)
+    new_user, new_item = optimizer.assumed_rows(emb, composed, moments)
+    j_user, j_item = optimizer.lambda_jacobian(emb, composed, moments)
 
     n = len(val_batch.users)
     v_users, u_inv = np.unique(val_batch.users, return_inverse=True)
@@ -343,7 +344,7 @@ def train_model(split, cfg, eval_fn=None):
             for _ in range(steps_per_epoch):
                 batch = sample_triplets(split, rng, tr.batch_size, "train")
                 grad = bpr_gradient(emb, batch)
-                loss_sum += bpr_loss(emb, batch)
+                loss_sum += grad.loss
                 triplets += len(batch.users)
                 optimizer.step(emb, compose_gradient(grad, emb, lam),
                                step_index=global_step)

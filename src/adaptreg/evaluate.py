@@ -110,6 +110,17 @@ class MetricReport:
     skipped_users: int = 0
 
 
+def _group_means(values, starts, counts):
+    """``np.mean(values[start:start + count])`` for each group. Groups of one
+    size are averaged as the rows of one C-ordered matrix; numpy sums each row
+    of it in the order, and so to the bits, of that row alone."""
+    out = np.empty(len(starts))
+    for c in np.unique(counts):
+        sel = np.flatnonzero(counts == c)
+        out[sel] = values[starts[sel, None] + np.arange(c)].mean(axis=1)
+    return out
+
+
 def corpus_metrics(emb, split, ks=(50, 100), stage="test",
                    item_metric_mode="item-specific"):
     """Unweighted per-user means over users with at least one positive, plus
@@ -120,11 +131,11 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
     of the item's test users.
     """
     ks = tuple(ks)
-    user_ids, aucs = [], []
+    user_ids, aucs, positives_of = [], [], []
     per_user_hr = {k: [] for k in ks}
     per_user_ndcg = {k: [] for k in ks}
-    item_hits = {k: {} for k in ks}   # item -> list of values
-    item_gains = {k: {} for k in ks}
+    item_hits = {k: [] for k in ks}   # per user: one value per positive
+    item_gains = {k: [] for k in ks}
     skipped = 0
     for u in range(split.num_users):
         scored = _score_user(emb, split, u, stage)
@@ -134,6 +145,7 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
         positives, ranks, a = scored
         user_ids.append(u)
         aucs.append(a)
+        positives_of.append(positives)
         for k in ks:
             hits = ranks <= k
             gains = np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
@@ -141,24 +153,29 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
             ndcg_u = float(gains.mean())
             per_user_hr[k].append(hr_u)
             per_user_ndcg[k].append(ndcg_u)
-            for it, h, g in zip(positives, hits, gains):
-                it = int(it)
-                if item_metric_mode == "item-specific":
-                    item_hits[k].setdefault(it, []).append(float(h))
-                    item_gains[k].setdefault(it, []).append(float(g))
-                else:
-                    item_hits[k].setdefault(it, []).append(hr_u)
-                    item_gains[k].setdefault(it, []).append(ndcg_u)
+            if item_metric_mode == "item-specific":
+                item_hits[k].append(hits)
+                item_gains[k].append(gains)
+            else:
+                item_hits[k].append(np.full(len(positives), hr_u))
+                item_gains[k].append(np.full(len(positives), ndcg_u))
     user_ids = np.asarray(user_ids, dtype=np.int64)
     aucs = np.asarray(aucs)
-    item_ids = {}
-    item_hr = {}
-    item_ndcg = {}
-    for k in ks:
-        ids = np.asarray(sorted(item_hits[k]), dtype=np.int64)
-        item_ids[k] = ids
-        item_hr[k] = np.asarray([np.mean(item_hits[k][i]) for i in ids])
-        item_ndcg[k] = np.asarray([np.mean(item_gains[k][i]) for i in ids])
+    # group the positives by item once; a stable sort keeps each item's
+    # values in user order, the order its mean must sum them in
+    items = np.concatenate(positives_of) if positives_of else np.empty(0, np.int64)
+    order = np.argsort(items, kind="stable")
+    ids, starts, counts = np.unique(items[order], return_index=True, return_counts=True)
+    ids = ids.astype(np.int64)
+
+    def item_means(values):
+        if not values:
+            return np.empty(0)
+        return _group_means(np.concatenate(values).astype(np.float64)[order], starts, counts)
+
+    item_ids = {k: ids for k in ks}
+    item_hr = {k: item_means(item_hits[k]) for k in ks}
+    item_ndcg = {k: item_means(item_gains[k]) for k in ks}
     return MetricReport(
         ks=ks,
         auc=float(aucs.mean()) if len(aucs) else float("nan"),

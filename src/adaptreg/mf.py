@@ -46,6 +46,7 @@ class SparseGrad:
     user_vals: np.ndarray  # (n_u, K)
     item_rows: np.ndarray
     item_vals: np.ndarray
+    loss: float = None  # summed bpr_loss of the batch, set by bpr_gradient
 
 
 @dataclass
@@ -69,18 +70,20 @@ def bpr_loss(emb, batch):
 
 
 def bpr_gradient(emb, batch):
-    """Sparse gradient of bpr_loss w.r.t. the embeddings."""
+    """Sparse gradient of bpr_loss w.r.t. the embeddings; the batch's loss,
+    from the same scoring pass, is in its ``loss`` field."""
     u_rows, u_inv = np.unique(batch.users, return_inverse=True)
     all_items = np.concatenate([batch.pos, batch.neg])
     i_rows, i_inv = np.unique(all_items, return_inverse=True)
     n = len(batch)
     gu = np.zeros((len(u_rows), emb.dim))
     gi = np.zeros((len(i_rows), emb.dim))
-    _kernels.bpr_grad_batch(
+    loss = _kernels.bpr_grad_batch(
         emb.user, emb.item, batch.users, batch.pos, batch.neg,
         u_inv, i_inv[:n], i_inv[n:], gu, gi,
     )
-    return SparseGrad(user_rows=u_rows, user_vals=gu, item_rows=i_rows, item_vals=gi)
+    return SparseGrad(user_rows=u_rows, user_vals=gu, item_rows=i_rows, item_vals=gi,
+                      loss=float(loss))
 
 
 def penalty(emb, lam):

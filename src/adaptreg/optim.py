@@ -40,7 +40,11 @@ class SgdOptimizer:
         _kernels.sgd_step(emb.user, grad.user_rows, grad.user_vals, self.lr)
         _kernels.sgd_step(emb.item, grad.item_rows, grad.item_vals, self.lr)
 
-    def assumed_rows(self, emb, grad):
+    def assumed_moments(self, emb, grad):
+        """SGD keeps no moments; see ``AdamOptimizer.assumed_moments``."""
+        return None
+
+    def assumed_rows(self, emb, grad, moments=None):
         """Post-step values of the rows ``grad`` touches, as (user, item) arrays
         aligned with ``grad.user_rows``/``grad.item_rows``; same arithmetic as
         step, O(touched rows), and neither emb nor state is mutated."""
@@ -53,7 +57,7 @@ class SgdOptimizer:
         written in. O(|U|+|I|); the training loop only needs the rows."""
         return _with_rows(emb, grad, self.assumed_rows(emb, grad))
 
-    def lambda_jacobian(self, emb, grad):
+    def lambda_jacobian(self, emb, grad, moments=None):
         """d theta_bar / d lambda per touched coordinate: -2 * lr * theta."""
         return (-2.0 * self.lr * emb.user[grad.user_rows],
                 -2.0 * self.lr * emb.item[grad.item_rows])
@@ -111,46 +115,50 @@ class AdamOptimizer:
         _kernels.adam_step(emb.item, self.s_item, self.r_item, grad.item_rows,
                            grad.item_vals, self.lr, c, self.beta1, self.r_decay, self.eps)
 
-    def _assumed_moments(self, side_s, side_r, rows, g):
-        s_bar = self.beta1 * side_s[rows] + (1.0 - self.beta1) * g
-        r_bar = self.r_decay * side_r[rows] + (1.0 - self.r_decay) * g * g
-        return s_bar, r_bar
+    def assumed_moments(self, emb, grad):
+        """The (s, r) moments the next step would give the touched rows, one
+        pair per side (user, item). ``assumed_rows`` and ``lambda_jacobian``
+        both read them: pass the same pair to each instead of letting both
+        recompute it."""
+        self._ensure(emb)
+        return tuple(
+            (self.beta1 * s[rows] + (1.0 - self.beta1) * g,
+             self.r_decay * r[rows] + (1.0 - self.r_decay) * g * g)
+            for s, r, rows, g in (
+                (self.s_user, self.r_user, grad.user_rows, grad.user_vals),
+                (self.s_item, self.r_item, grad.item_rows, grad.item_vals)))
 
-    def assumed_rows(self, emb, grad):
+    def assumed_rows(self, emb, grad, moments=None):
         """Simulated t+1 values of the touched rows from cloned moments, as
         (user, item) arrays aligned with ``grad.user_rows``/``grad.item_rows``;
         O(touched rows), and state and emb are untouched."""
         _check_finite(grad)
-        self._ensure(emb)
+        if moments is None:
+            moments = self.assumed_moments(emb, grad)
         c = self._correction(self.t + 1)
-        out = []
-        for param, s, r, rows, g in (
-            (emb.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
-            (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals),
-        ):
-            s_bar, r_bar = self._assumed_moments(s, r, rows, g)
-            out.append(param[rows] - self.lr * c * s_bar / (np.sqrt(r_bar) + self.eps))
-        return tuple(out)
+        return tuple(
+            param[rows] - self.lr * c * s_bar / (np.sqrt(r_bar) + self.eps)
+            for param, rows, (s_bar, r_bar) in zip(
+                (emb.user, emb.item), (grad.user_rows, grad.item_rows), moments))
 
     def assumed_step(self, emb, grad):
         """Full simulated t+1 embeddings: a copy of emb with ``assumed_rows``
         written in. O(|U|+|I|); the training loop only needs the rows."""
         return _with_rows(emb, grad, self.assumed_rows(emb, grad))
 
-    def lambda_jacobian(self, emb, grad):
+    def lambda_jacobian(self, emb, grad, moments=None):
         """Sensitivity of the assumed step to the lambda entry of each coordinate.
 
         With composed gradient g = g_nonreg + 2*lambda*theta, dg/dlambda = 2*theta.
         """
-        self._ensure(emb)
+        if moments is None:
+            moments = self.assumed_moments(emb, grad)
         c = self._correction(self.t + 1)
         out = []
-        for theta, s, r, rows, g in (
-            (emb.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
-            (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals),
-        ):
+        for theta, rows, g, (s_bar, r_bar) in zip(
+                (emb.user, emb.item), (grad.user_rows, grad.item_rows),
+                (grad.user_vals, grad.item_vals), moments):
             th = theta[rows]
-            s_bar, r_bar = self._assumed_moments(s, r, rows, g)
             sq = np.sqrt(r_bar)
             denom = sq + self.eps
             ds = (1.0 - self.beta1) * 2.0 * th

@@ -60,6 +60,35 @@ def random_batch(rng, num_users, num_items, size):
     )
 
 
+# ---------------------------------------------------------------------------
+# Training-step kernel oracles: the numpy BPR kernel that scatters with
+# np.add.at and leaves the loss to a second scoring pass, and the Adam row
+# step that gathers each moment again for every use.
+# ---------------------------------------------------------------------------
+
+def oracle_bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi):
+    diff = itf[pos] - itf[neg]
+    x = np.einsum("tk,tk->t", uf[users], diff)
+    d = np.empty_like(x)
+    nonneg = x >= 0
+    e = np.exp(-x[nonneg])
+    d[nonneg] = -e / (1.0 + e)
+    d[~nonneg] = -1.0 / (1.0 + np.exp(x[~nonneg]))
+    du = d[:, None] * diff
+    dv = d[:, None] * uf[users]
+    np.add.at(gu, u_inv, du)
+    np.add.at(gi, p_inv, dv)
+    np.add.at(gi, n_inv, -dv)
+    x = np.einsum("tk,tk->t", uf[users], itf[pos] - itf[neg])
+    return float(np.sum(np.logaddexp(0.0, -x)))
+
+
+def oracle_adam_step(param, s, r, rows, g, lr, c, b1, b2, eps):
+    s[rows] = b1 * s[rows] + (1.0 - b1) * g
+    r[rows] = b2 * r[rows] + (1.0 - b2) * g * g
+    param[rows] -= lr * c * s[rows] / (np.sqrt(r[rows]) + eps)
+
+
 @pytest.fixture(scope="session")
 def small_split():
     from _synth import make_split

@@ -241,8 +241,25 @@ def synthetic_instance():
     return emb, split
 
 
+def popular_instance():
+    """Items shared by many users' positives: item groups of 1 to about 300
+    values, past the sizes where numpy's pairwise summation changes form."""
+    rng = np.random.default_rng(13)
+    U, I = 320, 60
+    train, val, test = [], [], []
+    for u in range(U):
+        perm = rng.permutation(np.arange(10, I))
+        train.append(sorted(perm[:3].tolist()))
+        # items 0-9 are each a positive of a growing share of the users
+        hot = [i for i in range(10) if rng.random() < (i + 1) / 10]
+        val.append(hot[: len(hot) // 2] + perm[3:5].tolist())
+        test.append(hot[len(hot) // 2:] + perm[5:7].tolist())
+    emb, _ = random_instance(6, U, I, dim=5)
+    return emb, make_split(I, train, val, test)
+
+
 INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
-             "synthetic": synthetic_instance}
+             "synthetic": synthetic_instance, "popular": popular_instance}
 
 
 def same_bytes(a, b):

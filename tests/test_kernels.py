@@ -57,11 +57,12 @@ def test_bpr_grad_backends_agree(seed):
     for name in ("numpy", "numba"):
         gu = np.zeros((len(urows), uf.shape[1]))
         gi = np.zeros((len(irows), uf.shape[1]))
-        impls[name]["bpr_grad"](uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi)
-        outs.append((gu, gi))
-    (gu_np, gi_np), (gu_nb, gi_nb) = outs
+        loss = impls[name]["bpr_grad"](uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi)
+        outs.append((gu, gi, loss))
+    (gu_np, gi_np, loss_np), (gu_nb, gi_nb, loss_nb) = outs
     assert np.allclose(gu_np, gu_nb, rtol=1e-12, atol=1e-14)
     assert np.allclose(gi_np, gi_nb, rtol=1e-12, atol=1e-14)
+    assert loss_np == pytest.approx(loss_nb, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
