@@ -17,6 +17,11 @@ The evaluation case times full-catalog evaluation in milliseconds per user:
 ``evaluate.user_auc`` (validation stage) and ``evaluate.corpus_metrics``
 (test stage, HR/NDCG at 50 and 100) on 200 users with 40 random events each,
 K=32, over a 3k and a 50k item catalog.
+
+The split case times ``data.chronological_split`` (ratios 0.6/0.2/0.2) on a
+numpy-generated log of 100k users with 1 to 20 events each, about 1M events
+over 50k items in random order, with timestamps drawn from a small range so
+that ties occur.
 """
 
 import argparse
@@ -33,6 +38,7 @@ from adaptreg.optim import make_optimizer
 
 LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
 EVAL_ITEMS = (3_000, 50_000)
+SPLIT_USERS, SPLIT_ITEMS = 100_000, 50_000
 TRAIN_BATCH = 8192
 
 
@@ -97,6 +103,20 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
                                for u in range(users)], repeats)
     metrics_s = time_call(lambda: corpus_metrics(emb, split), repeats)
     return auc_s / users * 1e3, metrics_s / users * 1e3
+
+
+def split_s(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
+    """Best-of-``repeats`` seconds for one ``chronological_split`` call, and
+    the number of events in the log."""
+    rng = np.random.default_rng(0)
+    counts = rng.integers(1, 21, users)
+    n = int(counts.sum())
+    log = InteractionLog(
+        users=rng.permutation(np.repeat(np.arange(users), counts)),
+        items=rng.integers(0, items, n),
+        times=rng.integers(0, 10**5, n),
+        num_users=users, num_items=items)
+    return time_call(lambda: chronological_split(log), repeats), n
 
 
 def kernel_table(impls, backends, size, args):
@@ -168,6 +188,11 @@ def main():
     for items in EVAL_ITEMS:
         auc_ms, metrics_ms = eval_ms(items)
         print(f"{items:>7} items  user_auc {auc_ms:>7.3f}  corpus_metrics {metrics_ms:>7.3f}")
+
+    print()
+    seconds, events = split_s()
+    print(f"chronological split: {SPLIT_USERS} users, {events} events, "
+          f"{seconds * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -169,8 +169,9 @@ def resolve(cfg):
         opt.kind = "sgd"
     if reg.mode in ("opt", "sgda"):
         reg.granularity = canonical_granularity(reg.granularity)
-    if reg.mode == "fix" and reg.fixed_value is None and not reg.grid:
-        raise ConfigError("mode=fix requires a fixed_value or a grid list")
+    if reg.mode == "fix" and reg.fixed_value is None:
+        # grid-search sets fixed_value per candidate; a training run needs one
+        raise ConfigError("mode=fix requires regularization.fixed_value")
     if opt.kind not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer kind {opt.kind!r}")
     if opt.lr is None:

@@ -1,6 +1,7 @@
 """Interaction-log ingestion, filtering, chronological splitting and triplet sampling."""
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -113,21 +114,23 @@ def filter_min_count(log, min_user, min_item):
 
 
 def _redensify(ids, tokens):
-    mapping = {}
-    out = np.empty_like(ids)
-    new_tokens = []
-    for n, old in enumerate(ids):
-        old = int(old)
-        if old not in mapping:
-            mapping[old] = len(new_tokens)
-            new_tokens.append(tokens[old] if tokens else str(old))
-        out[n] = mapping[old]
-    return out, new_tokens
+    """Dense ids in order of first appearance, and the token of each new id."""
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    new_id = np.empty(len(uniq), dtype=ids.dtype)
+    new_id[order] = np.arange(len(uniq))
+    olds = uniq[order].tolist()
+    new_tokens = [tokens[old] for old in olds] if tokens else [str(old) for old in olds]
+    return new_id[inverse], new_tokens
 
 
 @dataclass
 class SplitDataset:
-    """Per-user chronological train/validation/test partition with fast indexes."""
+    """Per-user chronological train/validation/test partition with fast indexes.
+
+    The per-user arrays are views of a few shared arrays: read them, do not
+    write into them.
+    """
 
     num_users: int
     num_items: int
@@ -163,47 +166,52 @@ def chronological_split(log, ratios=(0.6, 0.2, 0.2)):
     if any(r <= 0 for r in ratios) or not math.isclose(sum(ratios), 1.0):
         raise ValueError(f"ratios must be positive and sum to 1, got {ratios}")
     U, I = log.num_users, log.num_items
-    per_user = [[] for _ in range(U)]
-    for n in range(len(log)):
-        per_user[log.users[n]].append(n)
-    train, val, test = [], [], []
-    train_t, val_t, test_t = [], [], []
-    degenerate = []
-    for u in range(U):
-        idx = np.asarray(per_user[u], dtype=np.int64)
-        order = np.argsort(log.times[idx], kind="stable")
-        idx = idx[order]
-        n = len(idx)
-        n_train = math.ceil(ratios[0] * n)
-        n_val = min(math.ceil(ratios[1] * n), n - n_train)
-        tr, va, te = idx[:n_train], idx[n_train:n_train + n_val], idx[n_train + n_val:]
-        if len(va) == 0 or len(te) == 0:
-            degenerate.append(u)
-        train.append(log.items[tr])
-        val.append(log.items[va])
-        test.append(log.items[te])
-        train_t.append(log.times[tr])
-        val_t.append(log.times[va])
-        test_t.append(log.times[te])
+    # one stable sort on (user, dense time rank) puts each user's events in
+    # time order, ties in input order; it is the permutation of
+    # np.lexsort((times, users)) at a fraction of lexsort's cost
+    distinct, t_rank = np.unique(log.times, return_inverse=True)
+    key = log.users.astype(np.int64) * len(distinct) + t_rank
+    order = np.argsort(key, kind="stable")
+    items, times = log.items[order], log.times[order]
+    counts = np.bincount(log.users, minlength=U)
+    n_train = np.ceil(ratios[0] * counts).astype(np.int64)
+    n_val = np.minimum(np.ceil(ratios[1] * counts).astype(np.int64), counts - n_train)
+    n_test = counts - n_train - n_val
+    # user by user: train, validation, test
+    sizes = np.stack([n_train, n_val, n_test], 1).ravel()
+    by_item, by_time = _cut(items, sizes), _cut(times, sizes)
+    train, val, test = by_item[0::3], by_item[1::3], by_item[2::3]
+    train_t, val_t, test_t = by_time[0::3], by_time[1::3], by_time[2::3]
+    degenerate = np.flatnonzero((n_val == 0) | (n_test == 0)).tolist()
     return _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate)
 
 
+def _cut(values, sizes):
+    """``values`` cut into consecutive views of the given sizes."""
+    # bounds are made one at a time: a list of them would be freed while the
+    # views stay alive in the same allocator arenas, and the process would
+    # keep that memory resident (about 9 MB more at 100k users)
+    bounds = itertools.accumulate(sizes.tolist(), initial=0)
+    return [values[a:b] for a, b in itertools.pairwise(bounds)]
+
+
 def _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
-    pos_train = [np.sort(t) for t in train]
-    pos_train_val = [np.sort(np.concatenate([t, v])) for t, v in zip(train, val)]
-    tr_u = np.concatenate([np.full(len(t), u, dtype=np.int64) for u, t in enumerate(train)]) \
-        if U else np.empty(0, dtype=np.int64)
-    tr_i = np.concatenate(train) if U else np.empty(0, dtype=np.int64)
-    va_u = np.concatenate([np.full(len(v), u, dtype=np.int64) for u, v in enumerate(val)]) \
-        if U else np.empty(0, dtype=np.int64)
-    va_i = np.concatenate(val) if U else np.empty(0, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    tr_n = np.asarray([len(t) for t in train], dtype=np.int64)
+    va_n = np.asarray([len(v) for v in val], dtype=np.int64)
+    tr_u = np.repeat(np.arange(U, dtype=np.int64), tr_n)
+    va_u = np.repeat(np.arange(U, dtype=np.int64), va_n)
+    tr_i = np.concatenate(train) if U else empty
+    va_i = np.concatenate(val) if U else empty
+    # keys order by user, then item, so each user's slice of keys - u*I is
+    # that user's sorted items
     train_keys = np.sort(tr_u * I + tr_i)
-    tv_i = np.concatenate([pos_train_val[u] for u in range(U)]) if U else np.empty(0, dtype=np.int64)
-    tv_u = np.concatenate([np.full(len(pos_train_val[u]), u, dtype=np.int64) for u in range(U)]) \
-        if U else np.empty(0, dtype=np.int64)
-    train_val_keys = np.sort(tv_u * I + tv_i)
+    train_val_keys = np.sort(np.concatenate([train_keys, va_u * I + va_i]))
+    tv_u = np.repeat(np.arange(U, dtype=np.int64), tr_n + va_n)
+    dtype = np.result_type(tr_i, va_i)
+    pos_train = _cut((train_keys - tr_u * I).astype(tr_i.dtype, copy=False), tr_n)
+    pos_train_val = _cut((train_val_keys - tv_u * I).astype(dtype, copy=False), tr_n + va_n)
     item_freq = np.bincount(tr_i, minlength=I).astype(np.int64)
-    user_freq = np.asarray([len(t) for t in train], dtype=np.int64)
     return SplitDataset(
         num_users=U, num_items=I,
         train=train, val=val, test=test,
@@ -212,18 +220,24 @@ def _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
         train_keys=train_keys, train_val_keys=train_val_keys,
         train_event_user=tr_u, train_event_item=tr_i,
         val_event_user=va_u, val_event_item=va_i,
-        item_frequency=item_freq, user_frequency=user_freq,
+        item_frequency=item_freq, user_frequency=tr_n,
         degenerate_users=degenerate,
     )
 
 
 def _member(sorted_keys, u, j, num_items):
+    """Whether each (u, j) pair is in ``sorted_keys``; the probes are sorted
+    before the search and the answers put back in probe order."""
     keys = u * num_items + j
-    pos = np.searchsorted(sorted_keys, keys)
-    pos_c = np.minimum(pos, len(sorted_keys) - 1) if len(sorted_keys) else pos
     if len(sorted_keys) == 0:
         return np.zeros(len(keys), dtype=bool)
-    return (pos < len(sorted_keys)) & (sorted_keys[pos_c] == keys)
+    order = np.argsort(keys)
+    probes = keys[order]
+    pos = np.searchsorted(sorted_keys, probes)
+    hit = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == probes
+    out = np.empty(len(keys), dtype=bool)
+    out[order] = hit
+    return out
 
 
 MAX_REJECTION_ROUNDS = 100

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from adaptreg.data import InteractionLog, chronological_split
+from adaptreg.data import InteractionLog, SplitDataset, chronological_split
 from adaptreg.mf import Embeddings, TripletBatch
 
 
@@ -210,3 +211,87 @@ def oracle_corpus_metrics(emb, split, ks=(50, 100), stage="test",
                    for k in ks},
         skipped_users=skipped,
     )
+
+
+# ---------------------------------------------------------------------------
+# Data-layer oracles: the per-user split and index build, the per-event id
+# remap and the unsorted membership probe that the whole-array forms in
+# ``adaptreg.data`` replaced.
+# ---------------------------------------------------------------------------
+
+def oracle_chronological_split(log, ratios=(0.6, 0.2, 0.2)):
+    U, I = log.num_users, log.num_items
+    per_user = [[] for _ in range(U)]
+    for n in range(len(log)):
+        per_user[log.users[n]].append(n)
+    train, val, test = [], [], []
+    train_t, val_t, test_t = [], [], []
+    degenerate = []
+    for u in range(U):
+        idx = np.asarray(per_user[u], dtype=np.int64)
+        order = np.argsort(log.times[idx], kind="stable")
+        idx = idx[order]
+        n = len(idx)
+        n_train = math.ceil(ratios[0] * n)
+        n_val = min(math.ceil(ratios[1] * n), n - n_train)
+        tr, va, te = idx[:n_train], idx[n_train:n_train + n_val], idx[n_train + n_val:]
+        if len(va) == 0 or len(te) == 0:
+            degenerate.append(u)
+        train.append(log.items[tr])
+        val.append(log.items[va])
+        test.append(log.items[te])
+        train_t.append(log.times[tr])
+        val_t.append(log.times[va])
+        test_t.append(log.times[te])
+    return oracle_build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate)
+
+
+def oracle_build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
+    pos_train = [np.sort(t) for t in train]
+    pos_train_val = [np.sort(np.concatenate([t, v])) for t, v in zip(train, val)]
+    tr_u = np.concatenate([np.full(len(t), u, dtype=np.int64) for u, t in enumerate(train)]) \
+        if U else np.empty(0, dtype=np.int64)
+    tr_i = np.concatenate(train) if U else np.empty(0, dtype=np.int64)
+    va_u = np.concatenate([np.full(len(v), u, dtype=np.int64) for u, v in enumerate(val)]) \
+        if U else np.empty(0, dtype=np.int64)
+    va_i = np.concatenate(val) if U else np.empty(0, dtype=np.int64)
+    train_keys = np.sort(tr_u * I + tr_i)
+    tv_i = np.concatenate([pos_train_val[u] for u in range(U)]) if U else np.empty(0, dtype=np.int64)
+    tv_u = np.concatenate([np.full(len(pos_train_val[u]), u, dtype=np.int64) for u in range(U)]) \
+        if U else np.empty(0, dtype=np.int64)
+    train_val_keys = np.sort(tv_u * I + tv_i)
+    item_freq = np.bincount(tr_i, minlength=I).astype(np.int64)
+    user_freq = np.asarray([len(t) for t in train], dtype=np.int64)
+    return SplitDataset(
+        num_users=U, num_items=I,
+        train=train, val=val, test=test,
+        train_times=train_t, val_times=val_t, test_times=test_t,
+        user_pos_train=pos_train, user_pos_train_val=pos_train_val,
+        train_keys=train_keys, train_val_keys=train_val_keys,
+        train_event_user=tr_u, train_event_item=tr_i,
+        val_event_user=va_u, val_event_item=va_i,
+        item_frequency=item_freq, user_frequency=user_freq,
+        degenerate_users=degenerate,
+    )
+
+
+def oracle_redensify(ids, tokens):
+    mapping = {}
+    out = np.empty_like(ids)
+    new_tokens = []
+    for n, old in enumerate(ids):
+        old = int(old)
+        if old not in mapping:
+            mapping[old] = len(new_tokens)
+            new_tokens.append(tokens[old] if tokens else str(old))
+        out[n] = mapping[old]
+    return out, new_tokens
+
+
+def oracle_member(sorted_keys, u, j, num_items):
+    keys = u * num_items + j
+    pos = np.searchsorted(sorted_keys, keys)
+    pos_c = np.minimum(pos, len(sorted_keys) - 1) if len(sorted_keys) else pos
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    return (pos < len(sorted_keys)) & (sorted_keys[pos_c] == keys)

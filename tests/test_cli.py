@@ -95,6 +95,15 @@ class TestTrain:
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
 
+    def test_fix_without_value_rejected(self, corpus, tmp_path, capsys):
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "regularization.mode=fix"] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ERROR:CONFIG" in err and "fixed_value" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigHash:
     def test_semantic_field_changes_hash(self):

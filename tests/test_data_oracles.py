@@ -1,0 +1,243 @@
+"""The whole-array split, index build, id remap and membership probe against
+the per-user forms they replaced.
+
+The oracles in ``conftest`` are the earlier data-layer code: a split that
+gathers, sorts and cuts each user's events on its own, an index build that
+sorts every user's items separately, an id remap that walks the events one by
+one, and a membership probe that searches the keys in their drawn order. The
+rewrite keeps the same arithmetic, so every field must match by dtype, shape
+and bytes, and so must a seeded sampler batch.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from adaptreg import data
+from adaptreg.data import (
+    InteractionLog, SplitDataset, _build_split, _member, _redensify,
+    chronological_split, filter_min_count, load_manifest, sample_triplets,
+    save_manifest,
+)
+
+from _synth import make_log
+from conftest import (
+    oracle_build_split, oracle_chronological_split, oracle_member, oracle_redensify,
+    toy_log,
+)
+
+each_ratio = pytest.mark.parametrize(
+    "ratios", [(0.6, 0.2, 0.2), (0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3)],
+    ids=["60-20-20", "80-10-10", "50-25-25", "thirds"])
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_split(got, want):
+    for f in dataclasses.fields(SplitDataset):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, np.ndarray):
+            assert same_bytes(g, w), f.name
+        elif f.name == "degenerate_users":
+            assert g == w and all(type(u) is int for u in g), f.name
+        elif isinstance(w, list):
+            assert len(g) == len(w), f.name
+            for u, (a, b) in enumerate(zip(g, w)):
+                assert same_bytes(a, b), f"{f.name}[{u}]"
+        else:
+            assert g == w, f.name
+
+
+def log_from_arrays(users, items, times, num_users, num_items):
+    return InteractionLog(users=np.asarray(users), items=np.asarray(items),
+                          times=np.asarray(times), num_users=num_users,
+                          num_items=num_items)
+
+
+def tied_log(seed, num_users=60, num_items=90, distinct_times=4):
+    """Each user's events drawn in a shuffled order over a few timestamps, so
+    most events tie with another of the same user."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 40, num_users)
+    users = rng.permutation(np.repeat(np.arange(num_users), counts))
+    items = rng.integers(0, num_items, len(users))
+    times = rng.integers(0, distinct_times, len(users)) * 1000
+    return log_from_arrays(users, items, times, num_users, num_items)
+
+
+@each_ratio
+@pytest.mark.parametrize("size,seed", [((30, 40), 0), ((120, 200), 5), ((400, 300), 9)])
+def test_split_matches_oracle_on_synthetic_logs(size, seed, ratios):
+    log = make_log(num_users=size[0], num_items=size[1], seed=seed,
+                   min_events=1, max_events=40)
+    assert_same_split(chronological_split(log, ratios),
+                      oracle_chronological_split(log, ratios))
+
+
+@each_ratio
+@pytest.mark.parametrize("seed", [1, 2])
+def test_split_keeps_input_order_on_timestamp_ties(seed, ratios):
+    log = tied_log(seed)
+    assert_same_split(chronological_split(log, ratios),
+                      oracle_chronological_split(log, ratios))
+
+
+def test_split_many_ties_in_a_large_log():
+    # a global sort of a few thousand keys, most of them tied: an unstable
+    # sort reorders ties here even where it keeps small inputs in order
+    log = tied_log(3, num_users=300, num_items=500, distinct_times=2)
+    assert_same_split(chronological_split(log), oracle_chronological_split(log))
+
+
+@each_ratio
+def test_split_small_users_and_a_user_without_events(ratios):
+    # users 0..4 have 1, 2, 3, 5 and 8 events; user 5 and the last user have
+    # none; events arrive interleaved across users and out of time order
+    events = []
+    for u, n in enumerate([1, 2, 3, 5, 8]):
+        events += [(u, (7 * u + 3 * k) % 11, 100 - 10 * k) for k in range(n)]
+    events.sort(key=lambda e: (e[1], -e[0]))
+    log = toy_log(events, num_users=7, num_items=11)
+    got, want = chronological_split(log, ratios), oracle_chronological_split(log, ratios)
+    assert_same_split(got, want)
+    assert {5, 6} <= set(got.degenerate_users)
+
+
+def test_split_keeps_narrow_dtypes():
+    log = tied_log(4)
+    log.users = log.users.astype(np.int32)
+    log.items = log.items.astype(np.int32)
+    log.times = log.times.astype(np.int32)
+    assert_same_split(chronological_split(log), oracle_chronological_split(log))
+
+
+def test_split_of_wide_timestamps():
+    # timestamps across the whole int64 range still order per user
+    rng = np.random.default_rng(6)
+    n = 500
+    times = rng.integers(-2**62, 2**62, n)
+    times[::7] = times[1::7][: len(times[::7])]
+    log = log_from_arrays(rng.integers(0, 30, n), rng.integers(0, 50, n), times, 30, 50)
+    assert_same_split(chronological_split(log), oracle_chronological_split(log))
+
+
+def test_split_of_empty_log():
+    z = np.empty(0, dtype=np.int64)
+    log = log_from_arrays(z, z, z, 3, 4)
+    assert_same_split(chronological_split(log), oracle_chronological_split(log))
+
+
+def _lists(rng, U, I, dtype=np.int64):
+    parts = []
+    for _ in range(3):
+        sizes = rng.integers(0, 6, U)
+        parts.append([rng.permutation(I)[:s].astype(dtype) for s in sizes])
+    times = [[np.sort(rng.integers(0, 99, len(a))) for a in p] for p in parts]
+    return parts, times
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("U,I", [(1, 3), (8, 12), (50, 20)])
+def test_build_split_matches_oracle(U, I, dtype):
+    rng = np.random.default_rng(U * 100 + I)
+    (train, val, test), (train_t, val_t, test_t) = _lists(rng, U, I, dtype)
+    degenerate = [u for u in range(U) if len(val[u]) == 0 or len(test[u]) == 0]
+    args = (U, I, train, val, test, train_t, val_t, test_t, degenerate)
+    assert_same_split(_build_split(*args), oracle_build_split(*args))
+
+
+def test_build_split_without_users():
+    args = (0, 5, [], [], [], [], [], [], [])
+    assert_same_split(_build_split(*args), oracle_build_split(*args))
+
+
+def test_manifest_round_trip_matches_oracle(tmp_path):
+    log = make_log(num_users=80, num_items=120, seed=2, min_events=1, max_events=30)
+    split = chronological_split(log)
+    path = tmp_path / "manifest.csv"
+    save_manifest(path, split)
+    loaded = load_manifest(path)
+    assert_same_split(loaded, oracle_chronological_split(log))
+
+
+@pytest.mark.parametrize("tokens", [True, False], ids=["tokens", "no-tokens"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_filter_min_count_matches_oracle_remap(monkeypatch, seed, tokens):
+    log = make_log(num_users=150, num_items=220, seed=seed, min_events=2, max_events=40)
+    if not tokens:
+        log.user_tokens, log.item_tokens = [], []
+    # shuffle the events so first appearance differs from id order
+    perm = np.random.default_rng(seed).permutation(len(log))
+    log.users, log.items, log.times = log.users[perm], log.items[perm], log.times[perm]
+    got = filter_min_count(log, 4, 3)
+    monkeypatch.setattr(data, "_redensify", oracle_redensify)
+    want = filter_min_count(log, 4, 3)
+    for name in ("users", "items", "times"):
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
+    assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+    assert got.user_tokens == want.user_tokens
+    assert got.item_tokens == want.item_tokens
+
+
+@pytest.mark.parametrize("tokens", [["a", "b", "c", "d", "e", "f"], []],
+                         ids=["tokens", "no-tokens"])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_redensify_matches_oracle(tokens, dtype):
+    ids = np.asarray([4, 4, 1, 5, 1, 0, 5, 2], dtype=dtype)
+    got, want = _redensify(ids, tokens), oracle_redensify(ids, tokens)
+    assert same_bytes(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def _probe_case(kind, rng, keys, I):
+    n = 300
+    if kind == "hits":
+        picked = rng.choice(keys, n)
+    elif kind == "misses":
+        picked = np.setdiff1d(np.arange(keys.max() + I), keys)
+        picked = rng.choice(picked, n)
+    else:  # duplicates: a few keys, hits and misses, each drawn many times
+        picked = rng.choice(np.concatenate([keys[:3], [keys.max() + 1, 0]]), n)
+    return picked // I, picked % I
+
+
+@pytest.mark.parametrize("kind", ["hits", "misses", "duplicates"])
+def test_member_matches_oracle(kind, small_split):
+    rng = np.random.default_rng(0)
+    I = small_split.num_items
+    for keys in (small_split.train_keys, small_split.train_val_keys):
+        u, j = _probe_case(kind, rng, keys, I)
+        got, want = _member(keys, u, j, I), oracle_member(keys, u, j, I)
+        assert same_bytes(got, want)
+        assert got.tolist() == [int(k) in set(keys.tolist()) for k in u * I + j]
+
+
+def test_member_of_mixed_probes_keeps_probe_order(small_split):
+    rng = np.random.default_rng(1)
+    keys, I = small_split.train_keys, small_split.num_items
+    u = rng.integers(0, small_split.num_users, 2000)
+    j = rng.integers(0, I, 2000)
+    j[::3] = small_split.train_event_item[rng.integers(0, len(keys), len(j[::3]))]
+    u[::3] = small_split.train_event_user[rng.integers(0, len(keys), len(u[::3]))]
+    got = _member(keys, u, j, I)
+    assert 0 < got.sum() < len(got)
+    assert same_bytes(got, oracle_member(keys, u, j, I))
+
+
+def test_member_of_empty_keys():
+    z = np.empty(0, dtype=np.int64)
+    u, j = np.array([0, 1, 2]), np.array([3, 0, 1])
+    assert same_bytes(_member(z, u, j, 4), oracle_member(z, u, j, 4))
+
+
+@pytest.mark.parametrize("partition", ["train", "validation"])
+def test_sampler_batches_unchanged(monkeypatch, small_split, partition):
+    got = sample_triplets(small_split, np.random.default_rng(3), 4096, partition)
+    monkeypatch.setattr(data, "_member", oracle_member)
+    want = sample_triplets(small_split, np.random.default_rng(3), 4096, partition)
+    for name in ("users", "pos", "neg"):
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
