@@ -1,9 +1,8 @@
-"""Kernel timings per backend, plus the cost of one coefficient (lambda) step.
+"""Kernel timings, plus the cost of one coefficient (lambda) step.
 
-Run with ``python3 benchmarks/bench_kernels.py``. The kernel table times the
-numpy fallback and, when numba is importable, the jitted kernels beside it,
-at the ``--size`` triplet batch and again at a training batch of 8192
-triplets. The ``bpr_grad`` row is one scoring pass that gives the gradient and
+Run with ``python3 benchmarks/bench_kernels.py``. The kernel table times each
+kernel of ``adaptreg._kernels`` at the ``--size`` triplet batch and again at a
+training batch of 8192 triplets. The ``bpr_grad`` row is one scoring pass that gives the gradient and
 the batch loss together; ``bpr_loss`` scores for the loss alone. Pass
 ``--repeats`` for more stable timings.
 
@@ -56,7 +55,7 @@ def triplet_case(rng, size, U, I, K):
 
 
 def time_call(fn, repeats):
-    fn()  # warm jit
+    fn()  # warm-up
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -119,7 +118,7 @@ def split_s(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
     return time_call(lambda: chronological_split(log), repeats), n
 
 
-def kernel_table(impls, backends, size, args):
+def kernel_table(size, args):
     rng = np.random.default_rng(0)
     c = triplet_case(rng, size, args.users, args.items, args.dim)
     K = args.dim
@@ -129,33 +128,28 @@ def kernel_table(impls, backends, size, args):
     r = np.zeros((args.users, K))
     scatter_idx = rng.integers(0, args.users * K, size)
     scatter_vals = rng.normal(0, 1, size)
-
-    def cases(impl):
-        gu = np.zeros((len(c["urows"]), K))
-        gi = np.zeros((len(c["irows"]), K))
-        return {
-            "bpr_loss": lambda: impl["bpr_loss"](
-                c["uf"], c["itf"], c["users"], c["pos"], c["neg"]),
-            "bpr_grad": lambda: impl["bpr_grad"](
-                c["uf"], c["itf"], c["users"], c["pos"], c["neg"],
-                c["u_inv"], c["p_inv"], c["n_inv"], gu, gi),
-            "sgd_step": lambda: impl["sgd_step"](
-                c["uf"].copy(), c["urows"], g_user, lr),
-            "adam_step": lambda: impl["adam_step"](
-                c["uf"].copy(), s.copy(), r.copy(), c["urows"], g_user,
-                lr, corr, b1, b2, eps),
-            "scatter_add": lambda: impl["scatter_add"](
-                np.zeros(args.users * K), scatter_idx, scatter_vals),
-        }
+    gu = np.zeros((len(c["urows"]), K))
+    gi = np.zeros((len(c["irows"]), K))
+    cases = {
+        "bpr_loss": lambda: _kernels.bpr_loss_batch(
+            c["uf"], c["itf"], c["users"], c["pos"], c["neg"]),
+        "bpr_grad": lambda: _kernels.bpr_grad_batch(
+            c["uf"], c["itf"], c["users"], c["pos"], c["neg"],
+            c["u_inv"], c["p_inv"], c["n_inv"], gu, gi),
+        "sgd_step": lambda: _kernels.sgd_step(
+            c["uf"].copy(), c["urows"], g_user, lr),
+        "adam_step": lambda: _kernels.adam_step(
+            c["uf"].copy(), s.copy(), r.copy(), c["urows"], g_user,
+            lr, corr, b1, b2, eps),
+        "scatter_add": lambda: _kernels.scatter_add(
+            np.zeros(args.users * K), scatter_idx, scatter_vals),
+    }
 
     print()
     print(f"batch={size} users={args.users} items={args.items} dim={args.dim}")
-    print(f"{'kernel':<12}" + "".join(f" {name + ' (ms)':>11}" for name in backends)
-          + (f" {'speedup':>8}" if len(backends) == 2 else ""))
-    for name in ("bpr_loss", "bpr_grad", "sgd_step", "adam_step", "scatter_add"):
-        times = [time_call(cases(impls[b])[name], args.repeats) for b in backends]
-        print(f"{name:<12}" + "".join(f" {t * 1e3:>11.3f}" for t in times)
-              + (f" {times[0] / times[1]:>7.1f}x" if len(times) == 2 else ""))
+    print(f"{'kernel':<12} {'ms':>11}")
+    for name, fn in cases.items():
+        print(f"{name:<12} {time_call(fn, args.repeats) * 1e3:>11.3f}")
 
 
 def main():
@@ -167,13 +161,8 @@ def main():
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args()
 
-    impls = _kernels.implementations()
-    backends = [name for name in ("numpy", "numba") if name in impls]
-    if "numba" not in impls:
-        print("numba backend unavailable (ADAPTREG_DISABLE_NUMBA set or numba "
-              "missing); timing the numpy backend alone")
     for size in (args.size, TRAIN_BATCH):
-        kernel_table(impls, backends, size, args)
+        kernel_table(size, args)
 
     print()
     print("lambda step: adam, dim=32, batch=1024, granularity=full")

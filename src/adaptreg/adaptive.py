@@ -246,11 +246,9 @@ class TrajectoryRow:
     item_var: float
     user_group_stats: list  # (group, size, mean, var) population variance
     item_group_stats: list
-    user_entity_means: np.ndarray = None
-    item_entity_means: np.ndarray = None
 
 
-def record_trajectory(lam, split, step, user_groups, item_groups, keep_entities=False):
+def record_trajectory(lam, split, step, user_groups, item_groups):
     """Per-entity mean coefficient over dims plus per-frequency-group mean/variance."""
     # a C-ordered copy, so each mean sums its row in the same order as over
     # a dense (n,K) array (copying a broadcast view may give another layout)
@@ -274,8 +272,6 @@ def record_trajectory(lam, split, step, user_groups, item_groups, keep_entities=
         item_var=float(i_means.var()),
         user_group_stats=rows[0],
         item_group_stats=rows[1],
-        user_entity_means=u_means if keep_entities else None,
-        item_entity_means=i_means if keep_entities else None,
     )
 
 

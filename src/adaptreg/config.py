@@ -133,25 +133,24 @@ def _apply_override(cfg, spec):
     if not hasattr(obj, leaf):
         raise ConfigError(f"unknown config path {key!r}")
     current = getattr(obj, leaf)
-    setattr(obj, leaf, _coerce(value, current))
+    try:
+        setattr(obj, leaf, _coerce(value, current))
+    except ValueError:
+        raise ConfigError(f"override {spec!r}: cannot parse {value!r}") from None
 
 
 def _coerce(text, current):
     if isinstance(current, bool):
         return text.lower() in ("1", "true", "yes")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(current, int):
         return int(text)
-    if isinstance(current, float):
+    if isinstance(current, float) or current is None:
+        # a None default (lr, r_decay, fixed_value) stands for a number
         return float(text)
     if isinstance(current, (list, tuple)):
         vals = [v for v in text.replace("[", "").replace("]", "").split(",") if v]
         return type(current)(float(v) if "." in v or "e" in v.lower() else int(v)
                              for v in vals)
-    if current is None:
-        try:
-            return float(text)
-        except ValueError:
-            return text
     return text
 
 
@@ -186,6 +185,11 @@ def resolve(cfg):
         raise ConfigError("fixed_value must be nonnegative")
     if cfg.training.batch_size <= 0 or cfg.training.lambda_batch_size <= 0:
         raise ConfigError("batch sizes must be positive")
+    for name, value in (("training.eval_every", cfg.training.eval_every),
+                        ("regularization.every", reg.every),
+                        ("model.dim", cfg.model.dim)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     return cfg
 
 

@@ -59,11 +59,6 @@ class TripletBatch:
         return len(self.users)
 
 
-def score(emb, u, i):
-    """Predicted preference of user u for item i (dot product)."""
-    return float(np.dot(emb.user[u], emb.item[i]))
-
-
 def bpr_loss(emb, batch):
     """Summed -ln sigma(score_ui - score_uj) over the batch (softplus form)."""
     return float(_kernels.bpr_loss_batch(emb.user, emb.item, batch.users, batch.pos, batch.neg))

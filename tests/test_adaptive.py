@@ -258,11 +258,14 @@ class TestRecordTrajectory:
         assert all(s[2] == 0.0 for s in row.user_group_stats)
 
     def test_entity_mean_over_dims(self):
-        lam = RegCoefficients.create("user-dim", 1, 1, 2)
-        lam.values[:2] = [0.2, 0.4]
-        row = record_trajectory(lam, None, 0, np.array([0]), np.array([0]),
-                                keep_entities=True)
-        assert row.user_entity_means[0] == pytest.approx(0.3)
+        # entity means 0.3 and 0.6: their variance is 0.0225, where the
+        # variance over the four entries would be 0.0275
+        lam = RegCoefficients.create("user-dim", 2, 1, 2)
+        lam.values[:4] = [0.2, 0.4, 0.6, 0.6]
+        row = record_trajectory(lam, None, 0, np.array([0, 0]), np.array([0]))
+        assert row.user_mean == pytest.approx(0.45)
+        assert row.user_var == pytest.approx(0.0225)
+        assert row.user_group_stats[0][3] == pytest.approx(0.0225)
 
     def test_group_population_variance(self):
         lam = RegCoefficients.create("user", 2, 1, 1)
@@ -279,17 +282,12 @@ class TestRecordTrajectory:
         lam = RegCoefficients.create(gran, U, I, K)
         lam.values[:] = np.random.default_rng(1).uniform(0, 0.3, lam.num_entries)
         groups = (np.arange(U) % 3, np.arange(I) % 4)
-        row = record_trajectory(lam, None, 0, *groups, keep_entities=True)
+        row = record_trajectory(lam, None, 0, *groups)
         user_index, item_index = oracle_index_maps(gran, U, I, K)
         ref = record_trajectory(SimpleNamespace(
             user_dense=lambda: lam.values[user_index],
-            item_dense=lambda: lam.values[item_index]), None, 0, *groups,
-            keep_entities=True)
-        for name in ("user_mean", "item_mean", "user_var", "item_var",
-                     "user_group_stats", "item_group_stats"):
-            assert getattr(row, name) == getattr(ref, name)
-        assert row.user_entity_means.tobytes() == ref.user_entity_means.tobytes()
-        assert row.item_entity_means.tobytes() == ref.item_entity_means.tobytes()
+            item_dense=lambda: lam.values[item_index]), None, 0, *groups)
+        assert row == ref
 
 
 def quick_cfg(**kw):

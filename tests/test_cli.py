@@ -104,6 +104,21 @@ class TestTrain:
         assert "ERROR:CONFIG" in err and "fixed_value" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("overrides", [
+        ["training.epochs=abc"], ["training.epochs=1.5"],
+        ["regularization.grid=abc"], ["optimizer.lr=abc"],
+        ["optimizer.r_decay=abc"],
+        ["regularization.mode=fix", "regularization.fixed_value=abc"],
+        ["training.eval_every=0"], ["regularization.every=0"], ["model.dim=0"],
+    ], ids=",".join)
+    def test_bad_value_rejected(self, corpus, tmp_path, capsys, overrides):
+        manifest = str(corpus / "data" / "manifest.csv")
+        sets = [arg for ov in overrides for arg in ("--set", ov)]
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST + sets)
+        assert rc == 1
+        assert "ERROR:CONFIG" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigHash:
     def test_semantic_field_changes_hash(self):

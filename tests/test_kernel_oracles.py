@@ -20,7 +20,6 @@ from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient, bpr_loss
 
 from conftest import oracle_adam_step, oracle_bpr_grad_batch
 
-NUMPY = _kernels.implementations()["numpy"]
 K = 32
 
 
@@ -73,12 +72,12 @@ KINDS = ["unique", "zipf", "same", "zero-row", "extreme"]
 @pytest.mark.parametrize("kind", KINDS)
 def test_bpr_grad_bit_equal_to_add_at_oracle(kind, seed):
     uf, itf, users, pos, neg = triplet_case(kind, seed)
-    urows, irows, gu, gi, loss = run_kernel(NUMPY["bpr_grad"], uf, itf, users, pos, neg)
+    urows, irows, gu, gi, loss = run_kernel(_kernels.bpr_grad_batch, uf, itf, users, pos, neg)
     *_, gu_ref, gi_ref, loss_ref = run_kernel(oracle_bpr_grad_batch, uf, itf, users, pos, neg)
     assert same_bytes(gu, gu_ref)
     assert same_bytes(gi, gi_ref)
     assert type(loss) is float and same_bytes(loss, loss_ref)
-    assert same_bytes(loss, NUMPY["bpr_loss"](uf, itf, users, pos, neg))
+    assert same_bytes(loss, _kernels.bpr_loss_batch(uf, itf, users, pos, neg))
     if kind == "zero-row":
         U, I = len(uf), len(itf)
         assert not gu[urows == U - 1].any()
@@ -116,7 +115,7 @@ def test_adam_step_bit_equal_to_gather_oracle(case):
         if case == "zero-gradient" and t > 3:
             g[1] = 0.0
         c = math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
-        NUMPY["adam_step"](*state, rows, g, lr, c, b1, b2, eps)
+        _kernels.adam_step(*state, rows, g, lr, c, b1, b2, eps)
         oracle_adam_step(*ref, rows, g, lr, c, b1, b2, eps)
         for a, b in zip(state, ref):
             assert same_bytes(a, b)
@@ -146,9 +145,6 @@ def no_second_scoring(*args):
 @pytest.mark.parametrize("mode,kind", [("fix", "adam"), ("opt", "adam"), ("opt", "sgd")])
 def test_train_model_matches_oracle_kernels(small_split, monkeypatch, mode, kind):
     cfg = loop_cfg(mode, kind)
-    monkeypatch.setattr(_kernels, "bpr_grad_batch", NUMPY["bpr_grad"])
-    monkeypatch.setattr(_kernels, "adam_step", NUMPY["adam_step"])
-    monkeypatch.setattr(_kernels, "sgd_step", NUMPY["sgd_step"])
     monkeypatch.setattr(_kernels, "bpr_loss_batch", no_second_scoring)
     fast = train_model(small_split, cfg)
     monkeypatch.setattr(_kernels, "bpr_grad_batch", oracle_bpr_grad_batch)

@@ -7,7 +7,7 @@ from adaptreg.adaptive import RegCoefficients
 from adaptreg.errors import ShapeMismatchError
 from adaptreg.mf import (
     Embeddings, TripletBatch, bpr_gradient, bpr_loss, penalty,
-    penalty_gradient, score,
+    penalty_gradient,
 )
 
 from conftest import random_batch, random_instance
@@ -19,20 +19,6 @@ def dense_grad(emb, grad):
     gu[grad.user_rows] = grad.user_vals
     gi[grad.item_rows] = grad.item_vals
     return gu, gi
-
-
-class TestScore:
-    def test_unit_vectors(self):
-        emb = Embeddings(user=np.array([[1.0, 0.0]]), item=np.array([[1.0, 0.0]]))
-        assert score(emb, 0, 0) == 1.0
-
-    def test_zero_user(self):
-        emb = Embeddings(user=np.zeros((1, 3)), item=np.ones((2, 3)))
-        assert score(emb, 0, 1) == 0.0
-
-    def test_hand_dot(self):
-        emb = Embeddings(user=np.array([[0.5, -1.0]]), item=np.array([[2.0, 0.25]]))
-        assert score(emb, 0, 0) == pytest.approx(0.75)
 
 
 class TestBprLoss:
