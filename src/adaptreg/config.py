@@ -3,6 +3,7 @@ hash used to name run directories."""
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -111,8 +112,10 @@ def load_config(path=None, overrides=()):
         for key, value in block.items():
             if not hasattr(obj, key):
                 raise ConfigError(f"unknown config key {section}.{key}")
+            _check_type(f"{section}.{key}", value, getattr(obj, key))
             setattr(obj, key, value)
     if "output" in raw:
+        _check_type("output", raw["output"], cfg.output)
         cfg.output = raw["output"]
     for ov in overrides:
         _apply_override(cfg, ov)
@@ -154,6 +157,28 @@ def _coerce(text, current):
     return text
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(key, value, current):
+    """Reject a YAML value of another type than ``_coerce`` makes for the
+    field; a value that passes is kept as read, so its config hash is too."""
+    if isinstance(current, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(current, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(current, float) or current is None:
+        ok, kind = _is_number(value) or (current is None and value is None), "a number"
+    elif isinstance(current, (list, tuple)):
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        kind = "a list of numbers"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {key} must be {kind}, got {value!r}")
+
+
 def resolve(cfg):
     """Fill derived defaults, apply presets, and validate."""
     from .adaptive import canonical_granularity
@@ -175,17 +200,35 @@ def resolve(cfg):
         raise ConfigError(f"unknown optimizer kind {opt.kind!r}")
     if opt.lr is None:
         opt.lr = 0.01 if opt.kind == "adam" else 0.05
+    for section in _SECTIONS:
+        for key, value in vars(getattr(cfg, section)).items():
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{section}.{key} must be finite, got {value}")
     for name, value in (("optimizer.lr", opt.lr),
+                        ("optimizer.eps", opt.eps),
                         ("regularization.step_size", reg.step_size),
                         ("regularization.clip", reg.clip),
                         ("model.init_scale", cfg.model.init_scale)):
         if value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
+    for name, value in (("optimizer.beta1", opt.beta1), ("optimizer.beta2", opt.beta2)):
+        if not 0 < value < 1:
+            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+    if opt.r_decay is not None and not 0 <= opt.r_decay < 1:
+        raise ConfigError(f"optimizer.r_decay must lie in [0, 1), got {opt.r_decay}")
+    ratios = cfg.data.ratios
+    if len(ratios) != 3 or min(ratios) <= 0 or not math.isclose(sum(ratios), 1.0):
+        raise ConfigError(f"data.ratios must be three positive numbers summing to 1, got {ratios}")
+    if not cfg.data.delimiter:
+        raise ConfigError("data.delimiter must not be empty")
     if reg.mode == "fix" and reg.fixed_value is not None and reg.fixed_value < 0:
         raise ConfigError("fixed_value must be nonnegative")
     if cfg.training.batch_size <= 0 or cfg.training.lambda_batch_size <= 0:
         raise ConfigError("batch sizes must be positive")
-    for name, value in (("training.eval_every", cfg.training.eval_every),
+    for name, value in (("training.epochs", cfg.training.epochs),
+                        ("training.patience", cfg.training.patience),
+                        ("training.eval_every", cfg.training.eval_every),
                         ("regularization.every", reg.every),
                         ("model.dim", cfg.model.dim)):
         if value < 1:

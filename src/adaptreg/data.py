@@ -31,14 +31,18 @@ def load_interactions(path, delimiter=",", has_header=False,
                       user_col=0, item_col=1, time_col=2):
     """Parse a delimited (user, item, timestamp) file into an InteractionLog.
 
-    Duplicate (user, item) pairs collapse to the earliest timestamp; ids are
-    re-indexed densely in order of first appearance.
+    A one-character delimiter is read with ``csv`` (quoting honoured); a
+    longer one, such as MovieLens' ``::``, splits each line on it. Duplicate
+    (user, item) pairs collapse to the earliest timestamp; ids are dense in
+    order of first appearance and events keep the order of each pair's first
+    row.
     """
-    seen = {}  # (u_tok, i_tok) -> [order, timestamp]
-    order = 0
+    user_ids, item_ids = {}, {}  # token -> dense id, in order of first appearance
+    users, items, times = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=1):
+        rows = (csv.reader(fh, delimiter=delimiter) if len(delimiter) == 1
+                else (line.rstrip("\r\n").split(delimiter) for line in fh))
+        for line_no, row in enumerate(rows, start=1):
             if line_no == 1 and has_header:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -47,39 +51,32 @@ def load_interactions(path, delimiter=",", has_header=False,
                 u_tok = row[user_col].strip()
                 i_tok = row[item_col].strip()
                 ts = int(float(row[time_col]))
-            except (IndexError, ValueError) as exc:
+            except (IndexError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"malformed row {row!r}: {exc}") from None
-            key = (u_tok, i_tok)
-            rec = seen.get(key)
-            if rec is None:
-                seen[key] = [order, ts]
-                order += 1
-            elif ts < rec[1]:
-                rec[1] = ts
-    if not seen:
+            users.append(user_ids.setdefault(u_tok, len(user_ids)))
+            items.append(item_ids.setdefault(i_tok, len(item_ids)))
+            times.append(ts)
+    if not users:
         raise EmptyCorpusError(f"no interactions found in {path}")
-    events = sorted(((rec[0], u, i, rec[1]) for (u, i), rec in seen.items()))
-    user_ids, item_ids = {}, {}
-    user_tokens, item_tokens = [], []
-    users, items, times = [], [], []
-    for _, u_tok, i_tok, ts in events:
-        if u_tok not in user_ids:
-            user_ids[u_tok] = len(user_tokens)
-            user_tokens.append(u_tok)
-        if i_tok not in item_ids:
-            item_ids[i_tok] = len(item_tokens)
-            item_tokens.append(i_tok)
-        users.append(user_ids[u_tok])
-        items.append(item_ids[i_tok])
-        times.append(ts)
+    # a user's or item's first row is the first row of one of its pairs, so
+    # the ids above are also dense in order of first appearance among pairs
+    I = len(item_ids)
+    times = np.asarray(times, dtype=np.int64)
+    pairs, first, inverse = np.unique(
+        np.asarray(users, dtype=np.int64) * I + np.asarray(items, dtype=np.int64),
+        return_index=True, return_inverse=True)
+    earliest = times[first]
+    np.minimum.at(earliest, inverse, times)
+    order = np.argsort(first)
+    pairs = pairs[order]
     return InteractionLog(
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        times=np.asarray(times, dtype=np.int64),
-        num_users=len(user_tokens),
-        num_items=len(item_tokens),
-        user_tokens=user_tokens,
-        item_tokens=item_tokens,
+        users=pairs // I,
+        items=pairs % I,
+        times=earliest[order],
+        num_users=len(user_ids),
+        num_items=I,
+        user_tokens=list(user_ids),
+        item_tokens=list(item_ids),
     )
 
 
@@ -177,13 +174,17 @@ def chronological_split(log, ratios=(0.6, 0.2, 0.2)):
     n_train = np.ceil(ratios[0] * counts).astype(np.int64)
     n_val = np.minimum(np.ceil(ratios[1] * counts).astype(np.int64), counts - n_train)
     n_test = counts - n_train - n_val
-    # user by user: train, validation, test
     sizes = np.stack([n_train, n_val, n_test], 1).ravel()
+    return _split_from_cells(U, I, items, times, sizes)
+
+
+def _split_from_cells(U, I, items, times, sizes):
+    """The split whose events ``items``/``times`` run user by user, and within
+    a user train, validation, test; ``sizes`` (3U,) counts each such cell."""
     by_item, by_time = _cut(items, sizes), _cut(times, sizes)
-    train, val, test = by_item[0::3], by_item[1::3], by_item[2::3]
-    train_t, val_t, test_t = by_time[0::3], by_time[1::3], by_time[2::3]
-    degenerate = np.flatnonzero((n_val == 0) | (n_test == 0)).tolist()
-    return _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate)
+    degenerate = np.flatnonzero((sizes[1::3] == 0) | (sizes[2::3] == 0)).tolist()
+    return _build_split(U, I, by_item[0::3], by_item[1::3], by_item[2::3],
+                        by_time[0::3], by_time[1::3], by_time[2::3], degenerate)
 
 
 def _cut(values, sizes):
@@ -329,16 +330,18 @@ def save_manifest(path, split):
                     w.writerow([u, name, int(it), int(ts)])
 
 
+_PARTITION_CODE = {"train": 0, "validation": 1, "test": 2}
+
+
 def load_manifest(path):
     """Rebuild a split from ``save_manifest`` rows; every (user, item) pair
-    appears once."""
-    per_user = {}
+    appears once. Rows may come in any order: within a (user, partition) cell
+    they keep file order, and users without rows get empty partitions."""
     seen = set()
-    num_items = 0
+    cells, items, times = [], [], []  # cell: 3 * user + partition code
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        if next(reader, None) is None:
             raise EmptyCorpusError(f"manifest {path} is empty")
         for line_no, row in enumerate(reader, start=2):
             try:
@@ -348,7 +351,8 @@ def load_manifest(path):
                 ts = int(row[3])
             except (IndexError, ValueError) as exc:
                 raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
-            if part not in ("train", "validation", "test"):
+            code = _PARTITION_CODE.get(part)
+            if code is None:
                 raise ParseError(path, line_no, f"unknown partition {part!r}")
             if u < 0 or it < 0:
                 raise ParseError(path, line_no, f"negative id in {row!r}")
@@ -356,27 +360,15 @@ def load_manifest(path):
             if (u, it) in seen:
                 raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
             seen.add((u, it))
-            per_user.setdefault(u, {"train": [], "validation": [], "test": []})
-            per_user[u][part].append((it, ts))
-            num_items = max(num_items, it + 1)
-    if not per_user:
+            cells.append(3 * u + code)
+            items.append(it)
+            times.append(ts)
+    if not cells:
         raise EmptyCorpusError(f"manifest {path} has no rows")
-    U = max(per_user) + 1
-    train, val, test = [], [], []
-    train_t, val_t, test_t = [], [], []
-    degenerate = []
-    for u in range(U):
-        rec = per_user.get(u, {"train": [], "validation": [], "test": []})
-        parts = []
-        for name in ("train", "validation", "test"):
-            rows = rec[name]
-            parts.append((
-                np.asarray([r[0] for r in rows], dtype=np.int64),
-                np.asarray([r[1] for r in rows], dtype=np.int64),
-            ))
-        if len(parts[1][0]) == 0 or len(parts[2][0]) == 0:
-            degenerate.append(u)
-        train.append(parts[0][0]); train_t.append(parts[0][1])
-        val.append(parts[1][0]); val_t.append(parts[1][1])
-        test.append(parts[2][0]); test_t.append(parts[2][1])
-    return _build_split(U, num_items, train, val, test, train_t, val_t, test_t, degenerate)
+    cells = np.asarray(cells, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    U = int(cells.max()) // 3 + 1
+    order = np.argsort(cells, kind="stable")
+    return _split_from_cells(U, int(items.max()) + 1, items[order],
+                             np.asarray(times, dtype=np.int64)[order],
+                             np.bincount(cells, minlength=3 * U))

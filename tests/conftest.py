@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from adaptreg.data import InteractionLog, SplitDataset, chronological_split
+from adaptreg.errors import EmptyCorpusError, ParseError
 from adaptreg.mf import Embeddings, TripletBatch
 
 
@@ -215,8 +217,9 @@ def oracle_corpus_metrics(emb, split, ks=(50, 100), stage="test",
 
 # ---------------------------------------------------------------------------
 # Data-layer oracles: the per-user split and index build, the per-event id
-# remap and the unsorted membership probe that the whole-array forms in
-# ``adaptreg.data`` replaced.
+# remap, the unsorted membership probe and the two file readers that group
+# rows through Python dicts, which the whole-array forms in ``adaptreg.data``
+# replaced.
 # ---------------------------------------------------------------------------
 
 def oracle_chronological_split(log, ratios=(0.6, 0.2, 0.2)):
@@ -295,3 +298,109 @@ def oracle_member(sorted_keys, u, j, num_items):
     if len(sorted_keys) == 0:
         return np.zeros(len(keys), dtype=bool)
     return (pos < len(sorted_keys)) & (sorted_keys[pos_c] == keys)
+
+
+def oracle_load_interactions(path, delimiter=",", has_header=False,
+                             user_col=0, item_col=1, time_col=2):
+    """Keep each (user, item) token pair's first-row order and earliest
+    timestamp in a dict, sort the pairs, then assign ids pair by pair."""
+    seen = {}  # (u_tok, i_tok) -> [order, timestamp]
+    order = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        for line_no, row in enumerate(reader, start=1):
+            if line_no == 1 and has_header:
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                u_tok = row[user_col].strip()
+                i_tok = row[item_col].strip()
+                ts = int(float(row[time_col]))
+            except (IndexError, ValueError) as exc:
+                raise ParseError(path, line_no, f"malformed row {row!r}: {exc}") from None
+            key = (u_tok, i_tok)
+            rec = seen.get(key)
+            if rec is None:
+                seen[key] = [order, ts]
+                order += 1
+            elif ts < rec[1]:
+                rec[1] = ts
+    if not seen:
+        raise EmptyCorpusError(f"no interactions found in {path}")
+    events = sorted(((rec[0], u, i, rec[1]) for (u, i), rec in seen.items()))
+    user_ids, item_ids = {}, {}
+    user_tokens, item_tokens = [], []
+    users, items, times = [], [], []
+    for _, u_tok, i_tok, ts in events:
+        if u_tok not in user_ids:
+            user_ids[u_tok] = len(user_tokens)
+            user_tokens.append(u_tok)
+        if i_tok not in item_ids:
+            item_ids[i_tok] = len(item_tokens)
+            item_tokens.append(i_tok)
+        users.append(user_ids[u_tok])
+        items.append(item_ids[i_tok])
+        times.append(ts)
+    return InteractionLog(
+        users=np.asarray(users, dtype=np.int64),
+        items=np.asarray(items, dtype=np.int64),
+        times=np.asarray(times, dtype=np.int64),
+        num_users=len(user_tokens),
+        num_items=len(item_tokens),
+        user_tokens=user_tokens,
+        item_tokens=item_tokens,
+    )
+
+
+def oracle_load_manifest(path):
+    """Group the rows into per-user dicts of per-partition lists, then build
+    each user's arrays and degenerate flag one user at a time."""
+    per_user = {}
+    seen = set()
+    num_items = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyCorpusError(f"manifest {path} is empty")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                u = int(row[0])
+                part = row[1]
+                it = int(row[2])
+                ts = int(row[3])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
+            if part not in ("train", "validation", "test"):
+                raise ParseError(path, line_no, f"unknown partition {part!r}")
+            if u < 0 or it < 0:
+                raise ParseError(path, line_no, f"negative id in {row!r}")
+            if (u, it) in seen:
+                raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
+            seen.add((u, it))
+            per_user.setdefault(u, {"train": [], "validation": [], "test": []})
+            per_user[u][part].append((it, ts))
+            num_items = max(num_items, it + 1)
+    if not per_user:
+        raise EmptyCorpusError(f"manifest {path} has no rows")
+    U = max(per_user) + 1
+    train, val, test = [], [], []
+    train_t, val_t, test_t = [], [], []
+    degenerate = []
+    for u in range(U):
+        rec = per_user.get(u, {"train": [], "validation": [], "test": []})
+        parts = []
+        for name in ("train", "validation", "test"):
+            rows = rec[name]
+            parts.append((
+                np.asarray([r[0] for r in rows], dtype=np.int64),
+                np.asarray([r[1] for r in rows], dtype=np.int64),
+            ))
+        if len(parts[1][0]) == 0 or len(parts[2][0]) == 0:
+            degenerate.append(u)
+        train.append(parts[0][0]); train_t.append(parts[0][1])
+        val.append(parts[1][0]); val_t.append(parts[1][1])
+        test.append(parts[2][0]); test_t.append(parts[2][1])
+    return oracle_build_split(U, num_items, train, val, test,
+                              train_t, val_t, test_t, degenerate)

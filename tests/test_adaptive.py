@@ -292,12 +292,13 @@ class TestRecordTrajectory:
 
 def quick_cfg(**kw):
     cfg = RunConfig()
-    cfg.model.dim = 8
+    cfg.model.dim = kw.pop("dim", 8)
+    cfg.model.init_scale = kw.pop("init_scale", 0.01)
     cfg.training.epochs = kw.pop("epochs", 3)
     cfg.training.batch_size = 128
     cfg.training.lambda_batch_size = 128
     cfg.training.eval_every = kw.pop("eval_every", 2)
-    cfg.training.patience = 50
+    cfg.training.patience = kw.pop("patience", 50)
     cfg.training.seed = kw.pop("seed", 0)
     reg = kw.pop("mode", "opt")
     cfg.regularization.mode = reg
@@ -388,3 +389,47 @@ class TestTrainLoop:
         assert emb.item.tobytes() == res.emb.item.tobytes()
         assert lam.values.tobytes() == res.lam.values.tobytes()
         assert opt.state_digest() == res.optimizer.state_digest()
+
+    def test_early_stop_after_patience_bad_evaluations(self, small_split):
+        scores = iter([0.9, 0.8, 0.7, 0.6, 0.5])
+        res = train_model(small_split, quick_cfg(epochs=5, eval_every=1, patience=2),
+                          eval_fn=lambda e: next(scores))
+        assert not res.aborted
+        assert [r["epoch"] for r in res.history] == [1, 2, 3]
+        assert res.best_epoch == 1
+
+    def test_step_error_aborts_with_best_epoch_state(self, small_split):
+        # the second evaluation writes NaN into user 0's factors, so a step of
+        # epoch 3 raises NonFiniteGradientError
+        calls = []
+
+        def poisoning_eval(emb):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                emb.user[0] = np.nan
+            return 0.9 if len(calls) == 1 else 0.5
+
+        cfg = dict(mode="fix", eval_every=1)
+        res = train_model(small_split, quick_cfg(epochs=4, **cfg), eval_fn=poisoning_eval)
+        assert res.aborted and res.best_epoch == 1
+        assert res.abort_reason.startswith("non-finite gradient entry for user row 0")
+        assert [r["epoch"] for r in res.history] == [1, 2]
+        one = train_model(small_split, quick_cfg(epochs=1, **cfg), eval_fn=lambda e: 0.9)
+        assert res.emb.user.tobytes() == one.emb.user.tobytes()
+        assert res.emb.item.tobytes() == one.emb.item.tobytes()
+        assert res.optimizer.state_digest() == one.optimizer.state_digest()
+
+    def test_non_finite_loss_aborts_at_the_evaluation(self, small_split):
+        # one factor of ~1e200 per entity: a score overflows to -inf, so the
+        # BPR loss is inf while the gradient (about 1e200) stays finite and
+        # Adam's inf second moment leaves the factors where they were
+        cfg = quick_cfg(mode="fix", fixed_value=0.0, dim=1, init_scale=1e200,
+                        epochs=2, eval_every=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train_model(small_split, cfg, eval_fn=lambda e: 0.5)
+        init = Embeddings.init(small_split.num_users, small_split.num_items, 1, 1e200,
+                               np.random.default_rng(0))
+        assert res.aborted and res.abort_reason == "non-finite training loss at epoch 1"
+        assert res.best_epoch == 0 and len(res.history) == 1
+        assert res.history[0]["train_loss"] == np.inf and "val_auc" not in res.history[0]
+        assert res.emb.user.tobytes() == init.user.tobytes()

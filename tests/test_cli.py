@@ -61,6 +61,19 @@ class TestIngest:
         assert rc == 1
         assert "ERROR:EMPTY_CORPUS" in capsys.readouterr().err
 
+    def test_multi_character_delimiter(self, tmp_path, capsys):
+        # the same log written with "," and with "::" ingests to the same files
+        log = make_log(num_users=20, num_items=30, seed=1)
+        comma, wide = tmp_path / "raw.csv", tmp_path / "raw.dat"
+        write_raw_csv(comma, log)
+        wide.write_text(comma.read_text().replace(",", "::"))
+        flags = ["--set", "data.min_user=2", "--set", "data.min_item=2"]
+        assert main(["ingest", "--input", str(comma), "--out", str(tmp_path / "a")] + flags) == 0
+        assert main(["ingest", "--input", str(wide), "--out", str(tmp_path / "b"),
+                     "--set", "data.delimiter=::"] + flags) == 0
+        for name in ("manifest.csv", "idmap_users.csv", "idmap_items.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_missing_input(self, capsys):
         rc = main(["ingest"])
         assert rc == 1
@@ -119,6 +132,32 @@ class TestTrain:
         assert "ERROR:CONFIG" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("case", [
+        # YAML files (multi-line) and --set overrides
+        "training:\n  epochs: abc\n",
+        "optimizer:\n  lr: abc\n",
+        "optimizer:\n  lr: 1e-3\n",  # YAML 1.1 reads this as a string
+        "data:\n  has_header: 1\n",
+        "regularization:\n  grid: [0.1, x]\n",
+        "training:\n  seed: x\n",
+        "optimizer.lr=nan", "regularization.step_size=inf", "regularization.init=nan",
+        "regularization.grid=[0.1,1e400]", "optimizer.r_decay=7", "optimizer.beta1=2",
+        "optimizer.beta2=1", "optimizer.eps=0", "training.epochs=-3",
+        "training.patience=-1", "data.ratios=[0.7,0.7,-0.4]", "data.delimiter=",
+    ], ids=lambda case: " ".join(case.split()))
+    def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
+        manifest = str(corpus / "data" / "manifest.csv")
+        if "\n" in case:
+            path = tmp_path.parent / f"{tmp_path.name}.yaml"
+            path.write_text(case)
+            extra = ["--config", str(path)]
+        else:
+            extra = ["--set", case]
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST + extra)
+        assert rc == 1
+        assert "ERROR:CONFIG" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigHash:
     def test_semantic_field_changes_hash(self):
@@ -144,6 +183,20 @@ class TestConfigHash:
         cfg = load_config(str(p), ["training.epochs=3"])
         assert cfg.training.epochs == 3  # flag wins
         assert cfg.regularization.mode == "fix"
+
+    def test_yaml_values_kept_as_read(self, tmp_path):
+        # an integer for a float field is checked, not converted: the hash of
+        # a config that loaded before the type check is unchanged
+        p = tmp_path / "cfg.yaml"
+        p.write_text("optimizer:\n  lr: 1\n  r_decay: null\ndata:\n  ratios: [0.6, 0.2, 0.2]\n"
+                     "output: elsewhere\n")
+        cfg = load_config(str(p))
+        assert type(cfg.optimizer.lr) is int and cfg.data.ratios == [0.6, 0.2, 0.2]
+        assert cfg.output == "elsewhere"
+        direct = RunConfig()
+        direct.optimizer.lr = 1
+        direct.data.ratios = [0.6, 0.2, 0.2]
+        assert config_hash(cfg) == config_hash(resolve(direct))
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.yaml"
@@ -227,6 +280,34 @@ class TestGridSearch:
         assert {r["lambda"] for r in rows} == {"0.01", "0.0001"}
         assert all(r["status"] == "ok" for r in rows)
         assert (grid_dirs[0] / "lambda_0.01" / "checkpoint.npz").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failed_candidates_are_rows(self, corpus, tmp_path, capsys):
+        # with plain SGD a coefficient of 1e300 overflows the factors (the run
+        # aborts), and a negative one is refused when the run starts
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "optimizer.kind=sgd",
+                   "--set", "regularization.grid=[0.01,1e300,-1.0]"] + FAST)
+        assert rc == 0
+        assert "best_lambda 0.01" in capsys.readouterr().out
+        grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
+        rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
+        assert [(r["lambda"], r["status"]) for r in rows] == [
+            ("0.01", "ok"), ("1e+300", "failed"), ("-1", "failed")]
+        assert [r["val_auc"] for r in rows[1:]] == ["nan", "nan"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_every_candidate_failed(self, corpus, tmp_path, capsys):
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "optimizer.kind=sgd",
+                   "--set", "regularization.grid=[1e300,-1.0]"] + FAST)
+        assert rc == 1
+        assert "ERROR:GENERIC: every grid candidate failed" in capsys.readouterr().err
+        grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
+        rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
+        assert [r["status"] for r in rows] == ["failed", "failed"]
 
     def test_empty_grid_rejected(self, corpus, capsys):
         manifest = str(corpus / "data" / "manifest.csv")

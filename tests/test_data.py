@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 from adaptreg.data import (
-    chronological_split, filter_min_count, frequency_groups, load_id_map,
-    load_interactions, load_manifest, sample_triplets, save_id_map,
+    _build_split, chronological_split, filter_min_count, frequency_groups,
+    load_id_map, load_interactions, load_manifest, sample_triplets, save_id_map,
     save_manifest,
 )
-from adaptreg.errors import EmptyCorpusError, ParseError
+from adaptreg.errors import EmptyCorpusError, ParseError, SaturatedSamplerError
 
 from conftest import toy_log
 
@@ -43,6 +43,19 @@ class TestLoadInteractions:
         log = load_interactions(p, delimiter="\t", has_header=True)
         assert len(log) == 1
         assert log.user_tokens == ["a"]
+
+    def test_infinite_time_names_line(self, tmp_path):
+        p = write_lines(tmp_path / "raw.csv", ["a,x,1", "b,y,inf"])
+        with pytest.raises(ParseError) as exc:
+            load_interactions(p)
+        assert exc.value.line_no == 2
+
+    def test_multi_character_delimiter(self, tmp_path):
+        p = write_lines(tmp_path / "ratings.dat",
+                        ["1::10::5::978300760", "1::10::3::978300700", "2::11::4::5"])
+        log = load_interactions(p, delimiter="::", time_col=3)
+        assert log.user_tokens == ["1", "2"] and log.item_tokens == ["10", "11"]
+        assert log.times.tolist() == [978300700, 5]
 
     def test_dense_ids(self, tmp_path):
         p = write_lines(tmp_path / "raw.csv", ["u9,i7,1", "u2,i7,2", "u9,i1,3"])
@@ -141,7 +154,6 @@ class TestSampling:
 
     def test_forced_validation_triplet(self):
         # train={0}, val={1}, items {0,1,2} -> only eligible negative is 2
-        from adaptreg.data import _build_split
         z = np.empty(0, dtype=np.int64)
         split = _build_split(
             1, 3,
@@ -182,6 +194,33 @@ class TestSampling:
         counts = np.bincount(b.neg, minlength=10)[eligible]
         _, p = stats.chisquare(counts)
         assert p > 1e-3
+
+    @staticmethod
+    def train_only_split(num_items, train):
+        """A split whose users have only the given train items."""
+        z = [np.empty(0, dtype=np.int64)] * len(train)
+        train = [np.asarray(t, dtype=np.int64) for t in train]
+        return _build_split(len(train), num_items, train, z, z, train, z, z,
+                            degenerate=list(range(len(train))))
+
+    def test_enumeration_fallback_finds_the_one_negative(self):
+        # 1999 of 2000 items excluded: rejection nearly always gives up after
+        # MAX_REJECTION_ROUNDS and the eligible item is enumerated
+        split = self.train_only_split(2000, [np.delete(np.arange(2000), 7)])
+        b = sample_triplets(split, np.random.default_rng(0), 64, "train")
+        assert (b.neg == 7).all()
+
+    def test_saturated_user_events_are_resampled(self):
+        # user 0 has every item; its events are swapped for user 1's
+        split = self.train_only_split(3, [[0, 1, 2], [0]])
+        b = sample_triplets(split, np.random.default_rng(0), 64, "train")
+        assert (b.users == 1).all() and (b.pos == 0).all()
+        assert set(b.neg.tolist()) == {1, 2}
+
+    def test_every_user_saturated(self):
+        split = self.train_only_split(2, [[0, 1], [1, 0]])
+        with pytest.raises(SaturatedSamplerError):
+            sample_triplets(split, np.random.default_rng(0), 4, "train")
 
     def test_empty_partition(self):
         log = toy_log([(0, 0, 1)], num_items=2)
@@ -233,6 +272,12 @@ class TestPersistence:
         with pytest.raises(ParseError) as exc:
             load_manifest(path)
         assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize("lines", [[], ["user,partition,item,timestamp"]],
+                             ids=["empty", "header-only"])
+    def test_manifest_without_rows_rejected(self, tmp_path, lines):
+        with pytest.raises(EmptyCorpusError):
+            load_manifest(write_lines(tmp_path / "manifest.csv", lines))
 
     def test_id_map_round_trip(self, tmp_path):
         path = tmp_path / "idmap.csv"

@@ -1,14 +1,17 @@
-"""The whole-array split, index build, id remap and membership probe against
-the per-user forms they replaced.
+"""The whole-array split, index build, id remap, membership probe and file
+readers against the per-user forms they replaced.
 
 The oracles in ``conftest`` are the earlier data-layer code: a split that
 gathers, sorts and cuts each user's events on its own, an index build that
 sorts every user's items separately, an id remap that walks the events one by
-one, and a membership probe that searches the keys in their drawn order. The
-rewrite keeps the same arithmetic, so every field must match by dtype, shape
-and bytes, and so must a seeded sampler batch.
+one, a membership probe that searches the keys in their drawn order, a raw-log
+reader that keys a dict by token pairs and sorts them, and a manifest reader
+that groups rows in per-user dicts. The rewrite keeps the same arithmetic, so
+every field must match by dtype, shape and bytes, and so must a seeded sampler
+batch.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -17,14 +20,15 @@ import pytest
 from adaptreg import data
 from adaptreg.data import (
     InteractionLog, SplitDataset, _build_split, _member, _redensify,
-    chronological_split, filter_min_count, load_manifest, sample_triplets,
-    save_manifest,
+    chronological_split, filter_min_count, load_interactions, load_manifest,
+    sample_triplets, save_manifest,
 )
+from adaptreg.errors import ParseError
 
 from _synth import make_log
 from conftest import (
-    oracle_build_split, oracle_chronological_split, oracle_member, oracle_redensify,
-    toy_log,
+    oracle_build_split, oracle_chronological_split, oracle_load_interactions,
+    oracle_load_manifest, oracle_member, oracle_redensify, toy_log,
 )
 
 each_ratio = pytest.mark.parametrize(
@@ -241,3 +245,156 @@ def test_sampler_batches_unchanged(monkeypatch, small_split, partition):
     want = sample_triplets(small_split, np.random.default_rng(3), 4096, partition)
     for name in ("users", "pos", "neg"):
         assert same_bytes(getattr(got, name), getattr(want, name)), name
+
+
+def assert_same_log(got, want):
+    for name in ("users", "items", "times"):
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
+    assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+    assert got.user_tokens == want.user_tokens
+    assert got.item_tokens == want.item_tokens
+    assert all(type(t) is str for t in got.user_tokens + got.item_tokens)
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+def log_rows_with_repeats(seed, **size):
+    """A synthetic log's (user, item, timestamp) token rows with a third of
+    the pairs repeated once earlier and once later in time, the rows shuffled
+    so that a pair's first row is seldom its earliest."""
+    log = make_log(seed=seed, **size)
+    rows = [[log.user_tokens[u], log.item_tokens[i], int(t)]
+            for u, i, t in zip(log.users, log.items, log.times)]
+    rng = np.random.default_rng(seed)
+    for n in rng.choice(len(rows), len(rows) // 3, replace=False):
+        u, i, t = rows[n]
+        rows += [[u, i, t - int(rng.integers(1, 1000))], [u, i, t + int(rng.integers(1, 1000))]]
+    return [rows[n] for n in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("size,seed", [((30, 40), 0), ((150, 220), 4)])
+def test_load_interactions_matches_oracle_with_repeated_pairs(tmp_path, size, seed):
+    rows = log_rows_with_repeats(seed, num_users=size[0], num_items=size[1],
+                                 min_events=1, max_events=40)
+    path = write_rows(tmp_path / "raw.csv", rows)
+    got, want = load_interactions(path), oracle_load_interactions(path)
+    assert len(got) < len(rows)
+    assert_same_log(got, want)
+
+
+def test_load_interactions_matches_oracle_on_header_tabs_blanks_and_float_times(tmp_path):
+    # columns out of the default order, padded tokens, blank lines in the
+    # middle and at the end, and fractional and exponent timestamps
+    lines = ["ts\titem\tuser", "12.7\tx\t a", "", "3e2\ty\tb", "  ", "4.0\tx\tb",
+             "11.2\t x\ta", "7\tz \ta", "", ""]
+    path = tmp_path / "raw.tsv"
+    path.write_text("\n".join(lines))
+    kwargs = dict(delimiter="\t", has_header=True, user_col=2, item_col=1, time_col=0)
+    got = load_interactions(path, **kwargs)
+    assert_same_log(got, oracle_load_interactions(path, **kwargs))
+    assert got.user_tokens == ["a", "b"] and got.item_tokens == ["x", "y", "z"]
+    assert got.times.tolist() == [11, 300, 4, 7]
+
+
+@pytest.mark.parametrize("lines", [
+    ["a,x,1", "b,y,2", "", "c,z"],
+    ["a,x,1", "b,y,two"],
+    ["a,x,1", "a,x,", "b,y,2"],
+], ids=["short-row", "text-time", "empty-time"])
+def test_load_interactions_names_the_oracles_line(tmp_path, lines):
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as got:
+        load_interactions(path)
+    with pytest.raises(ParseError) as want:
+        oracle_load_interactions(path)
+    assert got.value.line_no == want.value.line_no
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_multi_character_delimiter_reads_like_a_comma_file(tmp_path, newline):
+    rows = log_rows_with_repeats(5, num_users=40, num_items=50, min_events=1,
+                                 max_events=20)
+    comma = write_rows(tmp_path / "raw.csv", rows)
+    wide = tmp_path / "raw.dat"
+    wide.write_bytes("".join(f"{u}::{i}::{t}{newline}" for u, i, t in rows).encode())
+    assert_same_log(load_interactions(wide, delimiter="::"),
+                    oracle_load_interactions(comma))
+
+
+def test_multi_character_delimiter_names_the_line(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_text("1::10::5::978300760\n\n1::11\n")
+    with pytest.raises(ParseError) as exc:
+        load_interactions(path, delimiter="::", time_col=3)
+    assert exc.value.line_no == 3
+    # the fields as csv would give them, without the line ending
+    assert "malformed row ['1', '11']:" in str(exc.value)
+
+
+@pytest.mark.parametrize("size,seed,ratios", [
+    ((40, 60), 0, (0.6, 0.2, 0.2)), ((120, 90), 6, (0.8, 0.1, 0.1)),
+    ((200, 300), 9, (1 / 3, 1 / 3, 1 / 3))])
+def test_load_manifest_matches_oracle_on_saved_splits(tmp_path, size, seed, ratios):
+    log = make_log(num_users=size[0], num_items=size[1], seed=seed,
+                   min_events=1, max_events=40)
+    split = chronological_split(log, ratios)
+    path = tmp_path / "manifest.csv"
+    save_manifest(path, split)
+    got = load_manifest(path)
+    assert_same_split(got, oracle_load_manifest(path))
+    assert_same_split(got, split)
+
+
+def manifest_rows(seed, num_users=30, num_items=40, gap=()):
+    """Rows of a valid manifest: distinct items per user, each row in a
+    random partition, users in ``gap`` left out."""
+    rng = np.random.default_rng(seed)
+    parts = ["train", "validation", "test"]
+    rows = []
+    for u in range(num_users):
+        if u in gap:
+            continue
+        for it in rng.permutation(num_items)[:rng.integers(1, 12)]:
+            rows.append([u, parts[rng.integers(0, 3)], int(it), int(rng.integers(0, 99))])
+    return rows
+
+
+@pytest.mark.parametrize("case", ["user-gap", "interleaved", "shuffled"])
+def test_load_manifest_matches_oracle_on_unordered_rows(tmp_path, case):
+    # "interleaved" keeps each user's rows together but mixes its partitions;
+    # "shuffled" also mixes users; "user-gap" drops users 0, 7 and 8 and so
+    # leaves empty users at the front and in the middle
+    gap = (0, 7, 8) if case == "user-gap" else ()
+    rows = manifest_rows(3, gap=gap)
+    if case == "shuffled":
+        rows = [rows[n] for n in np.random.default_rng(3).permutation(len(rows))]
+    path = write_rows(tmp_path / "manifest.csv", [["user", "partition", "item", "timestamp"]] + rows)
+    got = load_manifest(path)
+    assert_same_split(got, oracle_load_manifest(path))
+    if gap:
+        assert set(gap) <= set(got.degenerate_users)
+        assert all(len(got.train[u]) == 0 for u in gap)
+
+
+@pytest.mark.parametrize("bad", [
+    "5,train,1", "5,holdout,1,1", "-5,test,1,1", "5,test,-1,1", "{u},test,{i},1"],
+    ids=["short-row", "unknown-partition", "negative-user", "negative-item",
+         "repeated-pair"])
+def test_load_manifest_names_the_oracles_line(tmp_path, bad):
+    rows = manifest_rows(4, num_users=4)
+    bad = bad.format(u=rows[0][0], i=rows[0][2])  # may repeat the first row's pair
+    lines = ["user,partition,item,timestamp"] + [",".join(map(str, r)) for r in rows]
+    path = tmp_path / "manifest.csv"
+    path.write_text("\n".join(lines[:5] + [bad] + lines[5:]) + "\n")
+    with pytest.raises(ParseError) as got:
+        load_manifest(path)
+    with pytest.raises(ParseError) as want:
+        oracle_load_manifest(path)
+    assert got.value.line_no == want.value.line_no
+    assert str(got.value) == str(want.value)
