@@ -20,11 +20,20 @@ K=32, over a 3k and a 50k item catalog.
 The split case times ``data.chronological_split`` (ratios 0.6/0.2/0.2) on a
 numpy-generated log of 100k users with 1 to 20 events each, about 1M events
 over 50k items in random order, with timestamps drawn from a small range so
-that ties occur.
+that ties occur. It also records, with ``tracemalloc``, the bytes that the
+built split keeps allocated and the peak while building it.
+
+Every table printed is also written to ``--out`` (``BENCH_kernels.json`` at
+the repository root by default), with the numpy version, the BLAS build and
+the CPU model the timings were taken on.
 """
 
 import argparse
+import json
+import platform
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -104,9 +113,10 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
     return auc_s / users * 1e3, metrics_s / users * 1e3
 
 
-def split_s(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
-    """Best-of-``repeats`` seconds for one ``chronological_split`` call, and
-    the number of events in the log."""
+def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
+    """Best-of-``repeats`` seconds for one ``chronological_split`` call, the
+    number of events in the log, and the traced bytes the built split keeps
+    and peaks at."""
     rng = np.random.default_rng(0)
     counts = rng.integers(1, 21, users)
     n = int(counts.sum())
@@ -115,7 +125,14 @@ def split_s(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
         items=rng.integers(0, items, n),
         times=rng.integers(0, 10**5, n),
         num_users=users, num_items=items)
-    return time_call(lambda: chronological_split(log), repeats), n
+    seconds = time_call(lambda: chronological_split(log), repeats)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    split = chronological_split(log)  # alive while its memory is read
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return dict(users=users, items=items, events=n, ms=seconds * 1e3,
+                kept_bytes=kept - before, peak_bytes=peak - before)
 
 
 def kernel_table(size, args):
@@ -148,8 +165,25 @@ def kernel_table(size, args):
     print()
     print(f"batch={size} users={args.users} items={args.items} dim={args.dim}")
     print(f"{'kernel':<12} {'ms':>11}")
+    ms = {}
     for name, fn in cases.items():
-        print(f"{name:<12} {time_call(fn, args.repeats) * 1e3:>11.3f}")
+        ms[name] = time_call(fn, args.repeats) * 1e3
+        print(f"{name:<12} {ms[name]:>11.3f}")
+    return dict(batch=size, users=args.users, items=args.items, dim=args.dim, ms=ms)
+
+
+def environment():
+    """The numeric stack and CPU the timings were taken on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return dict(python=platform.python_version(), numpy=np.__version__,
+                blas=blas.get("openblas configuration", blas.get("name", "")), cpu=cpu)
 
 
 def main():
@@ -159,29 +193,44 @@ def main():
     ap.add_argument("--items", type=int, default=20_000)
     ap.add_argument("--dim", type=int, default=32)
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
+                                         / "BENCH_kernels.json"))
     args = ap.parse_args()
+    result = {"environment": environment()}
 
-    for size in (args.size, TRAIN_BATCH):
-        kernel_table(size, args)
+    result["kernels"] = [kernel_table(size, args) for size in (args.size, TRAIN_BATCH)]
 
     print()
     print("lambda step: adam, dim=32, batch=1024, granularity=full")
-    times = []
+    rows = []
     for users, items in LAMBDA_SIZES:
-        times.append(lambda_step_ms(users, items))
-        print(f"{users:>7} users x {items:>7} items {times[-1]:>8.2f} ms/step")
-    print(f"large/small ratio {times[-1] / times[0]:.2f}")
+        rows.append(dict(users=users, items=items, ms_per_step=lambda_step_ms(users, items)))
+        print(f"{users:>7} users x {items:>7} items {rows[-1]['ms_per_step']:>8.2f} ms/step")
+    ratio = rows[-1]["ms_per_step"] / rows[0]["ms_per_step"]
+    print(f"large/small ratio {ratio:.2f}")
+    result["lambda_step"] = dict(optimizer="adam", dim=32, batch=1024, granularity="full",
+                                 sizes=rows, large_small_ratio=ratio)
 
     print()
     print("evaluation: dim=32, 200 users, ms per user")
+    rows = []
     for items in EVAL_ITEMS:
         auc_ms, metrics_ms = eval_ms(items)
+        rows.append(dict(items=items, user_auc_ms=auc_ms, corpus_metrics_ms=metrics_ms))
         print(f"{items:>7} items  user_auc {auc_ms:>7.3f}  corpus_metrics {metrics_ms:>7.3f}")
+    result["evaluation"] = dict(dim=32, users=200, events_per_user=40, catalogs=rows)
 
     print()
-    seconds, events = split_s()
-    print(f"chronological split: {SPLIT_USERS} users, {events} events, "
-          f"{seconds * 1e3:.1f} ms")
+    split = split_case()
+    print(f"chronological split: {split['users']} users, {split['events']} events, "
+          f"{split['ms']:.1f} ms, keeps {split['kept_bytes'] / 2**20:.1f} MiB "
+          f"(peak {split['peak_bytes'] / 2**20:.1f} MiB)")
+    result["split"] = split
+
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

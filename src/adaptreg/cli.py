@@ -145,7 +145,7 @@ def cmd_evaluate(args):
         raise IncompatibleCheckpointError(
             f"checkpoint shapes ({emb.num_users} users, {emb.num_items} items) "
             f"do not match manifest ({split.num_users}, {split.num_items})")
-    if sum(len(t) for t in split.test) == 0:
+    if len(split.test.flat) == 0:
         raise EmptyCorpusError("manifest has zero test items")
     ks = tuple(args.ks)
     report = corpus_metrics(emb, split, ks=ks,

@@ -224,6 +224,8 @@ def resolve(cfg):
         raise ConfigError("data.delimiter must not be empty")
     if reg.mode == "fix" and reg.fixed_value is not None and reg.fixed_value < 0:
         raise ConfigError("fixed_value must be nonnegative")
+    if any(v < 0 for v in reg.grid):
+        raise ConfigError(f"regularization.grid candidates must be nonnegative, got {reg.grid}")
     if cfg.training.batch_size <= 0 or cfg.training.lambda_batch_size <= 0:
         raise ConfigError("batch sizes must be positive")
     for name, value in (("training.epochs", cfg.training.epochs),

@@ -1,7 +1,6 @@
 """Interaction-log ingestion, filtering, chronological splitting and triplet sampling."""
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -121,30 +120,57 @@ def _redensify(ids, tokens):
     return new_id[inverse], new_tokens
 
 
+class Ragged:
+    """Read-only sequence of arrays stored end to end in one flat array: row
+    ``n`` is the view ``flat[offsets[n]:offsets[n + 1]]``."""
+
+    __slots__ = ("flat", "offsets")
+
+    def __init__(self, flat, offsets):
+        self.flat = flat.view()
+        self.offsets = offsets.view()
+        self.flat.flags.writeable = False
+        self.offsets.flags.writeable = False
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, n):
+        if n < 0:
+            n += len(self)
+        if not 0 <= n < len(self):
+            raise IndexError(f"row {n} out of range for {len(self)} rows")
+        return self.flat[self.offsets[n]:self.offsets[n + 1]]
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 @dataclass
 class SplitDataset:
     """Per-user chronological train/validation/test partition with fast indexes.
 
-    The per-user arrays are views of a few shared arrays: read them, do not
-    write into them.
+    Each per-user field is a ``Ragged`` of |U| rows: ``split.train[u]`` is
+    user u's train items in time order, a view into ``split.train.flat``,
+    which holds every train event user by user, and is also the sampler's
+    event array. Every array the split holds is read-only.
     """
 
     num_users: int
     num_items: int
-    train: list  # per-user np arrays of item ids, chronological
-    val: list
-    test: list
-    train_times: list
-    val_times: list
-    test_times: list
-    user_pos_train: list  # per-user sorted item-id arrays
-    user_pos_train_val: list
+    train: Ragged  # per-user item ids, chronological
+    val: Ragged
+    test: Ragged
+    train_times: Ragged
+    val_times: Ragged
+    test_times: Ragged
+    user_pos_train: Ragged  # per-user sorted item ids
+    user_pos_train_val: Ragged
     train_keys: np.ndarray  # sorted u*num_items+i over train events
     train_val_keys: np.ndarray
-    train_event_user: np.ndarray  # flattened train events for uniform sampling
-    train_event_item: np.ndarray
-    val_event_user: np.ndarray
-    val_event_item: np.ndarray
+    train_event_user: np.ndarray  # user of each event of train.flat
+    val_event_user: np.ndarray  # user of each event of val.flat
     item_frequency: np.ndarray  # train counts
     user_frequency: np.ndarray
     degenerate_users: list  # users with empty validation or test
@@ -169,58 +195,76 @@ def chronological_split(log, ratios=(0.6, 0.2, 0.2)):
     distinct, t_rank = np.unique(log.times, return_inverse=True)
     key = log.users.astype(np.int64) * len(distinct) + t_rank
     order = np.argsort(key, kind="stable")
-    items, times = log.items[order], log.times[order]
-    counts = np.bincount(log.users, minlength=U)
+    users = log.users[order].astype(np.int64, copy=False)
+    counts = np.bincount(users, minlength=U)
     n_train = np.ceil(ratios[0] * counts).astype(np.int64)
     n_val = np.minimum(np.ceil(ratios[1] * counts).astype(np.int64), counts - n_train)
-    n_test = counts - n_train - n_val
-    sizes = np.stack([n_train, n_val, n_test], 1).ravel()
-    return _split_from_cells(U, I, items, times, sizes)
-
-
-def _split_from_cells(U, I, items, times, sizes):
-    """The split whose events ``items``/``times`` run user by user, and within
-    a user train, validation, test; ``sizes`` (3U,) counts each such cell."""
-    by_item, by_time = _cut(items, sizes), _cut(times, sizes)
-    degenerate = np.flatnonzero((sizes[1::3] == 0) | (sizes[2::3] == 0)).tolist()
-    return _build_split(U, I, by_item[0::3], by_item[1::3], by_item[2::3],
-                        by_time[0::3], by_time[1::3], by_time[2::3], degenerate)
-
-
-def _cut(values, sizes):
-    """``values`` cut into consecutive views of the given sizes."""
-    # bounds are made one at a time: a list of them would be freed while the
-    # views stay alive in the same allocator arenas, and the process would
-    # keep that memory resident (about 9 MB more at 100k users)
-    bounds = itertools.accumulate(sizes.tolist(), initial=0)
-    return [values[a:b] for a, b in itertools.pairwise(bounds)]
+    # each event's rank in its user's time order decides its partition
+    rank = np.arange(len(users)) - (np.cumsum(counts) - counts)[users]
+    part = (rank >= n_train[users]).astype(np.int64) + (rank >= (n_train + n_val)[users])
+    return _split_by_cell(U, I, part * U + users, log.items[order], log.times[order])
 
 
 def _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
-    empty = np.empty(0, dtype=np.int64)
-    tr_n = np.asarray([len(t) for t in train], dtype=np.int64)
-    va_n = np.asarray([len(v) for v in val], dtype=np.int64)
+    """The split of per-user item and time arrays, one list of |U| arrays per
+    partition."""
+    def ragged(arrays):
+        offsets = np.zeros(U + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, arrays), np.int64, U), out=offsets[1:])
+        return Ragged(np.concatenate(arrays) if U else np.empty(0, dtype=np.int64), offsets)
+
+    return _index_split(U, I, *map(ragged, (train, val, test, train_t, val_t, test_t)),
+                        degenerate)
+
+
+def _split_by_cell(U, I, cells, items, times):
+    """The split whose n-th event, item ``items[n]`` at ``times[n]``, is in
+    partition ``cells[n] // U`` (train, validation, test) of user
+    ``cells[n] % U``; the events of a cell keep their order.
+
+    The events are laid out partition by partition, and within one user by
+    user, so each partition is one slice of that layout.
+    """
+    order = np.argsort(cells, kind="stable")
+    counts = np.bincount(cells, minlength=3 * U)
+    bounds = np.zeros(3 * U + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    degenerate = np.flatnonzero((counts[U:2 * U] == 0) | (counts[2 * U:] == 0)).tolist()
+
+    def partitions(values):
+        for b in (bounds[p * U:(p + 1) * U + 1] for p in range(3)):
+            yield Ragged(values[b[0]:b[-1]], b - b[0])
+
+    return _index_split(U, I, *partitions(items[order]), *partitions(times[order]),
+                        degenerate)
+
+
+def _index_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
+    """The split of the given partitions, with the sampler's and evaluation's
+    indexes built from them."""
+    tr_n, va_n = np.diff(train.offsets), np.diff(val.offsets)
     tr_u = np.repeat(np.arange(U, dtype=np.int64), tr_n)
     va_u = np.repeat(np.arange(U, dtype=np.int64), va_n)
-    tr_i = np.concatenate(train) if U else empty
-    va_i = np.concatenate(val) if U else empty
+    tr_i, va_i = train.flat, val.flat
     # keys order by user, then item, so each user's slice of keys - u*I is
     # that user's sorted items
     train_keys = np.sort(tr_u * I + tr_i)
     train_val_keys = np.sort(np.concatenate([train_keys, va_u * I + va_i]))
     tv_u = np.repeat(np.arange(U, dtype=np.int64), tr_n + va_n)
     dtype = np.result_type(tr_i, va_i)
-    pos_train = _cut((train_keys - tr_u * I).astype(tr_i.dtype, copy=False), tr_n)
-    pos_train_val = _cut((train_val_keys - tv_u * I).astype(dtype, copy=False), tr_n + va_n)
+    pos_train = Ragged((train_keys - tr_u * I).astype(tr_i.dtype, copy=False), train.offsets)
+    pos_train_val = Ragged((train_val_keys - tv_u * I).astype(dtype, copy=False),
+                           train.offsets + val.offsets)
     item_freq = np.bincount(tr_i, minlength=I).astype(np.int64)
+    for a in (train_keys, train_val_keys, tr_u, va_u, item_freq, tr_n):
+        a.flags.writeable = False
     return SplitDataset(
         num_users=U, num_items=I,
         train=train, val=val, test=test,
         train_times=train_t, val_times=val_t, test_times=test_t,
         user_pos_train=pos_train, user_pos_train_val=pos_train_val,
         train_keys=train_keys, train_val_keys=train_val_keys,
-        train_event_user=tr_u, train_event_item=tr_i,
-        val_event_user=va_u, val_event_item=va_i,
+        train_event_user=tr_u, val_event_user=va_u,
         item_frequency=item_freq, user_frequency=tr_n,
         degenerate_users=degenerate,
     )
@@ -253,10 +297,10 @@ def sample_triplets(split, rng, size, partition="train"):
     MAX_REJECTION_ROUNDS rounds.
     """
     if partition == "train":
-        eu, ei, keys = split.train_event_user, split.train_event_item, split.train_keys
+        eu, ei, keys = split.train_event_user, split.train.flat, split.train_keys
         excluded = split.user_pos_train
     elif partition == "validation":
-        eu, ei, keys = split.val_event_user, split.val_event_item, split.train_val_keys
+        eu, ei, keys = split.val_event_user, split.val.flat, split.train_val_keys
         excluded = split.user_pos_train_val
     else:
         raise ValueError(f"unknown partition {partition!r}")
@@ -279,7 +323,7 @@ def sample_triplets(split, rng, size, partition="train"):
             eligible = np.setdiff1d(all_items, excluded[u[n]], assume_unique=True)
             while len(eligible) == 0:
                 # user saturated: resample the event (skip the user)
-                if np.all([len(excluded[x]) >= I for x in np.unique(eu)]):
+                if np.all(np.diff(excluded.offsets)[eu] >= I):
                     raise SaturatedSamplerError("every user's exclusion set covers all items")
                 k = int(rng.integers(0, len(eu)))
                 u[n], i[n] = eu[k], ei[k]
@@ -338,7 +382,7 @@ def load_manifest(path):
     appears once. Rows may come in any order: within a (user, partition) cell
     they keep file order, and users without rows get empty partitions."""
     seen = set()
-    cells, items, times = [], [], []  # cell: 3 * user + partition code
+    users, codes, items, times = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
@@ -360,15 +404,15 @@ def load_manifest(path):
             if (u, it) in seen:
                 raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
             seen.add((u, it))
-            cells.append(3 * u + code)
+            users.append(u)
+            codes.append(code)
             items.append(it)
             times.append(ts)
-    if not cells:
+    if not users:
         raise EmptyCorpusError(f"manifest {path} has no rows")
-    cells = np.asarray(cells, dtype=np.int64)
+    users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    U = int(cells.max()) // 3 + 1
-    order = np.argsort(cells, kind="stable")
-    return _split_from_cells(U, int(items.max()) + 1, items[order],
-                             np.asarray(times, dtype=np.int64)[order],
-                             np.bincount(cells, minlength=3 * U))
+    U = int(users.max()) + 1
+    cells = np.asarray(codes, dtype=np.int64) * U + users
+    return _split_by_cell(U, int(items.max()) + 1, cells, items,
+                          np.asarray(times, dtype=np.int64))

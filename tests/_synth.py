@@ -43,6 +43,10 @@ def make_log(num_users=120, num_items=200, dim=6, seed=0,
     )
 
 
+# the ``small_split`` test fixture, which the seeded digests also train on
+SMALL_SPLIT = dict(num_users=40, num_items=60, seed=7, min_events=6, max_events=30)
+
+
 def make_split(**kwargs):
     return chronological_split(make_log(**kwargs))
 

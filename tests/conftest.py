@@ -94,8 +94,8 @@ def oracle_adam_step(param, s, r, rows, g, lr, c, b1, b2, eps):
 
 @pytest.fixture(scope="session")
 def small_split():
-    from _synth import make_split
-    return make_split(num_users=40, num_items=60, seed=7, min_events=6, max_events=30)
+    from _synth import SMALL_SPLIT, make_split
+    return make_split(**SMALL_SPLIT)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +271,7 @@ def oracle_build_split(U, I, train, val, test, train_t, val_t, test_t, degenerat
         train_times=train_t, val_times=val_t, test_times=test_t,
         user_pos_train=pos_train, user_pos_train_val=pos_train_val,
         train_keys=train_keys, train_val_keys=train_val_keys,
-        train_event_user=tr_u, train_event_item=tr_i,
-        val_event_user=va_u, val_event_item=va_i,
+        train_event_user=tr_u, val_event_user=va_u,
         item_frequency=item_freq, user_frequency=user_freq,
         degenerate_users=degenerate,
     )

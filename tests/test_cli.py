@@ -283,31 +283,39 @@ class TestGridSearch:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_candidates_are_rows(self, corpus, tmp_path, capsys):
-        # with plain SGD a coefficient of 1e300 overflows the factors (the run
-        # aborts), and a negative one is refused when the run starts
+        # with plain SGD a coefficient of 1e300 overflows the factors, and
+        # the run aborts
         manifest = str(corpus / "data" / "manifest.csv")
         rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
                    "--set", "optimizer.kind=sgd",
-                   "--set", "regularization.grid=[0.01,1e300,-1.0]"] + FAST)
+                   "--set", "regularization.grid=[0.01,1e300]"] + FAST)
         assert rc == 0
         assert "best_lambda 0.01" in capsys.readouterr().out
         grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
         rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
         assert [(r["lambda"], r["status"]) for r in rows] == [
-            ("0.01", "ok"), ("1e+300", "failed"), ("-1", "failed")]
-        assert [r["val_auc"] for r in rows[1:]] == ["nan", "nan"]
+            ("0.01", "ok"), ("1e+300", "failed")]
+        assert rows[1]["val_auc"] == "nan"
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_every_candidate_failed(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
         rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
                    "--set", "optimizer.kind=sgd",
-                   "--set", "regularization.grid=[1e300,-1.0]"] + FAST)
+                   "--set", "regularization.grid=[1e300]"] + FAST)
         assert rc == 1
         assert "ERROR:GENERIC: every grid candidate failed" in capsys.readouterr().err
         grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
         rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
-        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert [r["status"] for r in rows] == ["failed"]
+
+    def test_negative_candidate_rejected_up_front(self, corpus, tmp_path, capsys):
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "regularization.grid=[0.01,-1.0]"] + FAST)
+        assert rc == 1
+        assert "ERROR:CONFIG" in capsys.readouterr().err
+        assert not [d for d in tmp_path.iterdir() if d.name.endswith("-grid")]
 
     def test_empty_grid_rejected(self, corpus, capsys):
         manifest = str(corpus / "data" / "manifest.csv")

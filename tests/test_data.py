@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from adaptreg.data import (
-    _build_split, chronological_split, filter_min_count, frequency_groups,
+    Ragged, SplitDataset, _build_split, chronological_split, filter_min_count, frequency_groups,
     load_id_map, load_interactions, load_manifest, sample_triplets, save_id_map,
     save_manifest,
 )
@@ -135,11 +137,60 @@ class TestChronologicalSplit:
         assert len(split.train[0]) == 1
         assert 0 in split.degenerate_users
 
+    def test_every_array_is_read_only(self, small_split):
+        for f in dataclasses.fields(SplitDataset):
+            value = getattr(small_split, f.name)
+            arrays = (value.flat, value.offsets) if isinstance(value, Ragged) else (value,)
+            for a in arrays:
+                if isinstance(a, np.ndarray):
+                    assert not a.flags.writeable, f.name
+        with pytest.raises(ValueError):
+            small_split.train[0][0] = 1
+        with pytest.raises(ValueError):
+            small_split.train_keys[0] = 1
+
     def test_frequency_tables(self):
         log = toy_log([(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 0, 4)][:3], num_items=3)
         split = chronological_split(log)
         assert split.user_frequency[0] == len(split.train[0])
         assert split.item_frequency.sum() == sum(len(t) for t in split.train)
+
+
+class TestRagged:
+    def ragged(self):
+        return Ragged(np.arange(7) * 10, np.array([0, 2, 2, 7]))
+
+    def test_rows_are_slices_of_flat(self):
+        r = self.ragged()
+        assert len(r) == 3
+        assert [row.tolist() for row in r] == [[0, 10], [], [20, 30, 40, 50, 60]]
+        assert r[-1].tolist() == r[2].tolist() and r[-3].tolist() == r[0].tolist()
+        assert r[np.int64(0)].tolist() == [0, 10]
+
+    @pytest.mark.parametrize("n", [3, -4, 100])
+    def test_index_past_either_end(self, n):
+        with pytest.raises(IndexError):
+            self.ragged()[n]
+
+    def test_iteration_equals_indexing(self, small_split):
+        r = small_split.user_pos_train_val
+        rows = list(r)
+        assert len(rows) == len(r) == small_split.num_users
+        for u, row in enumerate(rows):
+            assert row.dtype == r[u].dtype and row.tobytes() == r[u].tobytes()
+
+    def test_every_row_is_a_view_of_flat(self, small_split):
+        for f in dataclasses.fields(SplitDataset):
+            r = getattr(small_split, f.name)
+            if isinstance(r, Ragged):
+                assert r.offsets[0] == 0 and r.offsets[-1] == len(r.flat), f.name
+                assert all(np.shares_memory(row, r.flat) for row in r if len(row)), f.name
+
+    def test_no_rows(self):
+        r = Ragged(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        assert len(r) == 0 and list(r) == []
+        with pytest.raises(IndexError):
+            r[0]
 
 
 class TestSampling:
@@ -258,6 +309,29 @@ class TestPersistence:
             assert (loaded.test[u] == small_split.test[u]).all()
         assert (loaded.train_keys == small_split.train_keys).all()
         assert (loaded.item_frequency == small_split.item_frequency).all()
+
+    def test_manifest_round_trip_with_empty_partitions(self, tmp_path):
+        # users 0 and 2 have no rows; user 1 has only train, user 4 no
+        # validation, user 3 every partition
+        a = lambda *x: np.asarray(x, dtype=np.int64)
+        train = [a(), a(3, 1), a(), a(0), a(2)]
+        val = [a(), a(), a(), a(4, 2), a()]
+        test = [a(), a(), a(), a(5), a(0, 4)]
+        times = [[t * 10 + np.arange(len(t), dtype=np.int64) for t in part]
+                 for part in (train, val, test)]
+        split = _build_split(5, 6, train, val, test, *times, degenerate=[0, 1, 2, 4])
+        path = tmp_path / "manifest.csv"
+        save_manifest(path, split)
+        loaded = load_manifest(path)
+        for f in dataclasses.fields(SplitDataset):
+            want, got = getattr(split, f.name), getattr(loaded, f.name)
+            if isinstance(want, Ragged):
+                assert [r.tobytes() for r in got] == [r.tobytes() for r in want], f.name
+                assert got.flat.tobytes() == want.flat.tobytes(), f.name
+            elif isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
 
     @pytest.mark.parametrize("rows", [
         ["0,train,0,1", "0,train,1,2", "0,test,0,3"],        # test item also a train item

@@ -19,7 +19,7 @@ import pytest
 
 from adaptreg import data
 from adaptreg.data import (
-    InteractionLog, SplitDataset, _build_split, _member, _redensify,
+    InteractionLog, Ragged, SplitDataset, _build_split, _member, _redensify,
     chronological_split, filter_min_count, load_interactions, load_manifest,
     sample_triplets, save_manifest,
 )
@@ -48,8 +48,11 @@ def assert_same_split(got, want):
             assert same_bytes(g, w), f.name
         elif f.name == "degenerate_users":
             assert g == w and all(type(u) is int for u in g), f.name
-        elif isinstance(w, list):
+        elif isinstance(w, (list, Ragged)):
+            assert isinstance(g, Ragged), f.name
             assert len(g) == len(w), f.name
+            if len(w):
+                assert same_bytes(g.flat, np.concatenate(list(w))), f"{f.name}.flat"
             for u, (a, b) in enumerate(zip(g, w)):
                 assert same_bytes(a, b), f"{f.name}[{u}]"
         else:
@@ -133,6 +136,16 @@ def test_split_of_empty_log():
     z = np.empty(0, dtype=np.int64)
     log = log_from_arrays(z, z, z, 3, 4)
     assert_same_split(chronological_split(log), oracle_chronological_split(log))
+
+
+def test_split_without_users():
+    z = np.empty(0, dtype=np.int64)
+    log = log_from_arrays(z, z, z, 0, 4)
+    got = chronological_split(log)
+    assert_same_split(got, oracle_chronological_split(log))
+    assert len(got.train) == 0 and list(got.test) == []
+    with pytest.raises(IndexError):
+        got.val[0]
 
 
 def _lists(rng, U, I, dtype=np.int64):
@@ -225,7 +238,7 @@ def test_member_of_mixed_probes_keeps_probe_order(small_split):
     keys, I = small_split.train_keys, small_split.num_items
     u = rng.integers(0, small_split.num_users, 2000)
     j = rng.integers(0, I, 2000)
-    j[::3] = small_split.train_event_item[rng.integers(0, len(keys), len(j[::3]))]
+    j[::3] = small_split.train.flat[rng.integers(0, len(keys), len(j[::3]))]
     u[::3] = small_split.train_event_user[rng.integers(0, len(keys), len(u[::3]))]
     got = _member(keys, u, j, I)
     assert 0 < got.sum() < len(got)
