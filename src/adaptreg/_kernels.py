@@ -3,11 +3,13 @@
 ``bpr_grad_batch`` scores each triplet once and returns the batch's summed BPR
 loss along with the gradient it accumulates, so a training step never scores a
 batch twice. It scatters each side's rows with one flat ``np.bincount``, which
-adds in index order exactly as ``np.add.at`` does, and ``adam_step`` reads and
-writes each touched row of the parameter and of both moments once, in blocks
-of rows small enough to stay in cache; both give the same bits as the plain
-``np.add.at`` and fancy-index forms. ``benchmarks/bench_kernels.py`` times
-each kernel.
+adds in index order exactly as ``np.add.at`` does. ``adam_rows`` computes the
+new moments and parameter values of a set of rows without writing them; the
+real step, ``adam_step``, writes back what it returns in blocks of rows small
+enough to stay in cache, and the optimizer's assumed step returns it as is, so
+the two steps share one arithmetic. ``bpr_grad_batch`` and ``adam_step`` give
+the same bits as the plain ``np.add.at`` and fancy-index forms.
+``benchmarks/bench_kernels.py`` times each kernel.
 """
 
 import numpy as np
@@ -65,35 +67,36 @@ def sgd_step(param, rows, g, lr):
     param[rows] -= lr * g
 
 
-# rows per block of the Adam step: 32768 float64 (256 KB) per temporary,
-# which stays in cache where a whole batch's rows would not
-_BLOCK_ELEMS = 1 << 15
+# rows per block of the Adam step: 16384 float64 (128 KB) per temporary, so
+# a block's new rows are still in cache when they are written back
+_BLOCK_ELEMS = 1 << 14
 
 
-def _adam_rows(param, s, r, rows, g, lr, c, b1, b2, eps):
-    # one gather and one write-back per array, in-place arithmetic in the
-    # order of s = b1*s + (1-b1)*g, r = b2*r + (1-b2)*g*g,
-    # param -= lr*c*s / (sqrt(r) + eps)
+def adam_rows(param, s, r, rows, g, lr, c, b1, b2, eps):
+    """New (s, r, param) of the given rows after one Adam step, as arrays
+    aligned with ``rows``; writes nothing. One gather per array, in-place
+    arithmetic in the order of s = b1*s + (1-b1)*g, r = b2*r + (1-b2)*g*g,
+    param -= lr*c*s / (sqrt(r) + eps)."""
     sr = np.take(s, rows, axis=0)
     sr *= b1
     sr += (1.0 - b1) * g
-    s[rows] = sr
     rr = np.take(r, rows, axis=0)
     rr *= b2
     rr += ((1.0 - b2) * g) * g
-    r[rows] = rr
     den = np.sqrt(rr)
     den += eps
     pr = np.take(param, rows, axis=0)
     pr -= lr * c * sr / den
-    param[rows] = pr
+    return sr, rr, pr
 
 
 def adam_step(param, s, r, rows, g, lr, c, b1, b2, eps):
     # rows are unique, so each row's update is independent of the others
     block = max(1, _BLOCK_ELEMS // param.shape[1])
     for a in range(0, len(rows), block):
-        _adam_rows(param, s, r, rows[a:a + block], g[a:a + block], lr, c, b1, b2, eps)
+        rb = rows[a:a + block]
+        s[rb], r[rb], param[rb] = adam_rows(param, s, r, rb, g[a:a + block],
+                                            lr, c, b1, b2, eps)
 
 
 def scatter_add(out, idx, vals):

@@ -138,8 +138,7 @@ def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
     """
     g_bar = bpr_gradient(emb, train_batch)
     composed = compose_gradient(g_bar, emb, lam)
-    moments = optimizer.assumed_moments(emb, composed)
-    new_user, new_item = optimizer.assumed_rows(emb, composed, moments)
+    new_user, new_item, moments = optimizer.assumed(emb, composed)
     j_user, j_item = optimizer.lambda_jacobian(emb, composed, moments)
 
     n = len(val_batch.users)
@@ -335,13 +334,11 @@ def train_model(split, cfg, eval_fn=None):
 
     for epoch in range(1, tr.epochs + 1):
         loss_sum = 0.0
-        triplets = 0
         try:
             for _ in range(steps_per_epoch):
                 batch = sample_triplets(split, rng, tr.batch_size, "train")
                 grad = bpr_gradient(emb, batch)
                 loss_sum += grad.loss
-                triplets += len(batch.users)
                 optimizer.step(emb, compose_gradient(grad, emb, lam),
                                step_index=global_step)
                 if adaptive and global_step % reg.every == 0:
@@ -353,16 +350,15 @@ def train_model(split, cfg, eval_fn=None):
         except AdaptRegError as exc:
             aborted = True
             abort_reason = str(exc)
-            emb, lam, optimizer = best
             break
-        mean_loss = loss_sum / max(triplets, 1)
+        # every batch holds batch_size triplets
+        mean_loss = loss_sum / (steps_per_epoch * tr.batch_size)
         trajectory.append(record_trajectory(lam, split, epoch, user_groups, item_groups))
         row = {"epoch": epoch, "step": global_step, "train_loss": mean_loss}
         if epoch % tr.eval_every == 0 or epoch == tr.epochs:
             if not np.isfinite(mean_loss):
                 aborted = True
                 abort_reason = f"non-finite training loss at epoch {epoch}"
-                emb, lam, optimizer = best
                 history.append(row)
                 break
             val_auc = eval_fn(emb)
@@ -384,7 +380,7 @@ def train_model(split, cfg, eval_fn=None):
         else:
             history.append(row)
 
-    if best_epoch:
+    if aborted or best_epoch:
         emb, lam, optimizer = best
     return TrainResult(emb=emb, lam=lam, optimizer=optimizer, history=history,
                        trajectory=trajectory, best_epoch=best_epoch,

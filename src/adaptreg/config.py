@@ -144,7 +144,10 @@ def _apply_override(cfg, spec):
 
 def _coerce(text, current):
     if isinstance(current, bool):
-        return text.lower() in ("1", "true", "yes")
+        word = text.lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(text)
+        return word in ("1", "true", "yes")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float) or current is None:

@@ -1,6 +1,11 @@
 """SGD and Adam with lazy sparse-row updates, side-effect-free assumed steps,
 and closed-form sensitivities of the assumed step w.r.t. regularization
-coefficients."""
+coefficients.
+
+Adam's real step (``_kernels.adam_step``) and its assumed step (``assumed``)
+both run ``_kernels.adam_rows``: the real step writes back what the assumed
+step returns, so the step the hypergradient differentiates through is, bit for
+bit, the step training takes."""
 
 import hashlib
 import math
@@ -40,22 +45,19 @@ class SgdOptimizer:
         _kernels.sgd_step(emb.user, grad.user_rows, grad.user_vals, self.lr)
         _kernels.sgd_step(emb.item, grad.item_rows, grad.item_vals, self.lr)
 
-    def assumed_moments(self, emb, grad):
-        """SGD keeps no moments; see ``AdamOptimizer.assumed_moments``."""
-        return None
-
-    def assumed_rows(self, emb, grad, moments=None):
-        """Post-step values of the rows ``grad`` touches, as (user, item) arrays
-        aligned with ``grad.user_rows``/``grad.item_rows``; same arithmetic as
-        step, O(touched rows), and neither emb nor state is mutated."""
+    def assumed(self, emb, grad):
+        """``(user_rows, item_rows, moments)``: the post-step values of the rows
+        ``grad`` touches, aligned with ``grad.user_rows``/``grad.item_rows``, and
+        ``None``, as SGD keeps no moments. Same arithmetic as step, O(touched
+        rows), and emb is not mutated."""
         _check_finite(grad)
         return (emb.user[grad.user_rows] - self.lr * grad.user_vals,
-                emb.item[grad.item_rows] - self.lr * grad.item_vals)
+                emb.item[grad.item_rows] - self.lr * grad.item_vals, None)
 
     def assumed_step(self, emb, grad):
-        """Full post-step embeddings: a copy of emb with ``assumed_rows``
+        """Full post-step embeddings: a copy of emb with the rows of ``assumed``
         written in. O(|U|+|I|); the training loop only needs the rows."""
-        return _with_rows(emb, grad, self.assumed_rows(emb, grad))
+        return _with_rows(emb, grad, self.assumed(emb, grad)[:2])
 
     def lambda_jacobian(self, emb, grad, moments=None):
         """d theta_bar / d lambda per touched coordinate: -2 * lr * theta."""
@@ -105,54 +107,44 @@ class AdamOptimizer:
     def _correction(self, t):
         return math.sqrt(1.0 - self.beta2 ** t) / (1.0 - self.beta1 ** t)
 
+    def _sides(self, emb, grad):
+        # (param, s, r, rows, g) of the user side, then of the item side
+        self._ensure(emb)
+        return ((emb.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
+                (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals))
+
     def step(self, emb, grad, step_index=None):
         _check_finite(grad, step_index)
-        self._ensure(emb)
         self.t += 1
         c = self._correction(self.t)
-        _kernels.adam_step(emb.user, self.s_user, self.r_user, grad.user_rows,
-                           grad.user_vals, self.lr, c, self.beta1, self.r_decay, self.eps)
-        _kernels.adam_step(emb.item, self.s_item, self.r_item, grad.item_rows,
-                           grad.item_vals, self.lr, c, self.beta1, self.r_decay, self.eps)
+        for side in self._sides(emb, grad):
+            _kernels.adam_step(*side, self.lr, c, self.beta1, self.r_decay, self.eps)
 
-    def assumed_moments(self, emb, grad):
-        """The (s, r) moments the next step would give the touched rows, one
-        pair per side (user, item). ``assumed_rows`` and ``lambda_jacobian``
-        both read them: pass the same pair to each instead of letting both
-        recompute it."""
-        self._ensure(emb)
-        return tuple(
-            (self.beta1 * s[rows] + (1.0 - self.beta1) * g,
-             self.r_decay * r[rows] + (1.0 - self.r_decay) * g * g)
-            for s, r, rows, g in (
-                (self.s_user, self.r_user, grad.user_rows, grad.user_vals),
-                (self.s_item, self.r_item, grad.item_rows, grad.item_vals)))
-
-    def assumed_rows(self, emb, grad, moments=None):
-        """Simulated t+1 values of the touched rows from cloned moments, as
-        (user, item) arrays aligned with ``grad.user_rows``/``grad.item_rows``;
-        O(touched rows), and state and emb are untouched."""
+    def assumed(self, emb, grad):
+        """The t+1 step on the touched rows, not taken: ``(user_rows, item_rows,
+        moments)``, with each side's post-step ``(s, r)`` pair as the moments.
+        Runs step's ``adam_rows`` kernel; state and emb are untouched."""
         _check_finite(grad)
-        if moments is None:
-            moments = self.assumed_moments(emb, grad)
         c = self._correction(self.t + 1)
-        return tuple(
-            param[rows] - self.lr * c * s_bar / (np.sqrt(r_bar) + self.eps)
-            for param, rows, (s_bar, r_bar) in zip(
-                (emb.user, emb.item), (grad.user_rows, grad.item_rows), moments))
+        (su, ru, user), (si, ri, item) = (
+            _kernels.adam_rows(*side, self.lr, c, self.beta1, self.r_decay, self.eps)
+            for side in self._sides(emb, grad))
+        return user, item, ((su, ru), (si, ri))
 
     def assumed_step(self, emb, grad):
-        """Full simulated t+1 embeddings: a copy of emb with ``assumed_rows``
-        written in. O(|U|+|I|); the training loop only needs the rows."""
-        return _with_rows(emb, grad, self.assumed_rows(emb, grad))
+        """Full simulated t+1 embeddings: a copy of emb with the rows of
+        ``assumed`` written in. O(|U|+|I|); the training loop only needs the
+        rows."""
+        return _with_rows(emb, grad, self.assumed(emb, grad)[:2])
 
     def lambda_jacobian(self, emb, grad, moments=None):
         """Sensitivity of the assumed step to the lambda entry of each coordinate.
 
         With composed gradient g = g_nonreg + 2*lambda*theta, dg/dlambda = 2*theta.
+        ``moments`` are those ``assumed`` returns; without them it is run here.
         """
         if moments is None:
-            moments = self.assumed_moments(emb, grad)
+            moments = self.assumed(emb, grad)[2]
         c = self._correction(self.t + 1)
         out = []
         for theta, rows, g, (s_bar, r_bar) in zip(

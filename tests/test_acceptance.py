@@ -371,7 +371,7 @@ def test_criterion_6_cost_model():
 def test_criterion_7_ml10m_smoke():
     if not ML10M:
         pytest.skip("set ADAPTREG_ML10M to the ratings file to run")
-    log = load_interactions(ML10M, delimiter="::")
+    log = load_interactions(ML10M, delimiter="::", time_col=3)
     rng = np.random.default_rng(0)
     keep = rng.random(log.num_users) < 0.05  # 5 percent user subsample
     mask = keep[log.users]

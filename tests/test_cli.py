@@ -144,6 +144,7 @@ class TestTrain:
         "regularization.grid=[0.1,1e400]", "optimizer.r_decay=7", "optimizer.beta1=2",
         "optimizer.beta2=1", "optimizer.eps=0", "training.epochs=-3",
         "training.patience=-1", "data.ratios=[0.7,0.7,-0.4]", "data.delimiter=",
+        "regularization.adam_on_lambda=ture",
     ], ids=lambda case: " ".join(case.split()))
     def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -218,6 +219,13 @@ class TestConfigHash:
         with pytest.raises(ConfigError):
             load_config(None, ["bogus.path=1"])
 
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("true", True), ("Yes", True),
+        ("0", False), ("FALSE", False), ("no", False),
+    ])
+    def test_bool_override_words(self, word, value):
+        cfg = load_config(None, [f"regularization.adam_on_lambda={word}"])
+        assert cfg.regularization.adam_on_lambda is value
 
 
 @pytest.fixture(scope="module")

@@ -92,7 +92,7 @@ def test_bpr_gradient_carries_the_batch_loss(kind):
     assert same_bytes(bpr_gradient(emb, batch).loss, bpr_loss(emb, batch))
 
 
-def adam_rows(case, rng, n):
+def touched_rows(case, rng, n):
     if case == "unique":
         return np.unique(rng.integers(0, n, n // 3))
     if case == "all":
@@ -110,7 +110,7 @@ def test_adam_step_bit_equal_to_gather_oracle(case):
     ref = [a.copy() for a in state]
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 21):
-        rows = adam_rows(case, rng, n)
+        rows = touched_rows(case, rng, n)
         g = rng.normal(0, 1, (len(rows), K))
         if case == "zero-gradient" and t > 3:
             g[1] = 0.0

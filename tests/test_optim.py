@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptreg import _kernels
 from adaptreg.adaptive import RegCoefficients, compose_gradient
 from adaptreg.errors import NonFiniteGradientError
 from adaptreg.mf import Embeddings, SparseGrad, bpr_gradient
@@ -112,6 +113,35 @@ class TestAssumedUpdate:
         clone.step(real, grad2)
         assert (assumed.user == real.user).all()
         assert (assumed.item == real.item).all()
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_matches_real_update_across_blocks(self, kind):
+        # K=32 and enough touched rows that the real Adam step runs in
+        # several blocks, each written back after it is computed
+        U, I, K = 4000, 4000, 32
+        emb, rng = random_instance(6, num_users=U, num_items=I, dim=K)
+        opt = make_optimizer(kind)
+        opt.step(emb, bpr_gradient(emb, random_batch(rng, U, I, 4096)))
+        grad = bpr_gradient(emb, random_batch(rng, U, I, 4096))
+        block = _kernels._BLOCK_ELEMS // K
+        assert min(len(grad.user_rows), len(grad.item_rows)) > 2 * block
+        user, item, moments = opt.assumed(emb, grad)
+        clone, real = opt.clone(), emb.copy()
+        clone.step(real, grad)
+        assert real.user[grad.user_rows].tobytes() == user.tobytes()
+        assert real.item[grad.item_rows].tobytes() == item.tobytes()
+        assumed = opt.assumed_step(emb, grad)
+        assert real.user.tobytes() == assumed.user.tobytes()
+        assert real.item.tobytes() == assumed.item.tobytes()
+        if kind == "sgd":
+            assert moments is None
+            return
+        (su, ru), (si, ri) = moments
+        for state, rows, want in ((clone.s_user, grad.user_rows, su),
+                                  (clone.r_user, grad.user_rows, ru),
+                                  (clone.s_item, grad.item_rows, si),
+                                  (clone.r_item, grad.item_rows, ri)):
+            assert state[rows].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_idempotent_and_side_effect_free(self, kind):
