@@ -12,6 +12,16 @@ random) on a small and a large catalog, and prints the large/small ratio: the
 step should cost O(batch), not O(|U|+|I|). Building the large catalog takes
 about 1 GB of memory.
 
+The hypergradient case times one ``adaptive.sparse_hypergradient`` call (Adam,
+K=32, 1024-triplet train and validation batches drawn by
+``data.sample_triplets``) on ``tests/_synth.make_split(seed=3)`` at 4k x 3k and
+20k x 5k, for ``full`` and ``user`` granularity, and records how many rows the
+train batch touches and how many of them the validation batch also reads.
+
+The wide Adam case times one ``_kernels.adam_step`` pair shaped like a training
+step on the wide perfbench corpora: 8192 user draws on 100k rows plus 16384
+item draws on 50k rows, K=32, updated in place.
+
 The evaluation case times full-catalog evaluation in milliseconds per user:
 ``evaluate.user_auc`` (validation stage) and ``evaluate.corpus_metrics``
 (test stage, HR/NDCG at 50 and 100) on 200 users with 40 random events each,
@@ -31,6 +41,7 @@ the CPU model the timings were taken on.
 import argparse
 import json
 import platform
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -38,13 +49,19 @@ from pathlib import Path
 import numpy as np
 
 from adaptreg import _kernels
-from adaptreg.adaptive import RegCoefficients, lambda_step
-from adaptreg.data import InteractionLog, chronological_split
+from adaptreg.adaptive import RegCoefficients, lambda_step, sparse_hypergradient
+from adaptreg.data import InteractionLog, chronological_split, sample_triplets
 from adaptreg.evaluate import corpus_metrics, user_auc
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
 from adaptreg.optim import make_optimizer
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _synth import make_split  # noqa: E402
+
 LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
+HYPERGRADIENT_SIZES = ((4_000, 3_000), (20_000, 5_000))  # users x items
+WIDE_ADAM = dict(user_draws=8192, user_rows=100_000, item_draws=16_384,
+                 item_rows=50_000, dim=32)
 EVAL_ITEMS = (3_000, 50_000)
 SPLIT_USERS, SPLIT_ITEMS = 100_000, 50_000
 TRAIN_BATCH = 8192
@@ -93,6 +110,52 @@ def lambda_step_ms(users, items, dim=32, batch=1024, steps=20, repeats=5):
             lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0)
 
     return time_call(run, repeats) / steps * 1e3
+
+
+def hypergradient_ms(split, granularity, dim=32, batch=1024, calls=20, repeats=10):
+    """Best-of-``repeats`` mean milliseconds per ``sparse_hypergradient`` call
+    over ``calls`` pre-drawn train/validation batch pairs, and the mean number
+    of user and item rows the train batch touches and the validation batch
+    also reads."""
+    rng = np.random.default_rng(3)
+    emb = Embeddings.init(split.num_users, split.num_items, dim, 0.1, rng)
+    opt = make_optimizer("adam")
+    opt.step(emb, bpr_gradient(emb, sample_triplets(split, rng, batch)))
+    lam = RegCoefficients.create(granularity, split.num_users, split.num_items,
+                                 dim, init=0.01)
+    pairs = [(sample_triplets(split, rng, batch, "train"),
+              sample_triplets(split, rng, batch, "validation")) for _ in range(calls)]
+    rows = np.zeros(4)
+    for tb, vb in pairs:
+        t_users, t_items = np.unique(tb.users), np.unique(np.concatenate([tb.pos, tb.neg]))
+        rows += (len(t_users), np.isin(t_users, vb.users).sum(), len(t_items),
+                 np.isin(t_items, np.concatenate([vb.pos, vb.neg])).sum())
+    rows /= calls
+
+    def run():
+        for tb, vb in pairs:
+            sparse_hypergradient(lam, emb, opt, tb, vb)
+
+    ms = time_call(run, repeats) / calls * 1e3
+    return ms, dict(zip(("user_rows", "shared_user_rows", "item_rows",
+                         "shared_item_rows"), rows.tolist()))
+
+
+def wide_adam_ms(repeats):
+    """Best-of-``repeats`` milliseconds for the user and the item side of one
+    ``adam_step`` shaped like a wide-corpus training step."""
+    rng = np.random.default_rng(0)
+    K = WIDE_ADAM["dim"]
+    ms = {}
+    for side in ("user", "item"):
+        n = WIDE_ADAM[f"{side}_rows"]
+        rows = np.unique(rng.integers(0, n, WIDE_ADAM[f"{side}_draws"]))
+        param = rng.normal(0, 0.1, (n, K))
+        s, r = np.zeros((n, K)), np.zeros((n, K))
+        g = rng.normal(0, 1, (len(rows), K))
+        ms[side] = time_call(lambda: _kernels.adam_step(
+            param, s, r, rows, g, 0.01, 0.3162, 0.9, 0.999, 1e-8), repeats) * 1e3
+    return ms
 
 
 def eval_ms(items, users=200, events=40, dim=32, repeats=3):
@@ -199,6 +262,29 @@ def main():
     result = {"environment": environment()}
 
     result["kernels"] = [kernel_table(size, args) for size in (args.size, TRAIN_BATCH)]
+
+    print()
+    print(f"adam_step, wide step shape: {WIDE_ADAM['user_draws']} user draws on "
+          f"{WIDE_ADAM['user_rows']} rows + {WIDE_ADAM['item_draws']} item draws on "
+          f"{WIDE_ADAM['item_rows']} rows, dim={WIDE_ADAM['dim']}")
+    wide = wide_adam_ms(args.repeats)
+    print(f"user {wide['user']:.3f} ms  item {wide['item']:.3f} ms")
+    result["adam_step_wide"] = dict(WIDE_ADAM, ms=wide)
+
+    print()
+    print("sparse_hypergradient: adam, dim=32, batch=1024, make_split(seed=3)")
+    rows = []
+    for users, items in HYPERGRADIENT_SIZES:
+        split = make_split(num_users=users, num_items=items, seed=3)
+        for granularity in ("full", "user"):
+            ms, touched = hypergradient_ms(split, granularity)
+            rows.append(dict(users=users, items=items, granularity=granularity,
+                             ms_per_call=ms, **touched))
+            print(f"{users:>7} users x {items:>7} items {granularity:<5} {ms:>8.2f} ms/call"
+                  f"  user rows {touched['shared_user_rows']:.0f}/{touched['user_rows']:.0f}"
+                  f"  item rows {touched['shared_item_rows']:.0f}/{touched['item_rows']:.0f}"
+                  " shared/touched")
+    result["hypergradient"] = dict(optimizer="adam", dim=32, batch=1024, seed=3, sizes=rows)
 
     print()
     print("lambda step: adam, dim=32, batch=1024, granularity=full")

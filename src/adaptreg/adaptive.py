@@ -11,7 +11,7 @@ import numpy as np
 from .data import frequency_groups, sample_triplets
 from .errors import AdaptRegError, ConfigError
 from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient
-from .optim import make_optimizer
+from .optim import check_finite, make_optimizer
 
 GRANULARITIES = ("global", "dim", "user", "item", "user-dim", "item-dim", "full")
 
@@ -125,49 +125,60 @@ def compose_gradient(grad, emb, lam):
 def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
     """Gradient of validation BPR loss w.r.t. the coefficient entries, via the
     assumed next-step parameters, as ``(entries, values)``: the sorted unique
-    entries the train batch can move and their hypergradients. Every other
-    entry's hypergradient is zero.
+    entries of the rows that both batches read, and their hypergradients.
+    Every other entry's hypergradient is zero: the assumed step moves only
+    rows the train batch touches, and the validation loss reads only rows of
+    its own batch.
 
-    Separate non-regularized pass on the train batch, composition with the
-    penalty gradient, a side-effect-free optimizer step on the touched rows,
-    a validation backward pass at the assumed parameters, then chain-rule
-    aggregation per entry. The validation pass runs on a compact overlay that
-    holds only the rows the validation batch reads (current rows, replaced by
-    their assumed values where the train batch touched them), so the cost is
-    O(batch), independent of |U|+|I| and of the number of entries.
+    Separate non-regularized pass on the train batch and composition with the
+    penalty gradient, checked finite on every touched row. The side-effect-free
+    optimizer step and its Jacobian then run on the shared rows only; both are
+    row-wise, so each row gets the bits it would get in a step on every touched
+    row. The validation backward pass runs on a compact overlay that holds only
+    the rows the validation batch reads (current rows, replaced by their
+    assumed values where they are shared), followed by chain-rule aggregation
+    per entry. The cost is O(batch), independent of |U|+|I| and of the number
+    of entries.
     """
-    g_bar = bpr_gradient(emb, train_batch)
-    composed = compose_gradient(g_bar, emb, lam)
-    new_user, new_item, moments = optimizer.assumed(emb, composed)
-    j_user, j_item = optimizer.lambda_jacobian(emb, composed, moments)
+    composed = compose_gradient(bpr_gradient(emb, train_batch), emb, lam)
+    check_finite(composed)
 
     n = len(val_batch.users)
     v_users, u_inv = np.unique(val_batch.users, return_inverse=True)
     v_items, i_inv = np.unique(np.concatenate([val_batch.pos, val_batch.neg]),
                                return_inverse=True)
-    overlay, shared_rows = [], []
-    for rows, new, theta, v_rows in ((composed.user_rows, new_user, emb.user, v_users),
-                                     (composed.item_rows, new_item, emb.item, v_items)):
-        shared, ia, ib = np.intersect1d(rows, v_rows, assume_unique=True,
-                                        return_indices=True)
+    shared_u, ia_u, ib_u = np.intersect1d(composed.user_rows, v_users,
+                                          assume_unique=True, return_indices=True)
+    shared_i, ia_i, ib_i = np.intersect1d(composed.item_rows, v_items,
+                                          assume_unique=True, return_indices=True)
+    shared = SparseGrad(user_rows=shared_u, user_vals=composed.user_vals[ia_u],
+                        item_rows=shared_i, item_vals=composed.item_vals[ia_i])
+    new_user, new_item, moments = optimizer.assumed(emb, shared)
+    j_user, j_item = optimizer.lambda_jacobian(emb, shared, moments)
+
+    overlay = []
+    for theta, v_rows, ib, new in ((emb.user, v_users, ib_u, new_user),
+                                   (emb.item, v_items, ib_i, new_item)):
         part = theta[v_rows]
-        part[ib] = new[ia]
+        part[ib] = new
         overlay.append(part)
-        shared_rows.append((shared, ia, ib))
     # unique() is order-preserving, so the remapped batch reads the same
     # values in the same order and the kernel arithmetic is unchanged
     v = bpr_gradient(Embeddings(*overlay), TripletBatch(u_inv, i_inv[:n], i_inv[n:]))
 
     # user contributions before item ones, each row-major: the order in which
     # a dense scatter-add would accumulate them, so the sums are bit-equal
-    idx, contrib = [], []
-    for side, ((shared, ia, ib), J, v_vals) in enumerate(zip(
-            shared_rows, (j_user, j_item), (v.user_vals, v.item_vals))):
-        idx.append(lam.entries(side, shared).ravel())
-        contrib.append((v_vals[ib] * J[ia]).ravel())
-    entries, inverse = np.unique(np.concatenate(idx), return_inverse=True)
-    values = np.bincount(inverse, weights=np.concatenate(contrib),
-                         minlength=len(entries))
+    idx = np.concatenate([lam.entries(0, shared_u).ravel(),
+                          lam.entries(1, shared_i).ravel()])
+    contrib = np.concatenate([(v.user_vals[ib_u] * j_user).ravel(),
+                              (v.item_vals[ib_i] * j_item).ravel()])
+    if (idx[1:] > idx[:-1]).all():
+        # distinct and sorted (always so for full): each sum has one term,
+        # and + 0.0 turns a -0.0 into the +0.0 that bincount would give
+        entries, values = idx, contrib + 0.0
+    else:
+        entries, inverse = np.unique(idx, return_inverse=True)
+        values = np.bincount(inverse, weights=contrib, minlength=len(entries))
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise AdaptRegError(

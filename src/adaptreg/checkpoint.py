@@ -6,7 +6,7 @@ import zipfile
 
 import numpy as np
 
-from .adaptive import RegCoefficients
+from .adaptive import GRANULARITIES, RegCoefficients
 from .errors import IncompatibleCheckpointError
 from .mf import Embeddings
 from .optim import make_optimizer
@@ -57,6 +57,14 @@ def _read_header(path, data):
     if missing:
         raise IncompatibleCheckpointError(
             f"checkpoint {path} lacks {', '.join(missing)}")
+    for key in ("num_users", "num_items", "dim"):
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise IncompatibleCheckpointError(
+                f"checkpoint {path} header {key} is {value!r}, not a positive integer")
+    if header["granularity"] not in GRANULARITIES:
+        raise IncompatibleCheckpointError(
+            f"checkpoint {path} has unknown granularity {header['granularity']!r}")
     return header
 
 
@@ -80,8 +88,18 @@ def load_checkpoint(path):
                 f"checkpoint arrays {emb.user.shape}/{emb.item.shape}/{values.shape} "
                 f"do not match its header ({U} users, {I} items, dim {K}, "
                 f"{lam.num_entries} {lam.granularity} coefficients)")
+        if not (values >= 0.0).all() or not np.isfinite(values).all():
+            raise IncompatibleCheckpointError(
+                f"checkpoint {path} has negative or non-finite lambda values")
         lam.values[:] = values
-        optimizer = make_optimizer(header["optimizer"])
+        try:
+            optimizer = make_optimizer(header["optimizer"])
+        except ValueError as exc:
+            raise IncompatibleCheckpointError(f"checkpoint {path}: {exc}") from None
         opt_state = {k[4:]: np.array(v) for k, v in data.items() if k.startswith("opt_")}
-        optimizer.load_state(opt_state)
+        try:
+            optimizer.load_state(opt_state)
+        except KeyError as exc:
+            raise IncompatibleCheckpointError(
+                f"checkpoint {path} lacks optimizer state opt_{exc.args[0]}") from None
     return emb, lam, optimizer, header

@@ -72,7 +72,10 @@ def _score_user(emb, split, u, stage):
 
 
 def user_auc(emb, split, u, stage="test"):
-    """Probability a random test positive outranks a random non-interacted item."""
+    """AUC of user ``u`` at ``stage`` ("test" or "validation"): the probability
+    that a random positive of that partition outranks a random item that is
+    neither one of them nor excluded for the stage. None when the user has no
+    positives or no such items there."""
     scored = _score_user(emb, split, u, stage)
     return None if scored is None else scored[2]
 

@@ -5,7 +5,13 @@ coefficients.
 Adam's real step (``_kernels.adam_step``) and its assumed step (``assumed``)
 both run ``_kernels.adam_rows``: the real step writes back what the assumed
 step returns, so the step the hypergradient differentiates through is, bit for
-bit, the step training takes."""
+bit, the step training takes.
+
+The coefficient (lambda) step calls ``assumed`` and ``lambda_jacobian`` with a
+gradient restricted to the rows that both its train and its validation batch
+read, not to every row the train batch touches: both are row-wise, so each of
+those rows gets the same bits either way. Adam's ``lambda_jacobian`` works in
+place on one gathered copy of the rows."""
 
 import hashlib
 import math
@@ -17,7 +23,7 @@ from .errors import NonFiniteGradientError
 from .mf import Embeddings
 
 
-def _check_finite(grad, step=None):
+def check_finite(grad, step=None):
     for side, rows, vals in (("user", grad.user_rows, grad.user_vals),
                              ("item", grad.item_rows, grad.item_vals)):
         if not np.isfinite(vals).all():
@@ -41,7 +47,7 @@ class SgdOptimizer:
 
     def step(self, emb, grad, step_index=None):
         """theta <- theta - lr * g on touched rows (mutates emb)."""
-        _check_finite(grad, step_index)
+        check_finite(grad, step_index)
         _kernels.sgd_step(emb.user, grad.user_rows, grad.user_vals, self.lr)
         _kernels.sgd_step(emb.item, grad.item_rows, grad.item_vals, self.lr)
 
@@ -50,7 +56,7 @@ class SgdOptimizer:
         ``grad`` touches, aligned with ``grad.user_rows``/``grad.item_rows``, and
         ``None``, as SGD keeps no moments. Same arithmetic as step, O(touched
         rows), and emb is not mutated."""
-        _check_finite(grad)
+        check_finite(grad)
         return (emb.user[grad.user_rows] - self.lr * grad.user_vals,
                 emb.item[grad.item_rows] - self.lr * grad.item_vals, None)
 
@@ -114,7 +120,7 @@ class AdamOptimizer:
                 (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals))
 
     def step(self, emb, grad, step_index=None):
-        _check_finite(grad, step_index)
+        check_finite(grad, step_index)
         self.t += 1
         c = self._correction(self.t)
         for side in self._sides(emb, grad):
@@ -124,7 +130,7 @@ class AdamOptimizer:
         """The t+1 step on the touched rows, not taken: ``(user_rows, item_rows,
         moments)``, with each side's post-step ``(s, r)`` pair as the moments.
         Runs step's ``adam_rows`` kernel; state and emb are untouched."""
-        _check_finite(grad)
+        check_finite(grad)
         c = self._correction(self.t + 1)
         (su, ru, user), (si, ri, item) = (
             _kernels.adam_rows(*side, self.lr, c, self.beta1, self.r_decay, self.eps)
@@ -150,14 +156,27 @@ class AdamOptimizer:
         for theta, rows, g, (s_bar, r_bar) in zip(
                 (emb.user, emb.item), (grad.user_rows, grad.item_rows),
                 (grad.user_vals, grad.item_vals), moments):
-            th = theta[rows]
+            # -lr*c * (ds*denom - half) / denom**2 with ds = (1-b1)*2*theta,
+            # half = s_bar*dr / (2*sqrt(r_bar)) where r_bar > 0 (else 0) and
+            # dr = (1-r_decay)*4*g*theta, computed in place in that order:
+            # dividing by denom**2 before the -lr*c product changes low bits
             sq = np.sqrt(r_bar)
             denom = sq + self.eps
-            ds = (1.0 - self.beta1) * 2.0 * th
-            dr = (1.0 - self.r_decay) * 4.0 * g * th
+            half = (1.0 - self.r_decay) * 4.0 * g
+            out_rows = np.take(theta, rows, axis=0)
+            half *= out_rows
+            half *= s_bar
+            sq *= 2.0
             with np.errstate(invalid="ignore", divide="ignore"):
-                half = np.where(r_bar > 0.0, s_bar * dr / (2.0 * sq), 0.0)
-            out.append(-self.lr * c * (ds * denom - half) / denom ** 2)
+                half /= sq
+                half[~(r_bar > 0.0)] = 0.0
+            out_rows *= (1.0 - self.beta1) * 2.0
+            out_rows *= denom
+            out_rows -= half
+            out_rows *= -self.lr * c
+            denom *= denom
+            out_rows /= denom
+            out.append(out_rows)
         return tuple(out)
 
     def state_digest(self):

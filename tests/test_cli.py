@@ -8,7 +8,7 @@ from adaptreg.checkpoint import load_checkpoint, save_checkpoint
 from adaptreg.cli import main
 from adaptreg.config import RunConfig, config_hash, load_config, resolve
 from adaptreg.errors import ConfigError, IncompatibleCheckpointError
-from adaptreg.mf import Embeddings
+from adaptreg.mf import Embeddings, SparseGrad
 from adaptreg.adaptive import RegCoefficients
 from adaptreg.optim import make_optimizer
 
@@ -409,6 +409,46 @@ class TestCheckpointRoundTrip:
         np.savez(path, **{**arrays, **forged})
         with pytest.raises(IncompatibleCheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", [
+        "unknown_optimizer", "missing_opt_array", "dim_not_integer", "dim_float",
+        "unknown_granularity", "negative_lambda", "nan_lambda", "inf_lambda",
+    ])
+    def test_malformed_contents_rejected(self, corpus, tmp_path, case, capsys):
+        import json
+        rng = np.random.default_rng(0)
+        emb = Embeddings.init(6, 9, 4, 0.1, rng)
+        lam = RegCoefficients.create("full", 6, 9, 4, init=0.3)
+        opt = make_optimizer("adam")
+        opt.step(emb, SparseGrad(np.array([1]), np.ones((1, 4)),
+                                 np.array([2]), np.ones((1, 4))))
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, emb, lam, opt)
+        with np.load(path) as data:
+            arrays = dict(data)
+        header = json.loads(bytes(arrays["header"]).decode())
+        if case == "unknown_optimizer":
+            header["optimizer"] = "rmsprop"
+        elif case == "missing_opt_array":
+            del arrays["opt_r_item"]
+        elif case == "dim_not_integer":
+            header["dim"] = "4"
+        elif case == "dim_float":
+            header["dim"] = 4.0
+        elif case == "unknown_granularity":
+            header["granularity"] = "user-item"
+        else:
+            bad = {"negative_lambda": -0.1, "nan_lambda": np.nan, "inf_lambda": np.inf}
+            arrays["lambda_values"][5] = bad[case]
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(IncompatibleCheckpointError):
+            load_checkpoint(path)
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["evaluate", "--checkpoint", str(path), "--manifest", manifest,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "ERROR:INCOMPATIBLE_CHECKPOINT" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         "header_only", "missing_key", "not_npz", "bad_json", "bad_utf8",
