@@ -35,7 +35,9 @@ built split keeps allocated and the peak while building it.
 
 Every table printed is also written to ``--out`` (``BENCH_kernels.json`` at
 the repository root by default), with the numpy version, the BLAS build and
-the CPU model the timings were taken on.
+the CPU model the timings were taken on. The tables print the best repeat;
+the file records each timing as the min, median and max over its repeats
+plus every repeat in run order, so that it carries its own noise band.
 """
 
 import argparse
@@ -80,19 +82,22 @@ def triplet_case(rng, size, U, I, K):
                 p_inv=inv[:size], n_inv=inv[size:])
 
 
-def time_call(fn, repeats):
+def time_call(fn, repeats, scale=1e3):
+    """Per-repeat times of ``fn`` after one warm-up call, in seconds times
+    ``scale`` (milliseconds by default): ``{min, median, max, repeats}``."""
     fn()  # warm-up
-    best = np.inf
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append((time.perf_counter() - t0) * scale)
+    return dict(min=min(times), median=float(np.median(times)), max=max(times),
+                repeats=times)
 
 
 def lambda_step_ms(users, items, dim=32, batch=1024, steps=20, repeats=5):
-    """Best-of-``repeats`` mean milliseconds per lambda step over ``steps``
-    pre-drawn batch pairs, after one warm-up pass."""
+    """Mean milliseconds per lambda step over ``steps`` pre-drawn batch pairs,
+    per repeat, after one warm-up pass."""
     rng = np.random.default_rng(0)
 
     def draw():
@@ -109,12 +114,12 @@ def lambda_step_ms(users, items, dim=32, batch=1024, steps=20, repeats=5):
         for tb, vb in pairs:
             lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0)
 
-    return time_call(run, repeats) / steps * 1e3
+    return time_call(run, repeats, 1e3 / steps)
 
 
 def hypergradient_ms(split, granularity, dim=32, batch=1024, calls=20, repeats=10):
-    """Best-of-``repeats`` mean milliseconds per ``sparse_hypergradient`` call
-    over ``calls`` pre-drawn train/validation batch pairs, and the mean number
+    """Mean milliseconds per ``sparse_hypergradient`` call over ``calls``
+    pre-drawn train/validation batch pairs, per repeat, and the mean number
     of user and item rows the train batch touches and the validation batch
     also reads."""
     rng = np.random.default_rng(3)
@@ -136,13 +141,13 @@ def hypergradient_ms(split, granularity, dim=32, batch=1024, calls=20, repeats=1
         for tb, vb in pairs:
             sparse_hypergradient(lam, emb, opt, tb, vb)
 
-    ms = time_call(run, repeats) / calls * 1e3
+    ms = time_call(run, repeats, 1e3 / calls)
     return ms, dict(zip(("user_rows", "shared_user_rows", "item_rows",
                          "shared_item_rows"), rows.tolist()))
 
 
 def wide_adam_ms(repeats):
-    """Best-of-``repeats`` milliseconds for the user and the item side of one
+    """Milliseconds per repeat for the user and the item side of one
     ``adam_step`` shaped like a wide-corpus training step."""
     rng = np.random.default_rng(0)
     K = WIDE_ADAM["dim"]
@@ -154,13 +159,13 @@ def wide_adam_ms(repeats):
         s, r = np.zeros((n, K)), np.zeros((n, K))
         g = rng.normal(0, 1, (len(rows), K))
         ms[side] = time_call(lambda: _kernels.adam_step(
-            param, s, r, rows, g, 0.01, 0.3162, 0.9, 0.999, 1e-8), repeats) * 1e3
+            param, s, r, rows, g, 0.01, 0.3162, 0.9, 0.999, 1e-8), repeats)
     return ms
 
 
 def eval_ms(items, users=200, events=40, dim=32, repeats=3):
-    """Best-of-``repeats`` milliseconds per user for ``user_auc`` over every
-    user and for one ``corpus_metrics`` call."""
+    """Milliseconds per user, per repeat, for ``user_auc`` over every user and
+    for one ``corpus_metrics`` call."""
     rng = np.random.default_rng(0)
     log = InteractionLog(
         users=np.repeat(np.arange(users), events),
@@ -170,14 +175,14 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
         num_users=users, num_items=items)
     split = chronological_split(log)
     emb = Embeddings.init(users, items, dim, 0.1, rng)
-    auc_s = time_call(lambda: [user_auc(emb, split, u, "validation")
-                               for u in range(users)], repeats)
-    metrics_s = time_call(lambda: corpus_metrics(emb, split), repeats)
-    return auc_s / users * 1e3, metrics_s / users * 1e3
+    auc_ms = time_call(lambda: [user_auc(emb, split, u, "validation")
+                                for u in range(users)], repeats, 1e3 / users)
+    metrics_ms = time_call(lambda: corpus_metrics(emb, split), repeats, 1e3 / users)
+    return auc_ms, metrics_ms
 
 
 def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
-    """Best-of-``repeats`` seconds for one ``chronological_split`` call, the
+    """Milliseconds per repeat for one ``chronological_split`` call, the
     number of events in the log, and the traced bytes the built split keeps
     and peaks at."""
     rng = np.random.default_rng(0)
@@ -188,13 +193,13 @@ def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
         items=rng.integers(0, items, n),
         times=rng.integers(0, 10**5, n),
         num_users=users, num_items=items)
-    seconds = time_call(lambda: chronological_split(log), repeats)
+    ms = time_call(lambda: chronological_split(log), repeats)
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
     split = chronological_split(log)  # alive while its memory is read
     kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return dict(users=users, items=items, events=n, ms=seconds * 1e3,
+    return dict(users=users, items=items, events=n, ms=ms,
                 kept_bytes=kept - before, peak_bytes=peak - before)
 
 
@@ -230,8 +235,8 @@ def kernel_table(size, args):
     print(f"{'kernel':<12} {'ms':>11}")
     ms = {}
     for name, fn in cases.items():
-        ms[name] = time_call(fn, args.repeats) * 1e3
-        print(f"{name:<12} {ms[name]:>11.3f}")
+        ms[name] = time_call(fn, args.repeats)
+        print(f"{name:<12} {ms[name]['min']:>11.3f}")
     return dict(batch=size, users=args.users, items=args.items, dim=args.dim, ms=ms)
 
 
@@ -268,7 +273,7 @@ def main():
           f"{WIDE_ADAM['user_rows']} rows + {WIDE_ADAM['item_draws']} item draws on "
           f"{WIDE_ADAM['item_rows']} rows, dim={WIDE_ADAM['dim']}")
     wide = wide_adam_ms(args.repeats)
-    print(f"user {wide['user']:.3f} ms  item {wide['item']:.3f} ms")
+    print(f"user {wide['user']['min']:.3f} ms  item {wide['item']['min']:.3f} ms")
     result["adam_step_wide"] = dict(WIDE_ADAM, ms=wide)
 
     print()
@@ -280,7 +285,7 @@ def main():
             ms, touched = hypergradient_ms(split, granularity)
             rows.append(dict(users=users, items=items, granularity=granularity,
                              ms_per_call=ms, **touched))
-            print(f"{users:>7} users x {items:>7} items {granularity:<5} {ms:>8.2f} ms/call"
+            print(f"{users:>7} users x {items:>7} items {granularity:<5} {ms['min']:>8.2f} ms/call"
                   f"  user rows {touched['shared_user_rows']:.0f}/{touched['user_rows']:.0f}"
                   f"  item rows {touched['shared_item_rows']:.0f}/{touched['item_rows']:.0f}"
                   " shared/touched")
@@ -291,9 +296,10 @@ def main():
     rows = []
     for users, items in LAMBDA_SIZES:
         rows.append(dict(users=users, items=items, ms_per_step=lambda_step_ms(users, items)))
-        print(f"{users:>7} users x {items:>7} items {rows[-1]['ms_per_step']:>8.2f} ms/step")
-    ratio = rows[-1]["ms_per_step"] / rows[0]["ms_per_step"]
-    print(f"large/small ratio {ratio:.2f}")
+        ms = rows[-1]["ms_per_step"]["min"]
+        print(f"{users:>7} users x {items:>7} items {ms:>8.2f} ms/step")
+    ratio = rows[-1]["ms_per_step"]["median"] / rows[0]["ms_per_step"]["median"]
+    print(f"large/small ratio of the medians {ratio:.2f}")
     result["lambda_step"] = dict(optimizer="adam", dim=32, batch=1024, granularity="full",
                                  sizes=rows, large_small_ratio=ratio)
 
@@ -303,13 +309,14 @@ def main():
     for items in EVAL_ITEMS:
         auc_ms, metrics_ms = eval_ms(items)
         rows.append(dict(items=items, user_auc_ms=auc_ms, corpus_metrics_ms=metrics_ms))
-        print(f"{items:>7} items  user_auc {auc_ms:>7.3f}  corpus_metrics {metrics_ms:>7.3f}")
+        print(f"{items:>7} items  user_auc {auc_ms['min']:>7.3f}  "
+              f"corpus_metrics {metrics_ms['min']:>7.3f}")
     result["evaluation"] = dict(dim=32, users=200, events_per_user=40, catalogs=rows)
 
     print()
     split = split_case()
     print(f"chronological split: {split['users']} users, {split['events']} events, "
-          f"{split['ms']:.1f} ms, keeps {split['kept_bytes'] / 2**20:.1f} MiB "
+          f"{split['ms']['min']:.1f} ms, keeps {split['kept_bytes'] / 2**20:.1f} MiB "
           f"(peak {split['peak_bytes'] / 2**20:.1f} MiB)")
     result["split"] = split
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import frequency_groups, sample_triplets
+from .data import frequency_groups, group_by, group_reduce, sample_triplets
 from .errors import AdaptRegError, ConfigError
 from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient
 from .optim import check_finite, make_optimizer
@@ -189,7 +189,8 @@ def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
 def hypergradient(lam, emb, optimizer, train_batch, val_batch):
     """Dense form of ``sparse_hypergradient``: one value per coefficient entry,
     zero where the train batch moves nothing. Allocating it is O(num_entries);
-    the computation itself is O(batch)."""
+    the computation itself is O(batch). An oracle for the gate and the tests:
+    the training loop runs ``lambda_step``."""
     entries, values = sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch)
     G = np.zeros(lam.num_entries)
     G[entries] = values
@@ -197,7 +198,8 @@ def hypergradient(lam, emb, optimizer, train_batch, val_batch):
 
 
 def project_and_step(lam, G, step_size, clip):
-    """Clamp G to [-clip, clip], take a gradient step, project onto lambda >= 0."""
+    """Clamp G to [-clip, clip], take a gradient step, project onto lambda >= 0.
+    An oracle for the gate and the tests: the training loop runs ``lambda_step``."""
     g = np.clip(G, -clip, clip)
     values = lam.values - step_size * g
     np.maximum(values, 0.0, out=values)
@@ -206,21 +208,21 @@ def project_and_step(lam, G, step_size, clip):
 
 def lambda_step(lam, emb, optimizer, train_batch, val_batch, step_size, clip,
                 lam_opt=None):
-    """One coefficient update of the training loop; returns the coefficients.
+    """One clip, step and projection of the coefficients, in place; returns them.
 
-    Without ``lam_opt`` only the entries with a hypergradient are clipped,
-    stepped and projected, in place in ``lam.values``: every other entry has
-    G = 0, which the dense update leaves unchanged, so the result is the same
-    at O(batch) cost. With ``lam_opt`` (Adam on lambda) every entry's moments
-    decay on every step, so the update stays dense through ``hypergradient``
-    and ``project_and_step``.
+    Without ``lam_opt`` only the entries with a hypergradient move: every
+    other one has G = 0, which the dense update leaves unchanged. With
+    ``lam_opt`` (Adam on lambda) every entry's moments decay on every step,
+    so the clipped G is scattered into a dense vector for Adam's direction,
+    which is clipped again.
     """
-    if lam_opt is not None:
-        G = hypergradient(lam, emb, optimizer, train_batch, val_batch)
-        G = lam_opt.direction(np.clip(G, -clip, clip))
-        return project_and_step(lam, G, step_size, clip)
     entries, G = sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch)
-    values = lam.values[entries] - step_size * np.clip(G, -clip, clip)
+    G = np.clip(G, -clip, clip)
+    if lam_opt is not None:
+        dense = np.zeros(lam.num_entries)
+        dense[entries] = G
+        entries, G = slice(None), np.clip(lam_opt.direction(dense), -clip, clip)
+    values = lam.values[entries] - step_size * G
     np.maximum(values, 0.0, out=values)
     lam.values[entries] = values
     return lam
@@ -258,7 +260,7 @@ class TrajectoryRow:
     item_group_stats: list
 
 
-def record_trajectory(lam, split, step, user_groups, item_groups):
+def record_trajectory(lam, step, user_groups, item_groups):
     """Per-entity mean coefficient over dims plus per-frequency-group mean/variance."""
     # a C-ordered copy, so each mean sums its row in the same order as over
     # a dense (n,K) array (copying a broadcast view may give another layout)
@@ -266,14 +268,11 @@ def record_trajectory(lam, split, step, user_groups, item_groups):
     i_means = np.ascontiguousarray(lam.item_dense()).mean(axis=1)
     rows = []
     for groups, means in ((user_groups, u_means), (item_groups, i_means)):
-        stats = []
-        for g in range(int(groups.max()) + 1 if len(groups) else 0):
-            members = means[groups == g]
-            if len(members) == 0:
-                continue
-            stats.append((g, len(members), float(members.mean()),
-                          float(members.var())))
-        rows.append(stats)
+        ids, order, starts, counts = group_by(groups)
+        members = means[order]
+        rows.append(list(zip(ids.tolist(), counts.tolist(),
+                             group_reduce(members, starts, counts).tolist(),
+                             group_reduce(members, starts, counts, np.var).tolist())))
     return TrajectoryRow(
         step=step,
         user_mean=float(u_means.mean()),
@@ -364,7 +363,7 @@ def train_model(split, cfg, eval_fn=None):
             break
         # every batch holds batch_size triplets
         mean_loss = loss_sum / (steps_per_epoch * tr.batch_size)
-        trajectory.append(record_trajectory(lam, split, epoch, user_groups, item_groups))
+        trajectory.append(record_trajectory(lam, epoch, user_groups, item_groups))
         row = {"epoch": epoch, "step": global_step, "train_loss": mean_loss}
         if epoch % tr.eval_every == 0 or epoch == tr.epochs:
             if not np.isfinite(mean_loss):

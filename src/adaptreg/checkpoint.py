@@ -98,8 +98,10 @@ def load_checkpoint(path):
             raise IncompatibleCheckpointError(f"checkpoint {path}: {exc}") from None
         opt_state = {k[4:]: np.array(v) for k, v in data.items() if k.startswith("opt_")}
         try:
-            optimizer.load_state(opt_state)
+            optimizer.load_state(opt_state, emb)
         except KeyError as exc:
             raise IncompatibleCheckpointError(
                 f"checkpoint {path} lacks optimizer state opt_{exc.args[0]}") from None
+        except (ValueError, TypeError) as exc:
+            raise IncompatibleCheckpointError(f"checkpoint {path}: {exc}") from None
     return emb, lam, optimizer, header

@@ -227,6 +227,8 @@ def resolve(cfg):
         raise ConfigError("data.delimiter must not be empty")
     if reg.mode == "fix" and reg.fixed_value is not None and reg.fixed_value < 0:
         raise ConfigError("fixed_value must be nonnegative")
+    if reg.init < 0:
+        raise ConfigError(f"regularization.init must be nonnegative, got {reg.init}")
     if any(v < 0 for v in reg.grid):
         raise ConfigError(f"regularization.grid candidates must be nonnegative, got {reg.grid}")
     if cfg.training.batch_size <= 0 or cfg.training.lambda_batch_size <= 0:

@@ -340,6 +340,25 @@ def frequency_groups(frequencies, boundaries):
     return np.searchsorted(boundaries, np.asarray(frequencies), side="right")
 
 
+def group_by(labels):
+    """Stable group-by: ``(ids, order, starts, counts)``. Group ``ids[n]`` is
+    ``values[order][starts[n]:starts[n] + counts[n]]``, in input order."""
+    order = np.argsort(labels, kind="stable")
+    ids, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    return ids, order, starts, counts
+
+
+def group_reduce(values, starts, counts, reduce=np.mean):
+    """``reduce(values[start:start + count])`` (``np.mean`` or ``np.var``) per
+    group, bit for bit: groups of one size are the rows of one C-ordered
+    matrix, and numpy reduces each row in the order of that row alone."""
+    out = np.empty(len(starts))
+    for c in np.unique(counts):
+        sel = np.flatnonzero(counts == c)
+        out[sel] = reduce(values[starts[sel, None] + np.arange(c)], axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Persistence: id maps and split manifest
 # ---------------------------------------------------------------------------

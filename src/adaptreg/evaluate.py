@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import group_by, group_reduce
 from .errors import AdaptRegError
 
 
@@ -87,13 +88,19 @@ def user_topk_ranks(emb, split, u, stage="test"):
     return None if scored is None else scored[1]
 
 
+def _hits_gains(ranks, k):
+    """Per positive: whether its rank is within ``k``, and its discounted gain
+    ``1 / log2(rank + 1)`` there (0 beyond)."""
+    hits = ranks <= k
+    return hits, np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
+
+
 def user_topk(emb, split, u, k, stage="test"):
     """(HR@k, NDCG@k) averaged over the user's test items."""
     ranks = user_topk_ranks(emb, split, u, stage)
     if ranks is None:
         return None
-    hits = ranks <= k
-    gains = np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
+    hits, gains = _hits_gains(ranks, k)
     return float(hits.mean()), float(gains.mean())
 
 
@@ -113,17 +120,6 @@ class MetricReport:
     skipped_users: int = 0
 
 
-def _group_means(values, starts, counts):
-    """``np.mean(values[start:start + count])`` for each group. Groups of one
-    size are averaged as the rows of one C-ordered matrix; numpy sums each row
-    of it in the order, and so to the bits, of that row alone."""
-    out = np.empty(len(starts))
-    for c in np.unique(counts):
-        sel = np.flatnonzero(counts == c)
-        out[sel] = values[starts[sel, None] + np.arange(c)].mean(axis=1)
-    return out
-
-
 def corpus_metrics(emb, split, ks=(50, 100), stage="test",
                    item_metric_mode="item-specific"):
     """Unweighted per-user means over users with at least one positive, plus
@@ -134,62 +130,41 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
     of the item's test users.
     """
     ks = tuple(ks)
-    user_ids, aucs, positives_of = [], [], []
-    per_user_hr = {k: [] for k in ks}
-    per_user_ndcg = {k: [] for k in ks}
-    item_hits = {k: [] for k in ks}   # per user: one value per positive
-    item_gains = {k: [] for k in ks}
-    skipped = 0
-    for u in range(split.num_users):
-        scored = _score_user(emb, split, u, stage)
-        if scored is None or scored[2] is None:
-            skipped += 1
-            continue
-        positives, ranks, a = scored
-        user_ids.append(u)
-        aucs.append(a)
-        positives_of.append(positives)
-        for k in ks:
-            hits = ranks <= k
-            gains = np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
-            hr_u = float(hits.mean())
-            ndcg_u = float(gains.mean())
-            per_user_hr[k].append(hr_u)
-            per_user_ndcg[k].append(ndcg_u)
-            if item_metric_mode == "item-specific":
-                item_hits[k].append(hits)
-                item_gains[k].append(gains)
-            else:
-                item_hits[k].append(np.full(len(positives), hr_u))
-                item_gains[k].append(np.full(len(positives), ndcg_u))
-    user_ids = np.asarray(user_ids, dtype=np.int64)
-    aucs = np.asarray(aucs)
-    # group the positives by item once; a stable sort keeps each item's
-    # values in user order, the order its mean must sum them in
-    items = np.concatenate(positives_of) if positives_of else np.empty(0, np.int64)
-    order = np.argsort(items, kind="stable")
-    ids, starts, counts = np.unique(items[order], return_index=True, return_counts=True)
-    ids = ids.astype(np.int64)
-
-    def item_means(values):
-        if not values:
-            return np.empty(0)
-        return _group_means(np.concatenate(values).astype(np.float64)[order], starts, counts)
-
-    item_ids = {k: ids for k in ks}
-    item_hr = {k: item_means(item_hits[k]) for k in ks}
-    item_ndcg = {k: item_means(item_gains[k]) for k in ks}
+    scored = [_score_user(emb, split, u, stage) for u in range(split.num_users)]
+    user_ids = [u for u, s in enumerate(scored) if s is not None and s[2] is not None]
+    scored = [scored[u] for u in user_ids]
+    aucs = np.asarray([s[2] for s in scored])
+    # each user's positives are one run of the concatenated arrays; grouping
+    # them by item with a stable sort keeps each item's values in user order,
+    # the order its mean must sum them in
+    counts = np.asarray([len(s[0]) for s in scored], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    items, ranks = (np.concatenate([s[n] for s in scored] or [np.empty(0, np.int64)])
+                    for n in (0, 1))
+    item_ids, order, item_starts, item_counts = group_by(items)
+    item_ids = item_ids.astype(np.int64)
+    user_hr, user_ndcg, item_hr, item_ndcg = {}, {}, {}, {}
+    for k in ks:
+        hits, gains = _hits_gains(ranks, k)
+        hits = hits.astype(np.float64)
+        user_hr[k] = group_reduce(hits, starts, counts)
+        user_ndcg[k] = group_reduce(gains, starts, counts)
+        if item_metric_mode != "item-specific":
+            hits, gains = np.repeat(user_hr[k], counts), np.repeat(user_ndcg[k], counts)
+        item_hr[k] = group_reduce(hits[order], item_starts, item_counts)
+        item_ndcg[k] = group_reduce(gains[order], item_starts, item_counts)
     return MetricReport(
         ks=ks,
         auc=float(aucs.mean()) if len(aucs) else float("nan"),
-        hr={k: float(np.mean(per_user_hr[k])) for k in ks},
-        ndcg={k: float(np.mean(per_user_ndcg[k])) for k in ks},
-        user_ids=user_ids,
+        hr={k: float(np.mean(user_hr[k])) for k in ks},
+        ndcg={k: float(np.mean(user_ndcg[k])) for k in ks},
+        user_ids=np.asarray(user_ids, dtype=np.int64),
         user_auc=aucs,
-        user_hr={k: np.asarray(per_user_hr[k]) for k in ks},
-        user_ndcg={k: np.asarray(per_user_ndcg[k]) for k in ks},
-        item_ids=item_ids, item_hr=item_hr, item_ndcg=item_ndcg,
-        skipped_users=skipped,
+        user_hr=user_hr,
+        user_ndcg=user_ndcg,
+        item_ids={k: item_ids for k in ks},
+        item_hr=item_hr, item_ndcg=item_ndcg,
+        skipped_users=split.num_users - len(user_ids),
     )
 
 
@@ -208,22 +183,21 @@ def group_improvement_report(values_a, values_b, entity_ids_a, entity_ids_b, gro
     """Per-group relative deltas (mean_b - mean_a) / mean_a over the shared
     entity universe; empty or zero-baseline groups carry a note instead."""
     shared, ia, ib = np.intersect1d(entity_ids_a, entity_ids_b, return_indices=True)
-    va, vb = np.asarray(values_a)[ia], np.asarray(values_b)[ib]
-    glabels = np.asarray(groups)[shared]
+    groups = np.asarray(groups)
+    ids, order, starts, counts = group_by(groups[shared])
+    means_a = group_reduce(np.asarray(values_a)[ia][order], starts, counts)
+    means_b = group_reduce(np.asarray(values_b)[ib][order], starts, counts)
+    found = dict(zip(ids.tolist(), zip(counts.tolist(), means_a.tolist(), means_b.tolist())))
     out = []
-    for g in range(int(np.asarray(groups).max()) + 1 if len(groups) else 0):
-        mask = glabels == g
-        size = int(mask.sum())
-        if size == 0:
+    for g in range(int(groups.max()) + 1 if len(groups) else 0):
+        if g not in found:
             out.append({"group": g, "size": 0, "delta": None, "note": "empty group"})
             continue
-        ma, mb = float(va[mask].mean()), float(vb[mask].mean())
-        if ma == 0.0:
-            out.append({"group": g, "size": size, "mean_a": ma, "mean_b": mb,
-                        "delta": None, "note": "zero baseline"})
-        else:
-            out.append({"group": g, "size": size, "mean_a": ma, "mean_b": mb,
-                        "delta": (mb - ma) / ma, "note": ""})
+        size, ma, mb = found[g]
+        zero = ma == 0.0
+        out.append({"group": g, "size": size, "mean_a": ma, "mean_b": mb,
+                    "delta": None if zero else (mb - ma) / ma,
+                    "note": "zero baseline" if zero else ""})
     return out
 
 

@@ -13,6 +13,7 @@ read, not to every row the train batch touches: both are row-wise, so each of
 those rows gets the same bits either way. Adam's ``lambda_jacobian`` works in
 place on one gathered copy of the rows."""
 
+import copy
 import hashlib
 import math
 
@@ -41,7 +42,7 @@ class SgdOptimizer:
     kind = "sgd"
 
     def __init__(self, lr=0.05):
-        if lr <= 0:
+        if not lr > 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
 
@@ -76,8 +77,9 @@ class SgdOptimizer:
     def state_arrays(self):
         return {"lr": np.float64(self.lr), "t": np.int64(0)}
 
-    def load_state(self, arrays):
-        self.lr = float(arrays["lr"])
+    def load_state(self, arrays, emb=None):
+        """Take a saved ``state_arrays`` through the constructor's checks."""
+        self.__init__(float(arrays["lr"]))
 
     def clone(self):
         return SgdOptimizer(self.lr)
@@ -93,13 +95,15 @@ class AdamOptimizer:
     kind = "adam"
 
     def __init__(self, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, r_decay=None):
-        if lr <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1) or eps <= 0:
+        r_decay = beta2 if r_decay is None else r_decay
+        if not (lr > 0 and 0 < beta1 < 1 and 0 < beta2 < 1 and eps > 0
+                and 0 <= r_decay < 1):
             raise ValueError("invalid Adam hyperparameters")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.r_decay = beta2 if r_decay is None else r_decay
+        self.r_decay = r_decay
         self.t = 0
         self.s_user = self.r_user = self.s_item = self.r_item = None
 
@@ -198,28 +202,26 @@ class AdamOptimizer:
                           s_item=self.s_item, r_item=self.r_item)
         return arrays
 
-    def load_state(self, arrays):
-        self.lr = float(arrays["lr"])
-        self.beta1 = float(arrays["beta1"])
-        self.beta2 = float(arrays["beta2"])
-        self.eps = float(arrays["eps"])
-        self.r_decay = float(arrays["r_decay"])
-        self.t = int(arrays["t"])
+    def load_state(self, arrays, emb):
+        """Take the state ``state_arrays`` saved for factors shaped like
+        ``emb``'s, the hyperparameters through the constructor's checks;
+        ValueError when it could not have come from a valid run."""
+        self.__init__(*(float(arrays[k]) for k in ("lr", "beta1", "beta2", "eps", "r_decay")))
+        t = np.asarray(arrays["t"])
+        if t.shape or t.dtype.kind not in "iu" or t < 0:
+            raise ValueError(f"optimizer step count {t} is not a nonnegative integer")
+        self.t = int(t)
         if "s_user" in arrays:
-            self.s_user = np.array(arrays["s_user"])
-            self.r_user = np.array(arrays["r_user"])
-            self.s_item = np.array(arrays["s_item"])
-            self.r_item = np.array(arrays["r_item"])
+            moments = [np.array(arrays[k]) for k in ("s_user", "r_user", "s_item", "r_item")]
+            for m, theta, low in zip(moments, (emb.user, emb.user, emb.item, emb.item),
+                                     (-np.inf, 0.0, -np.inf, 0.0)):
+                if m.shape != theta.shape or not (np.isfinite(m) & (m >= low)).all():
+                    raise ValueError("optimizer moments must be finite, shaped like "
+                                     "the factors, and second moments nonnegative")
+            self.s_user, self.r_user, self.s_item, self.r_item = moments
 
     def clone(self):
-        other = AdamOptimizer(self.lr, self.beta1, self.beta2, self.eps, self.r_decay)
-        other.t = self.t
-        if self.s_user is not None:
-            other.s_user = self.s_user.copy()
-            other.r_user = self.r_user.copy()
-            other.s_item = self.s_item.copy()
-            other.r_item = self.r_item.copy()
-        return other
+        return copy.deepcopy(self)
 
 
 def make_optimizer(kind, **kwargs):

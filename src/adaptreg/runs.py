@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import yaml
 
-from .data import frequency_groups
+from .data import frequency_groups, group_by, group_reduce
 
 
 def write_resolved_config(run_dir, cfg):
@@ -36,11 +36,11 @@ def save_trajectory(run_dir, trajectory, split, cfg):
             for g, size, mean, var in stats:
                 rows.append([tr.step, kind, g, size, mean, var])
     def group_mean_freq(freqs, groups):
-        out = []
-        for g in range(int(groups.max()) + 1 if len(groups) else 0):
-            members = freqs[groups == g]
-            out.append(members.mean() if len(members) else 0.0)
-        return np.asarray(out, dtype=np.float64)
+        # one slot per group up to the largest, 0.0 for an empty one
+        ids, order, starts, counts = group_by(groups)
+        out = np.zeros(int(groups.max()) + 1 if len(groups) else 0)
+        out[ids] = group_reduce(freqs[order], starts, counts)
+        return out
     np.savez(
         os.path.join(run_dir, "trajectory.npz"),
         epochs=np.asarray([tr.step for tr in trajectory], dtype=np.int64),

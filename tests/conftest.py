@@ -165,7 +165,10 @@ def oracle_corpus_auc(emb, split, stage="validation"):
 
 def oracle_corpus_metrics(emb, split, ks=(50, 100), stage="test",
                           item_metric_mode="item-specific"):
-    """``corpus_metrics`` built on the oracle's per-user functions."""
+    """``corpus_metrics`` built on the oracle's per-user functions: the
+    per-user loop with one list per k for each metric and the item-metric
+    mode branched inside it, as ``corpus_metrics`` was before it averaged
+    through ``data.group_reduce``."""
     from adaptreg.evaluate import MetricReport
     user_ids, aucs = [], []
     per_user_hr = {k: [] for k in ks}
@@ -213,6 +216,61 @@ def oracle_corpus_metrics(emb, split, ks=(50, 100), stage="test",
                    for k in ks},
         skipped_users=skipped,
     )
+
+
+# ---------------------------------------------------------------------------
+# Group-mean oracles: the loops over ``x[groups == g]`` that
+# ``data.group_by`` and ``data.group_reduce`` replaced.
+# ---------------------------------------------------------------------------
+
+def oracle_record_trajectory(lam, step, user_groups, item_groups):
+    from adaptreg.adaptive import TrajectoryRow
+    u_means = np.ascontiguousarray(lam.user_dense()).mean(axis=1)
+    i_means = np.ascontiguousarray(lam.item_dense()).mean(axis=1)
+    rows = []
+    for groups, means in ((user_groups, u_means), (item_groups, i_means)):
+        stats = []
+        for g in range(int(groups.max()) + 1 if len(groups) else 0):
+            members = means[groups == g]
+            if len(members) == 0:
+                continue
+            stats.append((g, len(members), float(members.mean()),
+                          float(members.var())))
+        rows.append(stats)
+    return TrajectoryRow(
+        step=step, user_mean=float(u_means.mean()), item_mean=float(i_means.mean()),
+        user_var=float(u_means.var()), item_var=float(i_means.var()),
+        user_group_stats=rows[0], item_group_stats=rows[1])
+
+
+def oracle_group_mean_freq(freqs, groups):
+    out = []
+    for g in range(int(groups.max()) + 1 if len(groups) else 0):
+        members = freqs[groups == g]
+        out.append(members.mean() if len(members) else 0.0)
+    return np.asarray(out, dtype=np.float64)
+
+
+def oracle_group_improvement_report(values_a, values_b, entity_ids_a, entity_ids_b,
+                                    groups):
+    shared, ia, ib = np.intersect1d(entity_ids_a, entity_ids_b, return_indices=True)
+    va, vb = np.asarray(values_a)[ia], np.asarray(values_b)[ib]
+    glabels = np.asarray(groups)[shared]
+    out = []
+    for g in range(int(np.asarray(groups).max()) + 1 if len(groups) else 0):
+        mask = glabels == g
+        size = int(mask.sum())
+        if size == 0:
+            out.append({"group": g, "size": 0, "delta": None, "note": "empty group"})
+            continue
+        ma, mb = float(va[mask].mean()), float(vb[mask].mean())
+        if ma == 0.0:
+            out.append({"group": g, "size": size, "mean_a": ma, "mean_b": mb,
+                        "delta": None, "note": "zero baseline"})
+        else:
+            out.append({"group": g, "size": size, "mean_a": ma, "mean_b": mb,
+                        "delta": (mb - ma) / ma, "note": ""})
+    return out
 
 
 # ---------------------------------------------------------------------------

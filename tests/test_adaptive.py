@@ -13,7 +13,9 @@ from adaptreg.errors import ConfigError
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient, bpr_loss, penalty
 from adaptreg.optim import make_optimizer
 
-from conftest import oracle_index_maps, random_batch, random_instance
+from conftest import (
+    oracle_index_maps, oracle_record_trajectory, random_batch, random_instance,
+)
 
 
 class TestGranularity:
@@ -253,7 +255,7 @@ class TestRecordTrajectory:
 
     def test_all_zero(self):
         lam = RegCoefficients.create("full", 2, 2, 2, init=0.0)
-        row = record_trajectory(lam, None, 3, np.array([0, 0]), np.array([0, 1]))
+        row = record_trajectory(lam, 3, np.array([0, 0]), np.array([0, 1]))
         assert row.user_mean == 0.0 and row.item_mean == 0.0
         assert all(s[2] == 0.0 for s in row.user_group_stats)
 
@@ -262,7 +264,7 @@ class TestRecordTrajectory:
         # variance over the four entries would be 0.0275
         lam = RegCoefficients.create("user-dim", 2, 1, 2)
         lam.values[:4] = [0.2, 0.4, 0.6, 0.6]
-        row = record_trajectory(lam, None, 0, np.array([0, 0]), np.array([0]))
+        row = record_trajectory(lam, 0, np.array([0, 0]), np.array([0]))
         assert row.user_mean == pytest.approx(0.45)
         assert row.user_var == pytest.approx(0.0225)
         assert row.user_group_stats[0][3] == pytest.approx(0.0225)
@@ -270,7 +272,7 @@ class TestRecordTrajectory:
     def test_group_population_variance(self):
         lam = RegCoefficients.create("user", 2, 1, 1)
         lam.values[:2] = [0.1, 0.3]
-        row = record_trajectory(lam, None, 0, np.array([0, 0]), np.array([0]))
+        row = record_trajectory(lam, 0, np.array([0, 0]), np.array([0]))
         g, size, mean, var = row.user_group_stats[0]
         assert size == 2
         assert mean == pytest.approx(0.2)
@@ -282,12 +284,27 @@ class TestRecordTrajectory:
         lam = RegCoefficients.create(gran, U, I, K)
         lam.values[:] = np.random.default_rng(1).uniform(0, 0.3, lam.num_entries)
         groups = (np.arange(U) % 3, np.arange(I) % 4)
-        row = record_trajectory(lam, None, 0, *groups)
+        row = record_trajectory(lam, 0, *groups)
         user_index, item_index = oracle_index_maps(gran, U, I, K)
         ref = record_trajectory(SimpleNamespace(
             user_dense=lambda: lam.values[user_index],
-            item_dense=lambda: lam.values[item_index]), None, 0, *groups)
+            item_dense=lambda: lam.values[item_index]), 0, *groups)
         assert row == ref
+
+    @pytest.mark.parametrize("gran", GRANULARITIES)
+    def test_equal_to_per_group_loop(self, gran):
+        # labels with gaps (empty groups), one-member groups and groups past
+        # the sizes where numpy's pairwise summation changes form
+        U, I, K = 700, 300, 8
+        rng = np.random.default_rng(2)
+        lam = RegCoefficients.create(gran, U, I, K)
+        lam.values[:] = rng.uniform(0, 0.3, lam.num_entries)
+        user_groups = rng.choice([0, 2, 5], U, p=[0.8, 0.15, 0.05])
+        user_groups[3] = 6
+        item_groups = rng.integers(0, 4, I) * 2
+        row = record_trajectory(lam, 4, user_groups, item_groups)
+        assert row == oracle_record_trajectory(lam, 4, user_groups, item_groups)
+        assert (6, 1) in [s[:2] for s in row.user_group_stats]
 
 
 def quick_cfg(**kw):

@@ -9,10 +9,13 @@ from adaptreg.cli import main
 from adaptreg.config import RunConfig, config_hash, load_config, resolve
 from adaptreg.errors import ConfigError, IncompatibleCheckpointError
 from adaptreg.mf import Embeddings, SparseGrad
-from adaptreg.adaptive import RegCoefficients
+from adaptreg.adaptive import RegCoefficients, record_trajectory
+from adaptreg.data import frequency_groups
 from adaptreg.optim import make_optimizer
+from adaptreg.runs import save_trajectory
 
 from _synth import make_log, write_raw_csv
+from conftest import oracle_group_mean_freq
 
 
 FAST = [
@@ -145,6 +148,9 @@ class TestTrain:
         "optimizer.beta2=1", "optimizer.eps=0", "training.epochs=-3",
         "training.patience=-1", "data.ratios=[0.7,0.7,-0.4]", "data.delimiter=",
         "regularization.adam_on_lambda=ture",
+        "training: 5\n", "training.bogus=1", "regularization.mode=grid",
+        "optimizer.kind=rmsprop", "regularization:\n  mode: fix\n  fixed_value: -0.1\n",
+        "training.batch_size=0", "training.lambda_batch_size=-8", "regularization.init=-1",
     ], ids=lambda case: " ".join(case.split()))
     def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -357,6 +363,27 @@ class TestExportTrajectory:
         assert frows
         assert all(float(r["mean_frequency"]) > 0 for r in frows)
 
+    def test_group_frequencies_equal_per_group_loop(self, small_split, tmp_path):
+        # no frequency falls between the last two boundaries: that group is
+        # empty, and its slot reads 0.0
+        cfg = RunConfig()
+        for side in ("user", "item"):
+            m = float(np.median(getattr(small_split, f"{side}_frequency")))
+            setattr(cfg.groups, f"{side}_boundaries", [m, m + 0.5, m + 0.75])
+        lam = RegCoefficients.create("full", small_split.num_users, small_split.num_items, 4,
+                                     init=0.1)
+        user_groups = frequency_groups(small_split.user_frequency, cfg.groups.user_boundaries)
+        item_groups = frequency_groups(small_split.item_frequency, cfg.groups.item_boundaries)
+        trajectory = [record_trajectory(lam, 1, user_groups, item_groups)]
+        save_trajectory(str(tmp_path), trajectory, small_split, cfg)
+        with np.load(tmp_path / "trajectory.npz") as data:
+            for key, groups, freqs in (
+                    ("user_group_freq", user_groups, small_split.user_frequency),
+                    ("item_group_freq", item_groups, small_split.item_frequency)):
+                want = oracle_group_mean_freq(freqs.astype(float), groups)
+                assert data[key].tobytes() == want.tobytes()
+                assert len(want) == 4 and (want == 0.0).any()
+
     def test_missing_run_rejected(self, capsys):
         rc = main(["export-trajectory", "--run", "/nonexistent"])
         assert rc == 1
@@ -413,6 +440,7 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("case", [
         "unknown_optimizer", "missing_opt_array", "dim_not_integer", "dim_float",
         "unknown_granularity", "negative_lambda", "nan_lambda", "inf_lambda",
+        "moment_shape", "negative_lr", "negative_step", "nan_moment", "negative_r",
     ])
     def test_malformed_contents_rejected(self, corpus, tmp_path, case, capsys):
         import json
@@ -437,6 +465,16 @@ class TestCheckpointRoundTrip:
             header["dim"] = 4.0
         elif case == "unknown_granularity":
             header["granularity"] = "user-item"
+        elif case == "moment_shape":
+            arrays["opt_s_user"] = np.zeros((2, 2))
+        elif case == "negative_lr":
+            arrays["opt_lr"] = np.float64(-1.0)
+        elif case == "negative_step":
+            arrays["opt_t"] = np.int64(-5)
+        elif case == "nan_moment":
+            arrays["opt_s_item"][2, 1] = np.nan
+        elif case == "negative_r":
+            arrays["opt_r_user"][1, 0] = -1e-3
         else:
             bad = {"negative_lambda": -0.1, "nan_lambda": np.nan, "inf_lambda": np.inf}
             arrays["lambda_values"][5] = bad[case]

@@ -6,8 +6,8 @@ from scipy import stats
 
 from adaptreg.data import (
     Ragged, SplitDataset, _build_split, chronological_split, filter_min_count, frequency_groups,
-    load_id_map, load_interactions, load_manifest, sample_triplets, save_id_map,
-    save_manifest,
+    group_by, group_reduce, load_id_map, load_interactions, load_manifest, sample_triplets,
+    save_id_map, save_manifest,
 )
 from adaptreg.errors import EmptyCorpusError, ParseError, SaturatedSamplerError
 
@@ -105,6 +105,11 @@ class TestChronologicalSplit:
         events = [(0, i, i) for i in range(n)]
         split = chronological_split(toy_log(events, num_items=n))
         assert (len(split.train[0]), len(split.val[0]), len(split.test[0])) == expected
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5, 0.0), (0.6, 0.2, 0.3)])
+    def test_bad_ratios_rejected(self, ratios):
+        with pytest.raises(ValueError, match="ratios"):
+            chronological_split(toy_log([(0, 0, 1), (0, 1, 2)]), ratios)
 
     def test_chronology_and_disjointness(self):
         rng = np.random.default_rng(3)
@@ -279,6 +284,10 @@ class TestSampling:
         with pytest.raises(EmptyCorpusError):
             sample_triplets(split, np.random.default_rng(0), 1, "validation")
 
+    def test_unknown_partition(self, small_split):
+        with pytest.raises(ValueError, match="unknown partition"):
+            sample_triplets(small_split, np.random.default_rng(0), 1, "test")
+
 
 class TestFrequencyGroups:
     def test_boundary_rule(self):
@@ -294,6 +303,33 @@ class TestFrequencyGroups:
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
             frequency_groups([1], [30, 15])
+
+
+class TestGroupReduce:
+    def test_groups_in_label_order_values_in_input_order(self):
+        labels = np.array([3, 1, 3, 0, 1, 3])
+        ids, order, starts, counts = group_by(labels)
+        assert ids.tolist() == [0, 1, 3]
+        assert order.tolist() == [3, 1, 4, 0, 2, 5]
+        assert starts.tolist() == [0, 1, 3] and counts.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("reduce", [np.mean, np.var])
+    def test_bit_equal_to_one_group_at_a_time(self, reduce):
+        # group sizes 1 to 3000, past the lengths where numpy's pairwise
+        # summation changes form; two groups of each size below 40
+        rng = np.random.default_rng(0)
+        sizes = np.concatenate([np.arange(1, 40), [127, 128, 129, 3000], np.arange(1, 40)])
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        values = rng.normal(0, 1, len(labels)) ** 3
+        ids, order, starts, counts = group_by(labels)
+        got = group_reduce(values[order], starts, counts, reduce)
+        want = np.array([reduce(values[labels == g]) for g in ids])
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_groups(self):
+        ids, order, starts, counts = group_by(np.empty(0, dtype=np.int64))
+        assert len(ids) == len(order) == 0
+        assert group_reduce(np.empty(0), starts, counts).shape == (0,)
 
 
 class TestPersistence:

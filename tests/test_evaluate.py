@@ -14,8 +14,9 @@ from adaptreg.mf import Embeddings
 
 from _synth import make_log
 from conftest import (
-    average_ranks, oracle_corpus_auc, oracle_corpus_metrics, oracle_user_auc,
-    oracle_user_topk_ranks, random_instance,
+    average_ranks, oracle_corpus_auc, oracle_corpus_metrics,
+    oracle_group_improvement_report, oracle_user_auc, oracle_user_topk_ranks,
+    random_instance,
 )
 
 
@@ -337,6 +338,12 @@ class TestNaNScores:
         with pytest.raises(AdaptRegError, match="user 0 at item 3"):
             corpus_metrics(emb, split, ks=(1,), stage=stage)
 
+    @pytest.mark.parametrize("fn", [user_auc, user_topk_ranks])
+    def test_unknown_stage_rejected(self, fn):
+        emb, split = self.nan_instance()
+        with pytest.raises(ValueError, match="unknown stage"):
+            fn(emb, split, 0, "train")
+
     def test_excluded_nan_is_not_scored(self):
         emb, split = self.nan_instance()
         assert user_auc(emb, split, 1, "test") == 1.0
@@ -377,3 +384,23 @@ class TestGroupReport:
                                        np.array([5]), np.array([0] * 6))
         assert out[0]["size"] == 1
         assert out[0]["delta"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_to_per_group_loop(self, seed):
+        # labels with gaps (empty groups), groups that meet only in one
+        # universe, a zero-baseline group and groups of one to hundreds
+        rng = np.random.default_rng(seed)
+        n = 900
+        groups = rng.choice([0, 1, 3, 4, 6], n, p=[0.6, 0.25, 0.1, 0.049, 0.001])
+        groups[rng.integers(0, n)] = 7
+        ids_a = np.sort(rng.choice(n, 700, replace=False))
+        ids_b = rng.permutation(rng.choice(n, 650, replace=False))
+        values_a = rng.uniform(0, 1, len(ids_a))
+        values_a[groups[ids_a] == 1] = 0.0
+        values_a[groups[ids_a] == 3] *= 1e-6  # a small baseline is not a zero one
+        values_b = rng.uniform(0, 1, len(ids_b))
+        got = group_improvement_report(values_a, values_b, ids_a, ids_b, groups)
+        want = oracle_group_improvement_report(values_a, values_b, ids_a, ids_b, groups)
+        assert got == want
+        notes = {row["note"] for row in got}
+        assert {"empty group", "zero baseline"} <= notes

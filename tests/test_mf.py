@@ -135,6 +135,13 @@ class TestPenalty:
 
 
 class TestPenaltyGradient:
+    def test_shape_mismatch(self):
+        emb, _ = random_instance(0)
+        for gran in ("full", "global"):
+            lam = RegCoefficients.create(gran, 5, 7, 4)  # wrong item count
+            with pytest.raises(ShapeMismatchError):
+                penalty_gradient(emb, lam)
+
     def test_zero_coefficients(self):
         emb, _ = random_instance(0)
         lam = RegCoefficients.create("global", 5, 8, 4, init=0.0)
