@@ -2,9 +2,11 @@
 
 Run with ``python3 benchmarks/bench_kernels.py``. The kernel table times each
 kernel of ``adaptreg._kernels`` at the ``--size`` triplet batch and again at a
-training batch of 8192 triplets. The ``bpr_grad`` row is one scoring pass that gives the gradient and
-the batch loss together; ``bpr_loss`` scores for the loss alone. Pass
-``--repeats`` for more stable timings.
+training batch of 8192 triplets. The ``bpr_grad`` row is the one scoring pass
+of a batch: it returns the batch loss with freshly built gradient blocks, so
+its repeats share no output buffer. There is no loss-only kernel to time
+(``mf.bpr_loss`` reads the loss of that pass). Pass ``--repeats`` for more
+stable timings.
 
 The lambda-step case times ``adaptive.lambda_step`` (Adam, K=32, ``full``
 granularity, 1024-triplet train and validation batches drawn uniformly at
@@ -213,14 +215,10 @@ def kernel_table(size, args):
     r = np.zeros((args.users, K))
     scatter_idx = rng.integers(0, args.users * K, size)
     scatter_vals = rng.normal(0, 1, size)
-    gu = np.zeros((len(c["urows"]), K))
-    gi = np.zeros((len(c["irows"]), K))
     cases = {
-        "bpr_loss": lambda: _kernels.bpr_loss_batch(
-            c["uf"], c["itf"], c["users"], c["pos"], c["neg"]),
         "bpr_grad": lambda: _kernels.bpr_grad_batch(
             c["uf"], c["itf"], c["users"], c["pos"], c["neg"],
-            c["u_inv"], c["p_inv"], c["n_inv"], gu, gi),
+            c["u_inv"], c["p_inv"], c["n_inv"], len(c["urows"]), len(c["irows"])),
         "sgd_step": lambda: _kernels.sgd_step(
             c["uf"].copy(), c["urows"], g_user, lr),
         "adam_step": lambda: _kernels.adam_step(

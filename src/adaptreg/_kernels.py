@@ -1,14 +1,14 @@
 """Hot numeric kernels of the training step, in numpy.
 
 ``bpr_grad_batch`` scores each triplet once and returns the batch's summed BPR
-loss along with the gradient it accumulates, so a training step never scores a
-batch twice. It scatters each side's rows with one flat ``np.bincount``, which
-adds in index order exactly as ``np.add.at`` does. ``adam_rows`` computes the
-new moments and parameter values of a set of rows without writing them; the
-real step, ``adam_step``, writes back what it returns in blocks of rows small
-enough to stay in cache, and the optimizer's assumed step returns it as is, so
-the two steps share one arithmetic. ``bpr_grad_batch`` and ``adam_step`` give
-the same bits as the plain ``np.add.at`` and fancy-index forms.
+loss with the gradient blocks it builds, so nothing scores a batch twice. Each
+block is one flat ``np.bincount``, which adds in index order exactly as
+``np.add.at`` into zeros does. ``adam_rows`` computes the new moments and
+parameter values of a set of rows without writing them; the real step,
+``adam_step``, writes back what it returns in blocks of rows small enough to
+stay in cache, and the optimizer's assumed step returns it as is, so the two
+steps share one arithmetic. ``bpr_grad_batch`` and ``adam_step`` give the same
+bits as the plain ``np.add.at`` and fancy-index forms.
 ``benchmarks/bench_kernels.py`` times each kernel.
 """
 
@@ -29,38 +29,34 @@ def _sigmoid_minus_one(x):
     return out
 
 
-def _softplus_sum(x):
-    # sum of softplus(-x) = -ln sigma(x), stable via logaddexp
-    return float(np.sum(np.logaddexp(0.0, -x)))
-
-
-def bpr_loss_batch(uf, itf, users, pos, neg):
-    return _softplus_sum(np.einsum("tk,tk->t", uf[users], itf[pos] - itf[neg]))
-
-
-def _scatter_rows(out, inv, vals):
-    # out[inv[t]] += vals[t] for every t, in t order (as np.add.at)
-    K = out.shape[1]
+def _scatter_rows(inv, vals, n):
+    # (n, K) sums of vals[t] into row inv[t] in t order, as np.add.at into
+    # zeros; bincount gives int64 for an empty inv, hence the float64 cast
+    K = vals.shape[1]
     flat = (inv[:, None] * K + np.arange(K)).ravel()
-    out += np.bincount(flat, weights=vals.ravel(), minlength=out.size).reshape(out.shape)
+    return np.bincount(flat, weights=vals.ravel(), minlength=n * K
+                       ).astype(np.float64, copy=False).reshape(n, K)
 
 
-def bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi):
+def bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, n_users, n_items):
+    # (loss, gu, gi): the (n_users, K) and (n_items, K) gradients of the rows
+    # that u_inv and p_inv/n_inv index
     n = len(users)
     diff = itf[pos] - itf[neg]
     uv = uf[users]
     x = np.einsum("tk,tk->t", uv, diff)
     d = _sigmoid_minus_one(x)[:, None]
-    _scatter_rows(gu, u_inv, d * diff)
+    gu = _scatter_rows(u_inv, d * diff, n_users)
     # +d*theta_u on the positive items, then -d*theta_u on the negative ones
     dv = np.empty((2 * n, uf.shape[1]))
     np.multiply(d, uv, out=dv[:n])
     np.negative(dv[:n], out=dv[n:])
-    _scatter_rows(gi, np.concatenate([p_inv, n_inv]), dv)
-    # a NaN score gives a NaN loss without a warning: the finiteness checks on
-    # the gradient and on the epoch loss report it as a typed error
+    gi = _scatter_rows(np.concatenate([p_inv, n_inv]), dv, n_items)
+    # the loss sums softplus(-x) = -ln sigma(x), stable via logaddexp. A NaN
+    # score gives a NaN loss without a warning: the finiteness checks on the
+    # gradient and on the epoch loss report it as a typed error
     with np.errstate(invalid="ignore"):
-        return _softplus_sum(x)
+        return float(np.sum(np.logaddexp(0.0, -x))), gu, gi
 
 
 def sgd_step(param, rows, g, lr):

@@ -261,14 +261,15 @@ class TrajectoryRow:
 
 
 def record_trajectory(lam, step, user_groups, item_groups):
-    """Per-entity mean coefficient over dims plus per-frequency-group mean/variance."""
+    """Per-entity mean coefficient over dims plus per-frequency-group mean/variance;
+    the groups are ``data.group_by`` of each side's labels, made once per run."""
     # a C-ordered copy, so each mean sums its row in the same order as over
     # a dense (n,K) array (copying a broadcast view may give another layout)
     u_means = np.ascontiguousarray(lam.user_dense()).mean(axis=1)
     i_means = np.ascontiguousarray(lam.item_dense()).mean(axis=1)
     rows = []
-    for groups, means in ((user_groups, u_means), (item_groups, i_means)):
-        ids, order, starts, counts = group_by(groups)
+    for (ids, order, starts, counts), means in ((user_groups, u_means),
+                                                (item_groups, i_means)):
         members = means[order]
         rows.append(list(zip(ids.tolist(), counts.tolist(),
                              group_reduce(members, starts, counts).tolist(),
@@ -300,21 +301,14 @@ class TrainResult:
     abort_reason: str = ""
 
 
-def train_model(split, cfg, eval_fn=None):
-    """Alternating theta/lambda optimization per the run config.
-
-    cfg is a resolved RunConfig. eval_fn(emb) -> validation AUC may be injected
-    (defaults to full validation AUC); evaluation runs every
-    ``training.eval_every`` epochs with early stopping on it.
-    """
-    from .evaluate import corpus_auc  # local import to avoid a cycle
-
-    tr = cfg.training
+def _seeded_start(split, cfg, adaptive):
+    """``(rng, emb, lam, optimizer)`` before the first step. The embeddings
+    make the rng's first draws, so the start is a pure function of the split's
+    sizes and the config, and building it again gives the same bits."""
     reg = cfg.regularization
-    rng = np.random.default_rng(tr.seed)
+    rng = np.random.default_rng(cfg.training.seed)
     emb = Embeddings.init(split.num_users, split.num_items, cfg.model.dim,
                           cfg.model.init_scale, rng)
-    adaptive = reg.mode in ("opt", "sgda")
     granularity = reg.granularity if adaptive else "global"
     init = reg.init if adaptive else reg.fixed_value
     lam = RegCoefficients.create(granularity, split.num_users, split.num_items,
@@ -322,25 +316,37 @@ def train_model(split, cfg, eval_fn=None):
     optimizer = make_optimizer(cfg.optimizer.kind, lr=cfg.optimizer.lr,
                                beta1=cfg.optimizer.beta1, beta2=cfg.optimizer.beta2,
                                eps=cfg.optimizer.eps, r_decay=cfg.optimizer.r_decay)
+    return rng, emb, lam, optimizer
+
+
+def train_model(split, cfg, eval_fn=None):
+    """Alternating theta/lambda optimization per the run config.
+
+    cfg is a resolved RunConfig. eval_fn(emb) -> validation AUC may be injected
+    (defaults to full validation AUC); evaluation runs every
+    ``training.eval_every`` epochs with early stopping on it. A run returns
+    the state of its best evaluation; one that aborts before any evaluation
+    improved returns its seeded start.
+    """
+    from .evaluate import corpus_auc  # local import to avoid a cycle
+
+    tr = cfg.training
+    reg = cfg.regularization
+    adaptive = reg.mode in ("opt", "sgda")
+    rng, emb, lam, optimizer = _seeded_start(split, cfg, adaptive)
     lam_opt = LambdaAdam(lam.num_entries) if (adaptive and reg.adam_on_lambda) else None
 
-    user_groups = frequency_groups(split.user_frequency, cfg.groups.user_boundaries)
-    item_groups = frequency_groups(split.item_frequency, cfg.groups.item_boundaries)
+    user_groups = group_by(frequency_groups(split.user_frequency, cfg.groups.user_boundaries))
+    item_groups = group_by(frequency_groups(split.item_frequency, cfg.groups.item_boundaries))
 
     if eval_fn is None:
         eval_fn = lambda e: corpus_auc(e, split, stage="validation")
 
     steps_per_epoch = max(1, math.ceil(split.num_train_events / tr.batch_size))
-    history = []
-    trajectory = []
-    best_auc = -np.inf
-    best_epoch = 0
-    # emb, lam and the optimizer state are mutated in place by every step
-    best = (emb.copy(), lam.copy(), optimizer.clone())
-    bad_evals = 0
+    history, trajectory = [], []
+    best, best_auc, best_epoch, bad_evals = None, -np.inf, 0, 0
     global_step = 0
-    aborted = False
-    abort_reason = ""
+    aborted, abort_reason = False, ""
 
     for epoch in range(1, tr.epochs + 1):
         loss_sum = 0.0
@@ -358,40 +364,36 @@ def train_model(split, cfg, eval_fn=None):
                                       reg.clip, lam_opt)
                 global_step += 1
         except AdaptRegError as exc:
-            aborted = True
-            abort_reason = str(exc)
+            aborted, abort_reason = True, str(exc)
             break
         # every batch holds batch_size triplets
         mean_loss = loss_sum / (steps_per_epoch * tr.batch_size)
         trajectory.append(record_trajectory(lam, epoch, user_groups, item_groups))
         row = {"epoch": epoch, "step": global_step, "train_loss": mean_loss}
+        history.append(row)
+        if not np.isfinite(mean_loss):
+            aborted, abort_reason = True, f"non-finite training loss at epoch {epoch}"
+            break
         if epoch % tr.eval_every == 0 or epoch == tr.epochs:
-            if not np.isfinite(mean_loss):
-                aborted = True
-                abort_reason = f"non-finite training loss at epoch {epoch}"
-                history.append(row)
-                break
             val_auc = eval_fn(emb)
             row["val_auc"] = val_auc
             if val_auc > best_auc:
                 best_auc = val_auc
                 best_epoch = epoch
-                # after the final epoch no step mutates the state any more
-                if epoch == tr.epochs:
-                    best = (emb, lam, optimizer)
-                else:
-                    best = (emb.copy(), lam.copy(), optimizer.clone())
+                # emb, lam and the optimizer state are mutated in place by
+                # every step; after the final epoch no step runs any more
+                best = ((emb, lam, optimizer) if epoch == tr.epochs
+                        else (emb.copy(), lam.copy(), optimizer.clone()))
                 bad_evals = 0
             else:
                 bad_evals += 1
-            history.append(row)
             if bad_evals >= tr.patience:
                 break
-        else:
-            history.append(row)
 
-    if aborted or best_epoch:
+    if best is not None:
         emb, lam, optimizer = best
+    elif aborted:
+        _, emb, lam, optimizer = _seeded_start(split, cfg, adaptive)
     return TrainResult(emb=emb, lam=lam, optimizer=optimizer, history=history,
                        trajectory=trajectory, best_epoch=best_epoch,
                        aborted=aborted, abort_reason=abort_reason)

@@ -81,18 +81,21 @@ def _train_one(cfg, split, run_dir):
     return result
 
 
+def _best_auc(result):
+    """Validation AUC of the epoch whose state the checkpoint holds."""
+    return next((r["val_auc"] for r in result.history if r["epoch"] == result.best_epoch), np.nan)
+
+
 def cmd_train(args):
     cfg = _load(args)
     split = _manifest_split(cfg, args.manifest)
     run_dir = os.path.join(cfg.output, run_dir_name(cfg))
     result = _train_one(cfg, split, run_dir)
-    last_auc = next((r["val_auc"] for r in reversed(result.history)
-                     if "val_auc" in r), float("nan"))
     status = "aborted" if result.aborted else "ok"
     print(f"run_dir {run_dir}")
     print(f"status {status}")
     print(f"best_epoch {result.best_epoch}")
-    print(f"val_auc {last_auc:.6f}")
+    print(f"val_auc {_best_auc(result):.6f}")
     if result.aborted:
         print(f"abort_reason {result.abort_reason}")
     return 0
@@ -117,8 +120,7 @@ def cmd_grid_search(args):
             if result.aborted:
                 rows.append((cand, "failed", float("nan")))
                 continue
-            val_auc = max((r["val_auc"] for r in result.history if "val_auc" in r),
-                          default=float("nan"))
+            val_auc = _best_auc(result)
             rows.append((cand, "ok", val_auc))
             if np.isfinite(val_auc) and (best is None or val_auc > best[1]):
                 best = (cand, val_auc, run_dir)

@@ -61,7 +61,7 @@ class TripletBatch:
 
 def bpr_loss(emb, batch):
     """Summed -ln sigma(score_ui - score_uj) over the batch (softplus form)."""
-    return float(_kernels.bpr_loss_batch(emb.user, emb.item, batch.users, batch.pos, batch.neg))
+    return bpr_gradient(emb, batch).loss
 
 
 def bpr_gradient(emb, batch):
@@ -71,14 +71,12 @@ def bpr_gradient(emb, batch):
     all_items = np.concatenate([batch.pos, batch.neg])
     i_rows, i_inv = np.unique(all_items, return_inverse=True)
     n = len(batch)
-    gu = np.zeros((len(u_rows), emb.dim))
-    gi = np.zeros((len(i_rows), emb.dim))
-    loss = _kernels.bpr_grad_batch(
+    loss, gu, gi = _kernels.bpr_grad_batch(
         emb.user, emb.item, batch.users, batch.pos, batch.neg,
-        u_inv, i_inv[:n], i_inv[n:], gu, gi,
+        u_inv, i_inv[:n], i_inv[n:], len(u_rows), len(i_rows),
     )
     return SparseGrad(user_rows=u_rows, user_vals=gu, item_rows=i_rows, item_vals=gi,
-                      loss=float(loss))
+                      loss=loss)
 
 
 def penalty(emb, lam):

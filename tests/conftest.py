@@ -65,11 +65,13 @@ def random_batch(rng, num_users, num_items, size):
 
 # ---------------------------------------------------------------------------
 # Training-step kernel oracles: the numpy BPR kernel that scatters with
-# np.add.at and leaves the loss to a second scoring pass, and the Adam row
-# step that gathers each moment again for every use.
+# np.add.at into zeros and leaves the loss to a second scoring pass, and the
+# Adam row step that gathers each moment again for every use.
 # ---------------------------------------------------------------------------
 
-def oracle_bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi):
+def oracle_bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, n_users, n_items):
+    gu = np.zeros((n_users, uf.shape[1]))
+    gi = np.zeros((n_items, uf.shape[1]))
     diff = itf[pos] - itf[neg]
     x = np.einsum("tk,tk->t", uf[users], diff)
     d = np.empty_like(x)
@@ -83,7 +85,7 @@ def oracle_bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, gu, gi)
     np.add.at(gi, p_inv, dv)
     np.add.at(gi, n_inv, -dv)
     x = np.einsum("tk,tk->t", uf[users], itf[pos] - itf[neg])
-    return float(np.sum(np.logaddexp(0.0, -x)))
+    return float(np.sum(np.logaddexp(0.0, -x))), gu, gi
 
 
 def oracle_adam_step(param, s, r, rows, g, lr, c, b1, b2, eps):

@@ -8,7 +8,7 @@ from adaptreg.adaptive import (
     hypergradient, project_and_step, record_trajectory, train_model,
 )
 from adaptreg.config import RunConfig
-from adaptreg.data import frequency_groups
+from adaptreg.data import frequency_groups, group_by
 from adaptreg.errors import ConfigError
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient, bpr_loss, penalty
 from adaptreg.optim import make_optimizer
@@ -249,13 +249,16 @@ class TestProjectAndStep:
             assert (lam.values >= 0).all()
 
 
-class TestRecordTrajectory:
-    def _groups(self, n, g):
-        return np.asarray(g[:n])
+def record_labels(lam, step, user_groups, item_groups):
+    """``record_trajectory`` on frequency labels, grouped as ``train_model`` does."""
+    return record_trajectory(lam, step, group_by(np.asarray(user_groups)),
+                             group_by(np.asarray(item_groups)))
 
+
+class TestRecordTrajectory:
     def test_all_zero(self):
         lam = RegCoefficients.create("full", 2, 2, 2, init=0.0)
-        row = record_trajectory(lam, 3, np.array([0, 0]), np.array([0, 1]))
+        row = record_labels(lam, 3, [0, 0], [0, 1])
         assert row.user_mean == 0.0 and row.item_mean == 0.0
         assert all(s[2] == 0.0 for s in row.user_group_stats)
 
@@ -264,7 +267,7 @@ class TestRecordTrajectory:
         # variance over the four entries would be 0.0275
         lam = RegCoefficients.create("user-dim", 2, 1, 2)
         lam.values[:4] = [0.2, 0.4, 0.6, 0.6]
-        row = record_trajectory(lam, 0, np.array([0, 0]), np.array([0]))
+        row = record_labels(lam, 0, [0, 0], [0])
         assert row.user_mean == pytest.approx(0.45)
         assert row.user_var == pytest.approx(0.0225)
         assert row.user_group_stats[0][3] == pytest.approx(0.0225)
@@ -272,7 +275,7 @@ class TestRecordTrajectory:
     def test_group_population_variance(self):
         lam = RegCoefficients.create("user", 2, 1, 1)
         lam.values[:2] = [0.1, 0.3]
-        row = record_trajectory(lam, 0, np.array([0, 0]), np.array([0]))
+        row = record_labels(lam, 0, [0, 0], [0])
         g, size, mean, var = row.user_group_stats[0]
         assert size == 2
         assert mean == pytest.approx(0.2)
@@ -284,9 +287,9 @@ class TestRecordTrajectory:
         lam = RegCoefficients.create(gran, U, I, K)
         lam.values[:] = np.random.default_rng(1).uniform(0, 0.3, lam.num_entries)
         groups = (np.arange(U) % 3, np.arange(I) % 4)
-        row = record_trajectory(lam, 0, *groups)
+        row = record_labels(lam, 0, *groups)
         user_index, item_index = oracle_index_maps(gran, U, I, K)
-        ref = record_trajectory(SimpleNamespace(
+        ref = record_labels(SimpleNamespace(
             user_dense=lambda: lam.values[user_index],
             item_dense=lambda: lam.values[item_index]), 0, *groups)
         assert row == ref
@@ -302,7 +305,7 @@ class TestRecordTrajectory:
         user_groups = rng.choice([0, 2, 5], U, p=[0.8, 0.15, 0.05])
         user_groups[3] = 6
         item_groups = rng.integers(0, 4, I) * 2
-        row = record_trajectory(lam, 4, user_groups, item_groups)
+        row = record_labels(lam, 4, user_groups, item_groups)
         assert row == oracle_record_trajectory(lam, 4, user_groups, item_groups)
         assert (6, 1) in [s[:2] for s in row.user_group_stats]
 
@@ -327,6 +330,24 @@ def quick_cfg(**kw):
     assert not kw
     from adaptreg.config import resolve
     return resolve(cfg)
+
+
+def assert_seeded_start(res, split, cfg):
+    """The result holds the embeddings, coefficients and optimizer state that
+    a fresh run of ``cfg`` starts from."""
+    m, reg = cfg.model, cfg.regularization
+    emb = Embeddings.init(split.num_users, split.num_items, m.dim, m.init_scale,
+                          np.random.default_rng(cfg.training.seed))
+    fixed = reg.mode == "fix"
+    lam = RegCoefficients.create("global" if fixed else reg.granularity, split.num_users,
+                                 split.num_items, m.dim,
+                                 init=reg.fixed_value if fixed else reg.init)
+    opt = make_optimizer(cfg.optimizer.kind, lr=cfg.optimizer.lr)
+    assert res.emb.user.tobytes() == emb.user.tobytes()
+    assert res.emb.item.tobytes() == emb.item.tobytes()
+    assert res.lam.granularity == lam.granularity
+    assert res.lam.values.tobytes() == lam.values.tobytes()
+    assert res.optimizer.state_digest() == opt.state_digest()
 
 
 class TestTrainLoop:
@@ -450,3 +471,51 @@ class TestTrainLoop:
         assert res.best_epoch == 0 and len(res.history) == 1
         assert res.history[0]["train_loss"] == np.inf and "val_auc" not in res.history[0]
         assert res.emb.user.tobytes() == init.user.tobytes()
+        # the epoch's Adam steps moved the moments; the result is the seeded start
+        assert_seeded_start(res, small_split, cfg)
+
+    def test_non_finite_loss_aborts_before_the_next_evaluation(self, small_split):
+        # the loss is inf from epoch 1; the run stops there, not at the first
+        # evaluation at epoch 3
+        cfg = quick_cfg(mode="fix", fixed_value=0.0, dim=1, init_scale=1e200,
+                        epochs=3, eval_every=3)
+        evals = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train_model(small_split, cfg, eval_fn=lambda e: evals.append(1) or 0.5)
+        assert res.aborted and res.abort_reason == "non-finite training loss at epoch 1"
+        assert [r["epoch"] for r in res.history] == [1] and len(res.trajectory) == 1
+        assert evals == [] and res.best_epoch == 0
+        assert_seeded_start(res, small_split, cfg)
+
+    def test_step_error_before_any_improvement_returns_seeded_start(self, small_split):
+        # epoch 1 moves theta, lambda and the Adam moments; its evaluation
+        # improves nothing (NaN) and poisons every user factor, so the first
+        # step of epoch 2 raises
+        def poisoning_eval(emb):
+            emb.user[:] = np.nan
+            return np.nan
+
+        cfg = quick_cfg(epochs=3, eval_every=1)
+        res = train_model(small_split, cfg, eval_fn=poisoning_eval)
+        assert res.aborted and res.abort_reason.startswith("non-finite gradient entry")
+        assert res.best_epoch == 0 and [r["epoch"] for r in res.history] == [1]
+        assert res.trajectory[0].user_mean > 0
+        assert_seeded_start(res, small_split, cfg)
+
+    def test_lambda_step_runs_every_nth_step(self, small_split, monkeypatch):
+        from adaptreg import adaptive
+        steps = []
+        real = adaptive.lambda_step
+
+        def counted(lam, emb, optimizer, *args):
+            steps.append(optimizer.t - 1)  # the theta step just taken
+            return real(lam, emb, optimizer, *args)
+
+        monkeypatch.setattr(adaptive, "lambda_step", counted)
+        cfg = quick_cfg(epochs=3)
+        cfg.regularization.every = 3
+        # 4 steps per epoch: the cadence counts steps across epochs
+        cfg.training.batch_size = 100
+        res = train_model(small_split, cfg, eval_fn=lambda e: 0.5)
+        assert [r["step"] for r in res.history] == [4, 8, 12]
+        assert steps == [0, 3, 6, 9]

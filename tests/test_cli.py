@@ -10,7 +10,7 @@ from adaptreg.config import RunConfig, config_hash, load_config, resolve
 from adaptreg.errors import ConfigError, IncompatibleCheckpointError
 from adaptreg.mf import Embeddings, SparseGrad
 from adaptreg.adaptive import RegCoefficients, record_trajectory
-from adaptreg.data import frequency_groups
+from adaptreg.data import frequency_groups, group_by
 from adaptreg.optim import make_optimizer
 from adaptreg.runs import save_trajectory
 
@@ -97,6 +97,19 @@ class TestTrain:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[-1]["val_auc"]) > 0
+
+    def test_prints_the_best_epochs_auc(self, corpus, tmp_path, capsys, monkeypatch):
+        # the checkpoint holds epoch 1, so the printed AUC is epoch 1's, not
+        # the last evaluation's
+        import adaptreg.evaluate
+        scores = iter([0.9, 0.5, 0.4])
+        monkeypatch.setattr(adaptreg.evaluate, "corpus_auc", lambda *a, **k: next(scores))
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST
+                  + ["--set", "training.epochs=3"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "best_epoch 1" in out and "val_auc 0.900000" in out
 
     def test_run_dir_encodes_seed(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -374,7 +387,7 @@ class TestExportTrajectory:
                                      init=0.1)
         user_groups = frequency_groups(small_split.user_frequency, cfg.groups.user_boundaries)
         item_groups = frequency_groups(small_split.item_frequency, cfg.groups.item_boundaries)
-        trajectory = [record_trajectory(lam, 1, user_groups, item_groups)]
+        trajectory = [record_trajectory(lam, 1, group_by(user_groups), group_by(item_groups))]
         save_trajectory(str(tmp_path), trajectory, small_split, cfg)
         with np.load(tmp_path / "trajectory.npz") as data:
             for key, groups, freqs in (

@@ -1,11 +1,12 @@
 """The numpy training-step kernels against the forms they replaced.
 
 The oracles in ``conftest`` are the earlier numpy kernels: a BPR gradient
-that scatters with ``np.add.at`` and leaves the loss to a second scoring pass,
-and an Adam row step that gathers each moment again for every use. The
-kernels now score once, scatter with one ``np.bincount`` per side and gather
-each row once, a block of rows at a time; the arithmetic is unchanged, so every output must match bit for
-bit, and so must a seeded training run.
+that scatters with ``np.add.at`` into zero blocks and leaves the loss to a
+second scoring pass, and an Adam row step that gathers each moment again for
+every use. The kernels now score once, return each side's block as one
+``np.bincount`` and gather each row once, a block of rows at a time; the
+arithmetic is unchanged, so every output must match bit for bit, empty batch
+included, and so must a seeded training run.
 """
 
 import math
@@ -35,6 +36,8 @@ def triplet_case(kind, seed):
         U, I, n, scale = 20_000, 20_000, 1024, 0.3
     elif kind == "extreme":   # scores far out on both tails of the sigmoid
         U, I, n, scale = 50, 80, 512, 6.0
+    elif kind == "empty":     # no triplets: (0, K) blocks and a zero loss
+        U, I, n, scale = 50, 80, 0, 0.3
     else:
         U, I, n, scale = 2_000, 500, 2048, 0.3
     uf = rng.normal(0, scale, (U, K))
@@ -59,13 +62,12 @@ def run_kernel(kernel, uf, itf, users, pos, neg):
     n = len(users)
     urows, u_inv = np.unique(users, return_inverse=True)
     irows, inv = np.unique(np.concatenate([pos, neg]), return_inverse=True)
-    gu = np.zeros((len(urows), uf.shape[1]))
-    gi = np.zeros((len(irows), uf.shape[1]))
-    loss = kernel(uf, itf, users, pos, neg, u_inv, inv[:n], inv[n:], gu, gi)
+    loss, gu, gi = kernel(uf, itf, users, pos, neg, u_inv, inv[:n], inv[n:],
+                          len(urows), len(irows))
     return urows, irows, gu, gi, loss
 
 
-KINDS = ["unique", "zipf", "same", "zero-row", "extreme"]
+KINDS = ["unique", "zipf", "same", "zero-row", "extreme", "empty"]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -77,7 +79,9 @@ def test_bpr_grad_bit_equal_to_add_at_oracle(kind, seed):
     assert same_bytes(gu, gu_ref)
     assert same_bytes(gi, gi_ref)
     assert type(loss) is float and same_bytes(loss, loss_ref)
-    assert same_bytes(loss, _kernels.bpr_loss_batch(uf, itf, users, pos, neg))
+    if kind == "empty":
+        assert gu.shape == gi.shape == (0, K) and gu.dtype == gi.dtype == np.float64
+        assert loss == 0.0
     if kind == "zero-row":
         U, I = len(uf), len(itf)
         assert not gu[urows == U - 1].any()
@@ -138,15 +142,18 @@ def loop_cfg(mode, kind):
     return resolve(cfg)
 
 
-def no_second_scoring(*args):
-    raise AssertionError("train_model scored a batch a second time for its loss")
-
-
 @pytest.mark.parametrize("mode,kind", [("fix", "adam"), ("opt", "adam"), ("opt", "sgd")])
 def test_train_model_matches_oracle_kernels(small_split, monkeypatch, mode, kind):
     cfg = loop_cfg(mode, kind)
-    monkeypatch.setattr(_kernels, "bpr_loss_batch", no_second_scoring)
+    calls = []
+    kernel = _kernels.bpr_grad_batch
+    monkeypatch.setattr(_kernels, "bpr_grad_batch",
+                        lambda *args: calls.append(1) or kernel(*args))
     fast = train_model(small_split, cfg)
+    # one scoring pass per theta step and two (train, validation) per lambda
+    # step: nothing scores a batch again for its loss
+    steps = cfg.training.epochs * math.ceil(small_split.num_train_events / 128)
+    assert len(calls) == steps * (3 if mode == "opt" else 1)
     monkeypatch.setattr(_kernels, "bpr_grad_batch", oracle_bpr_grad_batch)
     monkeypatch.setattr(_kernels, "adam_step", oracle_adam_step)
     slow = train_model(small_split, cfg)
