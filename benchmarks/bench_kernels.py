@@ -25,9 +25,11 @@ step on the wide perfbench corpora: 8192 user draws on 100k rows plus 16384
 item draws on 50k rows, K=32, updated in place.
 
 The evaluation case times full-catalog evaluation in milliseconds per user:
-``evaluate.user_auc`` (validation stage) and ``evaluate.corpus_metrics``
-(test stage, HR/NDCG at 50 and 100) on 200 users with 40 random events each,
-K=32, over a 3k and a 50k item catalog.
+``evaluate.user_auc`` over every user and ``evaluate.corpus_auc`` (both at the
+validation stage), and ``evaluate.corpus_metrics`` (test stage, HR/NDCG at 50
+and 100), on 200 users with 40 random events each, K=32, over a 3k and a 50k
+item catalog. It also records how many users ``corpus_auc`` could not
+certify from its block product and scored one at a time instead.
 
 The split case times ``data.chronological_split`` (ratios 0.6/0.2/0.2) on a
 numpy-generated log of 100k users with 1 to 20 events each, about 1M events
@@ -52,10 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from adaptreg import _kernels
+from adaptreg import _kernels, evaluate
 from adaptreg.adaptive import RegCoefficients, lambda_step, sparse_hypergradient
 from adaptreg.data import InteractionLog, chronological_split, sample_triplets
-from adaptreg.evaluate import corpus_metrics, user_auc
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
 from adaptreg.optim import make_optimizer
 
@@ -165,9 +166,22 @@ def wide_adam_ms(repeats):
     return ms
 
 
+def fallback_users(emb, split, stage):
+    """How many users one ``corpus_auc`` call scores through the per-user
+    ``_score_user``."""
+    real, calls = evaluate._score_user, []
+    evaluate._score_user = lambda *args: calls.append(args[2]) or real(*args)
+    try:
+        evaluate.corpus_auc(emb, split, stage)
+    finally:
+        evaluate._score_user = real
+    return len(calls)
+
+
 def eval_ms(items, users=200, events=40, dim=32, repeats=3):
-    """Milliseconds per user, per repeat, for ``user_auc`` over every user and
-    for one ``corpus_metrics`` call."""
+    """Milliseconds per user, per repeat, for ``user_auc`` over every user, for
+    one ``corpus_auc`` and one ``corpus_metrics`` call, and the users that
+    ``corpus_auc`` scores one at a time."""
     rng = np.random.default_rng(0)
     log = InteractionLog(
         users=np.repeat(np.arange(users), events),
@@ -177,10 +191,14 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
         num_users=users, num_items=items)
     split = chronological_split(log)
     emb = Embeddings.init(users, items, dim, 0.1, rng)
-    auc_ms = time_call(lambda: [user_auc(emb, split, u, "validation")
-                                for u in range(users)], repeats, 1e3 / users)
-    metrics_ms = time_call(lambda: corpus_metrics(emb, split), repeats, 1e3 / users)
-    return auc_ms, metrics_ms
+    return dict(
+        user_auc_ms=time_call(lambda: [evaluate.user_auc(emb, split, u, "validation")
+                                       for u in range(users)], repeats, 1e3 / users),
+        corpus_auc_ms=time_call(lambda: evaluate.corpus_auc(emb, split, "validation"),
+                                repeats, 1e3 / users),
+        corpus_metrics_ms=time_call(lambda: evaluate.corpus_metrics(emb, split),
+                                    repeats, 1e3 / users),
+        corpus_auc_fallback_users=fallback_users(emb, split, "validation"))
 
 
 def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
@@ -305,10 +323,11 @@ def main():
     print("evaluation: dim=32, 200 users, ms per user")
     rows = []
     for items in EVAL_ITEMS:
-        auc_ms, metrics_ms = eval_ms(items)
-        rows.append(dict(items=items, user_auc_ms=auc_ms, corpus_metrics_ms=metrics_ms))
-        print(f"{items:>7} items  user_auc {auc_ms['min']:>7.3f}  "
-              f"corpus_metrics {metrics_ms['min']:>7.3f}")
+        rows.append(dict(items=items, **eval_ms(items)))
+        print(f"{items:>7} items  user_auc {rows[-1]['user_auc_ms']['min']:>7.3f}  "
+              f"corpus_auc {rows[-1]['corpus_auc_ms']['min']:>7.3f}  "
+              f"corpus_metrics {rows[-1]['corpus_metrics_ms']['min']:>7.3f}  "
+              f"fallback users {rows[-1]['corpus_auc_fallback_users']}")
     result["evaluation"] = dict(dim=32, users=200, events_per_user=40, catalogs=rows)
 
     print()

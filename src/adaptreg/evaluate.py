@@ -1,5 +1,20 @@
 """Full-catalog ranking metrics: AUC, HR@K, NDCG@K, item-side metrics and
-frequency-group improvement reports."""
+frequency-group improvement reports.
+
+``_score_user`` scores one user with a matrix-vector product and is the
+reference for every metric here: ``user_auc`` and ``user_topk_ranks`` call it
+directly. ``corpus_auc`` and ``corpus_metrics`` score every user through
+``_score_corpus`` instead, which scores a block of users with one matrix
+product and sorts each user's row of negatives once. The product sums in
+another order than the matrix-vector one, so its scores differ in the last
+bits. A comparison between two scores cannot flip, though, when their gap
+exceeds twice the rounding-error bound of a dot product. So a user whose
+positives each lie further than that band from every negative and from each
+other positive is certified: its counts, ranks and AUC are exactly those of
+``_score_user``, with no ties. Every other user, including every user with a
+non-finite score, is scored again by ``_score_user``, so the results are
+bit-identical to the per-user loop and a NaN is reported the same way.
+"""
 
 import csv
 from dataclasses import dataclass, field
@@ -7,7 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import group_by, group_reduce
-from .errors import AdaptRegError
+from .errors import AdaptRegError, ConfigError
+
+# Scores per block of users in ``_score_corpus``: a block's float64 score
+# matrix is at most 4 MB.
+BLOCK_ELEMENTS = 1 << 19
 
 
 def _below(sorted_scores, scores):
@@ -27,6 +46,15 @@ def auc_from_scores(pos_scores, neg_scores, neg_sorted=False):
     return (lo.sum() + 0.5 * (hi - lo).sum()) / (len(pos_scores) * len(neg))
 
 
+def _stage_lists(split, stage):
+    """The per-user excluded items and positives of ``stage``."""
+    if stage == "test":
+        return split.user_pos_train_val, split.test
+    if stage == "validation":
+        return split.user_pos_train, split.val
+    raise ValueError(f"unknown stage {stage!r}")
+
+
 def _score_user(emb, split, u, stage):
     """Score user ``u`` once over the whole catalog.
 
@@ -37,14 +65,8 @@ def _score_user(emb, split, u, stage):
     the non-positive candidates (None when there are none). A stage's
     positives are distinct and disjoint from its excluded items.
     """
-    if stage == "test":
-        excluded = split.user_pos_train_val[u]
-        positives = split.test[u]
-    elif stage == "validation":
-        excluded = split.user_pos_train[u]
-        positives = split.val[u]
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
+    excluded, positives = _stage_lists(split, stage)
+    excluded, positives = excluded[u], positives[u]
     if len(positives) == 0:
         return None
     scores = emb.item @ emb.user[u]
@@ -72,6 +94,112 @@ def _score_user(emb, split, u, stage):
     return positives, ranks, auc
 
 
+def _bands(emb):
+    """Per user, the half-width ``b`` of a band around each of the user's
+    block-product scores ``g``: a block score below ``g - b`` (as rounded) is
+    below ``g`` in the matrix-vector product too, and one above ``g + b``
+    above it. ``inf`` where no band is known."""
+    # Let u be the unit roundoff and t the smallest normal float. A K-term
+    # dot product x·y summed in any order, with or without fused
+    # multiply-adds, errs from the exact one by at most
+    #     γ_K·Σ|x_k y_k| + α,   γ_K = Ku/(1 − Ku),   α = 4K·t
+    # (Higham 2002, §3.1; α covers up to 2K − 1 roundings that each lose up
+    # to t to underflow, gradual or flushed). By Cauchy-Schwarz that is at
+    # most E = γ_K·‖x‖·M + α for a user row x, M = max_i ‖y_i‖, for the block
+    # product's score g and the matrix-vector product's m alike, so
+    # |g − m| ≤ 2E: g_n < g_p − 4E gives m_n < m_p, and g_n > g_p + 4E gives
+    # m_n > m_p. The thresholds fl(g ± b) lie within u·(|g| + b) of g ± b,
+    # and |g| ≤ ‖x‖·M + E, so they clear g ± 4E once
+    # b·(1 − u) ≥ (4 + u)·E + u·‖x‖·M, which holds for
+    #     b ≥ 4·γ_{K+2}·‖x‖·M + 5α.
+    # A squared norm S comes out at least S·(1 − γ_K) − α, so the computed
+    # sqrt(S + α) is at least ‖x‖·(1 − γ_{K+2}), and likewise for M. These
+    # two estimates, their product and the constant lose under (2K + 12)·u
+    # relative, which the factor 1 + 2^-20 covers for any K < 2^30; 8α
+    # covers underflow in the products and the rounding of the sum. Where
+    # 4·‖x‖·M overflows, a partial sum may overflow in one product and not
+    # in the other, so b = inf.
+    fi = np.finfo(np.float64)
+    K = emb.dim
+    unit, alpha = fi.eps / 2, 4 * K * fi.tiny
+    gamma = (K + 2) * unit / (1 - (K + 2) * unit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = lambda f: np.sqrt(np.einsum("ij,ij->i", f, f) + alpha)
+        t = norms(emb.user) * (norms(emb.item).max() if emb.num_items else 0.0)
+        return np.where(4 * t < np.inf, 4 * gamma * (1 + 2.0**-20) * t + 8 * alpha,
+                        np.inf)
+
+
+def _score_corpus(emb, split, stage):
+    """``[_score_user(emb, split, u, stage) for u in range(num_users)]``, bit
+    for bit, scoring ``BLOCK_ELEMENTS // num_items`` users per matrix product.
+
+    Each block's excluded items and positives are set to +inf and each row is
+    sorted, so a user's negatives lead its row in ascending order. A user is
+    certified when its scores and bands are finite, no negative lies within
+    the band of a positive and its positives lie more than the band apart.
+    Then the negatives below each positive and the positives at or below it
+    are exact counts with no ties, and they give ``_score_user``'s ranks and
+    AUC. ``_score_user`` scores every other user.
+    """
+    excluded, positives = _stage_lists(split, stage)
+    U, I = split.num_users, split.num_items
+    if np.result_type(emb.user, emb.item) != np.float64:
+        return [_score_user(emb, split, u, stage) for u in range(U)]
+    bands = _bands(emb)
+    out = [None] * U
+    step = max(1, BLOCK_ELEMENTS // max(I, 1))
+    block = np.empty((min(step, U), I))
+    for a in range(0, U, step):
+        b = min(a + step, U)
+        # each block user's positives are items[bounds[r]:bounds[r + 1]]
+        bounds = positives.offsets[a:b + 1] - positives.offsets[a]
+        n_pos = np.diff(bounds)
+        if not n_pos.any():
+            continue
+        n_exc = np.diff(excluded.offsets[a:b + 1])
+        n_neg = I - n_exc - n_pos
+        rows = np.arange(b - a)
+        prow = np.repeat(rows, n_pos)
+        items = positives.flat[positives.offsets[a]:positives.offsets[b]]
+        scores = np.matmul(emb.user[a:b], emb.item.T, out=block[:b - a])
+        g = scores[prow, items]
+        scores[prow, items] = np.inf
+        scores[np.repeat(rows, n_exc),
+               excluded.flat[excluded.offsets[a]:excluded.offsets[b]]] = np.inf
+        scores.sort(axis=1)
+        with np.errstate(invalid="ignore"):
+            lo_t, hi_t = g - bands[a + prow], g + bands[a + prow]
+        last = scores[rows, np.maximum(n_neg - 1, 0)]
+        ok = (n_neg == 0) | (np.isfinite(scores[:, 0]) & np.isfinite(last))
+        ok[prow[~(np.isfinite(lo_t) & np.isfinite(hi_t))]] = False
+        # positives in ascending score order within each user; each must
+        # clear the band of the one below it
+        order = np.lexsort((g, prow))
+        rs = prow[order]
+        ok[rs[1:][(rs[1:] == rs[:-1]) & ~(g[order][1:] > hi_t[order][:-1])]] = False
+        pos_hi = np.empty_like(prow)
+        pos_hi[order] = np.arange(1, len(order) + 1) - bounds[rs]
+        lo, hi = np.zeros_like(prow), np.zeros_like(prow)
+        cuts = bounds.tolist()
+        for r in np.flatnonzero(ok & (n_pos > 0)).tolist():
+            s, neg = slice(cuts[r], cuts[r + 1]), scores[r, :n_neg[r]]
+            lo[s] = neg.searchsorted(lo_t[s], "left")
+            hi[s] = neg.searchsorted(hi_t[s], "right")
+        ok[prow[lo != hi]] = False
+        ranks = 1 + n_neg[prow] + n_pos[prow] - lo - pos_hi
+        # an exact integer over an exact integer: _score_user's one division
+        with np.errstate(divide="ignore", invalid="ignore"):
+            aucs = np.bincount(prow, lo, b - a) / (n_pos * n_neg)
+        for r in np.flatnonzero(n_pos).tolist():
+            if ok[r]:
+                s = slice(cuts[r], cuts[r + 1])
+                out[a + r] = (items[s], ranks[s], float(aucs[r]) if n_neg[r] else None)
+            else:
+                out[a + r] = _score_user(emb, split, a + r, stage)
+    return out
+
+
 def user_auc(emb, split, u, stage="test"):
     """AUC of user ``u`` at ``stage`` ("test" or "validation"): the probability
     that a random positive of that partition outranks a random item that is
@@ -96,7 +224,7 @@ def _hits_gains(ranks, k):
 
 
 def user_topk(emb, split, u, k, stage="test"):
-    """(HR@k, NDCG@k) averaged over the user's test items."""
+    """(HR@k, NDCG@k) averaged over the user's positives at ``stage``."""
     ranks = user_topk_ranks(emb, split, u, stage)
     if ranks is None:
         return None
@@ -122,15 +250,22 @@ class MetricReport:
 
 def corpus_metrics(emb, split, ks=(50, 100), stage="test",
                    item_metric_mode="item-specific"):
-    """Unweighted per-user means over users with at least one positive, plus
-    item-side aggregates.
+    """Unweighted per-user means over users with at least one positive and
+    one negative candidate (the others count as skipped), plus item-side
+    aggregates.
 
+    ks: the cutoffs, distinct positive integers (``ConfigError`` otherwise).
     item_metric_mode: "item-specific" averages the hit/gain of the item itself
     in each test user's ranking; "user-average" averages the whole-user HR/NDCG
     of the item's test users.
     """
     ks = tuple(ks)
-    scored = [_score_user(emb, split, u, stage) for u in range(split.num_users)]
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
+            raise ConfigError(f"ks must be positive integers, got {k!r}")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"ks must not repeat a k, got {ks}")
+    scored = _score_corpus(emb, split, stage)
     user_ids = [u for u, s in enumerate(scored) if s is not None and s[2] is not None]
     scored = [scored[u] for u in user_ids]
     aucs = np.asarray([s[2] for s in scored])
@@ -171,11 +306,8 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
 def corpus_auc(emb, split, stage="validation"):
     """Mean AUC over the users with at least one positive and one negative
     for the stage: the in-training validation metric."""
-    vals = []
-    for u in range(split.num_users):
-        a = user_auc(emb, split, u, stage)
-        if a is not None:
-            vals.append(a)
+    vals = [s[2] for s in _score_corpus(emb, split, stage)
+            if s is not None and s[2] is not None]
     return float(np.mean(vals)) if vals else float("nan")
 
 

@@ -10,10 +10,13 @@ with Adam and SGD, each with and without Adam on the coefficients, plus the
 ``train`` and ``evaluate`` in a temporary directory and digests
 ``history.csv``, every array in ``checkpoint.npz`` and ``metrics.txt``.
 
-The bits depend on the numeric stack: evaluation's matrix-vector product
-runs in the BLAS, whose kernel can follow the CPU. So the file also records
-the numpy version, the BLAS build and the CPU model, and the test fails,
-naming the difference, when it runs on another stack.
+The bits depend on the numeric stack: evaluation's products run in the
+BLAS, whose kernel can follow the CPU. ``corpus_metrics`` scores users in
+blocks with a matrix product, but a user whose order that product cannot
+certify is scored again with the per-user matrix-vector product, so the
+report carries the matrix-vector product's bits. The file also records the
+numpy version, the BLAS build and the CPU model, and the test fails, naming
+the difference, when it runs on another stack.
 
 A change that alters results on purpose regenerates the file and names each
 changed entry. Regenerate with::

@@ -293,6 +293,17 @@ class TestEvaluate:
         assert rc == 1
         assert "ERROR:GENERIC: NaN score for user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ks", [["0", "5"], ["-3", "5"], ["5", "10", "5"]])
+    def test_bad_ks_rejected_before_writing(self, trained, tmp_path, capsys, ks):
+        manifest, ckpt = trained
+        out = tmp_path / "e"
+        rc = main(["evaluate", "--checkpoint", ckpt, "--manifest", manifest,
+                   "--out", str(out), "--ks", *ks])
+        assert rc == 1
+        assert "ERROR:CONFIG: ks must" in capsys.readouterr().err
+        assert not (out / "metrics.txt").exists()
+        assert not (out / "metrics_users.csv").exists()
+
 
 class TestGridSearch:
     def test_picks_best_and_writes_table(self, corpus, tmp_path, capsys):

@@ -4,10 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import _synth
+from adaptreg import evaluate
 from adaptreg.data import _build_split, chronological_split, frequency_groups
-from adaptreg.errors import AdaptRegError
+from adaptreg.errors import AdaptRegError, ConfigError
 from adaptreg.evaluate import (
-    MetricReport, auc_from_scores, corpus_auc, corpus_metrics,
+    BLOCK_ELEMENTS, MetricReport, auc_from_scores, corpus_auc, corpus_metrics,
     group_improvement_report, user_auc, user_topk, user_topk_ranks,
 )
 from adaptreg.mf import Embeddings
@@ -259,13 +261,115 @@ def popular_instance():
     return emb, make_split(I, train, val, test)
 
 
+def seed3_instance():
+    """``tests/_synth.make_split(seed=3)`` with float factors."""
+    split = _synth.make_split(seed=3)
+    emb, _ = random_instance(3, split.num_users, split.num_items, dim=8)
+    return emb, split
+
+
+def tie_base(seed, U=24, I=40, dim=4):
+    """Random factors on a hand-built split: per user 4 train, 3 validation
+    and 3 test items, each list ascending."""
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(I) for _ in range(U)]
+    lists = ([sorted(p[a:b].tolist()) for p in perms] for a, b in ((0, 4), (4, 7), (7, 10)))
+    emb, _ = random_instance(seed, U, I, dim)
+    return emb, make_split(I, *lists)
+
+
+def zero_rows_instance():
+    emb, split = tie_base(21)
+    emb.user[[0, 5, 11, 23]] = 0.0
+    return emb, split
+
+
+def duplicate_negative_instance():
+    """One item's row copied to another item: for a user with one of them
+    as a positive and the other as a negative the two tie."""
+    emb, split = tie_base(22)
+    emb.item[[7, 19]] = emb.item[[3, 30]]
+    return emb, split
+
+
+def duplicate_positives_instance():
+    """Rows copied between two validation positives of user 0 and between
+    two test positives of user 1."""
+    emb, split = tie_base(23)
+    emb.item[split.val[0][1]] = emb.item[split.val[0][0]]
+    emb.item[split.test[1][2]] = emb.item[split.test[1][0]]
+    return emb, split
+
+
+def inf_factors_instance():
+    """A +inf item coordinate and a -inf user coordinate, no NaN score."""
+    emb, split = tie_base(24)
+    emb.item[5, 0] = np.inf
+    emb.user[2, 0] = -np.inf
+    return emb, split
+
+
+def near_ties_instance():
+    """Item pairs whose exact scores for the one user row are half an ulp to
+    two ulps apart: the matrix product and the matrix-vector product round
+    them differently and order some pairs differently. Each user has one
+    positive per stage, whose partner stays a candidate; users 0 and 1 hold
+    a whole pair as positives."""
+    rng = np.random.default_rng(25)
+    U, I, K = 40, 400, 32
+    u = rng.normal(0, 1, K)
+    base = rng.normal(0, 1, (I // 2, K))
+    k = rng.integers(0, K, I // 2)
+    step = rng.choice([-1.0, 1.0], I // 2) * rng.uniform(0.5, 2, I // 2)
+    item = np.repeat(base, 2, axis=0)
+    item[1::2][np.arange(I // 2), k] += step * np.spacing(np.abs(base @ u)) / u[k]
+    lists = [2 * rng.permutation(I // 2)[:4] for _ in range(U)]
+    val, test = [[l[2]] for l in lists], [[l[3]] for l in lists]
+    val[0].append(val[0][0] + 1)
+    test[1].append(test[1][0] + 1)
+    split = make_split(I, [sorted(l[:2].tolist()) for l in lists], val, test)
+    return Embeddings(user=np.tile(u, (U, 1)), item=item), split
+
+
+def subnormal_instance():
+    """Synthetic factors scaled so that their products are subnormal."""
+    emb, split = synthetic_instance()
+    return Embeddings(user=emb.user * 2.0**-520, item=emb.item * 2.0**-520), split
+
+
+def tiny_norms_instance():
+    """The near ties with every score scaled by 2^-60, exactly: the products
+    stay normal but the users' squared norms underflow to zero."""
+    emb, split = near_ties_instance()
+    return Embeddings(user=emb.user * 2.0**-560, item=emb.item * 2.0**500), split
+
+
+TIE_INSTANCES = {"zero-rows": zero_rows_instance,
+                 "duplicate-negative": duplicate_negative_instance,
+                 "duplicate-positives": duplicate_positives_instance,
+                 "inf-factors": inf_factors_instance,
+                 "near-ties": near_ties_instance,
+                 "tiny-norms": tiny_norms_instance}
+
 INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
-             "synthetic": synthetic_instance, "popular": popular_instance}
+             "synthetic": synthetic_instance, "popular": popular_instance,
+             "seed3": seed3_instance, "subnormal": subnormal_instance,
+             **TIE_INSTANCES}
 
 
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_report(got, want):
+    for f in fields(MetricReport):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(x, dict):
+            assert list(x) == list(y), f.name
+            assert all(same_bytes(x[k], y[k]) for k in x), f.name
+        else:
+            assert same_bytes(x, y), f.name
 
 
 class TestMatchesOracle:
@@ -292,13 +396,102 @@ class TestMatchesOracle:
         ks = (1, 3, 10)
         got = corpus_metrics(emb, split, ks=ks, stage=stage, item_metric_mode=mode)
         want = oracle_corpus_metrics(emb, split, ks=ks, stage=stage, item_metric_mode=mode)
-        for f in fields(MetricReport):
-            x, y = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(x, dict):
-                assert list(x) == list(y), f.name
-                assert all(same_bytes(x[k], y[k]) for k in x), f.name
-            else:
-                assert same_bytes(x, y), f.name
+        assert_same_report(got, want)
+
+
+def fallback_users(monkeypatch, emb, split, stage):
+    """The users that ``corpus_auc`` and ``corpus_metrics`` each score
+    through ``_score_user``; asserts that both fall back for the same ones."""
+    calls = []
+    real = evaluate._score_user
+    monkeypatch.setattr(evaluate, "_score_user",
+                        lambda e, s, u, st: calls.append(u) or real(e, s, u, st))
+    corpus_auc(emb, split, stage)
+    n = len(calls)
+    corpus_metrics(emb, split, ks=(3,), stage=stage)
+    monkeypatch.setattr(evaluate, "_score_user", real)
+    assert calls[:n] == calls[n:]
+    return calls[:n]
+
+
+def affected_users(emb, split, stage):
+    """Users with a positive and another candidate at ``stage`` whose order
+    no band can certify: a zero or non-finite user row, a non-finite item
+    row anywhere, or a positive whose item row equals or nearly equals
+    another candidate's."""
+    excluded, positives = evaluate._stage_lists(split, stage)
+    finite_items = np.isfinite(emb.item).all()
+    out = set()
+    for u in range(split.num_users):
+        cands = np.setdiff1d(np.arange(split.num_items), excluded[u])
+        if len(positives[u]) == 0 or len(cands) < 2:
+            continue
+        row = emb.user[u]
+        near = any(np.abs(emb.item[c] - emb.item[p]).max() <= 1e-9 * np.abs(emb.item[p]).max()
+                   for p in positives[u] for c in cands if c != p)
+        if not finite_items or not np.isfinite(row).all() or not row.any() or near:
+            out.add(u)
+    return out
+
+
+def with_gaps(emb, split):
+    """The split with every fourth user's validation and test positives
+    removed (from user 1 on)."""
+    U = split.num_users
+    keep = lambda lists: [lists[u] if u % 4 != 1 else Z for u in range(U)]
+    return emb, make_split(split.num_items, list(split.train), keep(split.val),
+                           keep(split.test))
+
+
+class TestCertifiedBlocks:
+    """``_score_corpus`` certifies users from a block product and leaves the
+    rest to ``_score_user``."""
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", ["synthetic", "popular", "seed3"])
+    def test_float_factors_certify_every_user(self, monkeypatch, name, stage):
+        emb, split = INSTANCES[name]()
+        assert fallback_users(monkeypatch, emb, split, stage) == []
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", sorted(TIE_INSTANCES))
+    def test_tied_users_fall_back(self, monkeypatch, name, stage):
+        # bit-equality to the oracles: TestMatchesOracle
+        emb, split = INSTANCES[name]()
+        affected = affected_users(emb, split, stage)
+        assert affected
+        assert affected <= set(fallback_users(monkeypatch, emb, split, stage))
+
+    def test_non_float64_factors_use_the_per_user_path(self, monkeypatch):
+        emb, split = synthetic_instance()
+        emb = Embeddings(user=emb.user.astype(np.float32), item=emb.item.astype(np.float32))
+        users = fallback_users(monkeypatch, emb, split, "test")
+        assert users == list(range(split.num_users))
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_many_blocks(self, monkeypatch, name, stage):
+        emb, split = with_gaps(*INSTANCES[name]())
+        U = split.num_users
+        rows = next(r for r in (2, 3, 5, 7) if U % r)
+        monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", rows * split.num_items)
+        assert U > 2 * rows  # several blocks, the last one partial
+        assert len(split.val[1]) == len(split.test[1]) == 0  # in the first block
+        assert same_bytes(corpus_auc(emb, split, stage), oracle_corpus_auc(emb, split, stage))
+        assert_same_report(corpus_metrics(emb, split, ks=(1, 3), stage=stage),
+                           oracle_corpus_metrics(emb, split, ks=(1, 3), stage=stage))
+
+
+class TestKs:
+    @pytest.mark.parametrize("ks", [(0,), (-3, 5), (5, 5), (10, 50, 10), (2.5,), (True,)])
+    def test_rejected(self, ks):
+        emb, split = integer_instance()
+        with pytest.raises(ConfigError, match="ks must"):
+            corpus_metrics(emb, split, ks=ks)
+
+    def test_numpy_integers_accepted(self):
+        emb, split = integer_instance()
+        assert corpus_metrics(emb, split, ks=np.array([3, 1])).ks == (3, 1)
 
 
 class TestWorkingSet:
@@ -319,6 +512,24 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak < 8 * I * 8
 
+    def test_corpus_auc_peak_within_block_budget(self):
+        U, I, K, events = 80, 20_000, 32, 40
+        rng = np.random.default_rng(0)
+        emb = Embeddings.init(U, I, K, 0.1, rng)
+        lists = [rng.choice(I, events, replace=False) for _ in range(U)]
+        split = make_split(I, [np.sort(l[:24]) for l in lists], [l[24:32] for l in lists],
+                           [l[32:] for l in lists])
+        corpus_auc(emb, split)
+        tracemalloc.start()
+        try:
+            corpus_auc(emb, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's float64 scores, reused by every block, plus vectors
+        # over the users, the items and the events
+        assert peak < 8 * BLOCK_ELEMENTS + 64 * (U + I + U * events)
+
 
 class TestNaNScores:
     def nan_instance(self):
@@ -337,6 +548,24 @@ class TestNaNScores:
                 fn(emb, split, 0, stage)
         with pytest.raises(AdaptRegError, match="user 0 at item 3"):
             corpus_metrics(emb, split, ks=(1,), stage=stage)
+        with pytest.raises(AdaptRegError, match="user 0 at item 3"):
+            corpus_auc(emb, split, stage)
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    def test_first_nan_user_named_across_blocks(self, monkeypatch, stage):
+        # users 2 and 5 score NaN on every item, in different blocks of two
+        # users; user 2's first candidate is item 1
+        U, I = 6, 5
+        split = make_split(I, [[0], [1], [0], [2], [3], [1]], [[2]] * U, [[3], [4], [3], [4], [4], [3]])
+        user = np.ones((U, 1))
+        user[[2, 5]] = np.nan
+        emb = Embeddings(user=user, item=np.arange(1.0, I + 1).reshape(-1, 1))
+        monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", 2 * I)
+        for fn in (lambda: corpus_auc(emb, split, stage),
+                   lambda: corpus_metrics(emb, split, ks=(1,), stage=stage),
+                   lambda: user_auc(emb, split, 2, stage)):
+            with pytest.raises(AdaptRegError, match="NaN score for user 2 at item 1$"):
+                fn()
 
     @pytest.mark.parametrize("fn", [user_auc, user_topk_ranks])
     def test_unknown_stage_rejected(self, fn):
