@@ -237,8 +237,6 @@ def kernel_table(size, args):
         "bpr_grad": lambda: _kernels.bpr_grad_batch(
             c["uf"], c["itf"], c["users"], c["pos"], c["neg"],
             c["u_inv"], c["p_inv"], c["n_inv"], len(c["urows"]), len(c["irows"])),
-        "sgd_step": lambda: _kernels.sgd_step(
-            c["uf"].copy(), c["urows"], g_user, lr),
         "adam_step": lambda: _kernels.adam_step(
             c["uf"].copy(), s.copy(), r.copy(), c["urows"], g_user,
             lr, corr, b1, b2, eps),

@@ -3,14 +3,17 @@
 ``bpr_grad_batch`` scores each triplet once and returns the batch's summed BPR
 loss with the gradient blocks it builds, so nothing scores a batch twice. Each
 block is one flat ``np.bincount``, which adds in index order exactly as
-``np.add.at`` into zeros does. ``adam_rows`` computes the new moments and
-parameter values of a set of rows without writing them; the real step,
-``adam_step``, writes back what it returns in blocks of rows small enough to
-stay in cache, and the optimizer's assumed step returns it as is, so the two
-steps share one arithmetic. ``bpr_grad_batch`` and ``adam_step`` give the same
-bits as the plain ``np.add.at`` and fancy-index forms.
-``benchmarks/bench_kernels.py`` times each kernel.
+``np.add.at`` into zeros does. ``adam_rows`` computes the new moments (by
+``adam_moments``, the recursion Adam on lambda runs too) and parameter values
+of a set of rows without writing them; the real step, ``adam_step``, writes
+back what it returns in blocks of rows small enough to stay in cache, and the
+optimizer's assumed step returns it as is, so the two steps share one
+arithmetic. ``bpr_grad_batch`` and ``adam_step`` give the same bits as the
+plain ``np.add.at`` and fancy-index forms. ``benchmarks/bench_kernels.py``
+times each kernel.
 """
+
+import math
 
 import numpy as np
 
@@ -59,26 +62,32 @@ def bpr_grad_batch(uf, itf, users, pos, neg, u_inv, p_inv, n_inv, n_users, n_ite
         return float(np.sum(np.logaddexp(0.0, -x))), gu, gi
 
 
-def sgd_step(param, rows, g, lr):
-    param[rows] -= lr * g
-
-
 # rows per block of the Adam step: 16384 float64 (128 KB) per temporary, so
 # a block's new rows are still in cache when they are written back
 _BLOCK_ELEMS = 1 << 14
 
 
+def adam_correction(t, b1, b2):
+    """Bias correction of Adam's step t (from 1): sqrt(1-b2^t) / (1-b1^t)."""
+    return math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+
+
+def adam_moments(s, r, g, b1, b2):
+    """Adam's moment recursion in place: s = b1*s + (1-b1)*g, then
+    r = b2*r + ((1-b2)*g)*g."""
+    s *= b1
+    s += (1.0 - b1) * g
+    r *= b2
+    r += ((1.0 - b2) * g) * g
+
+
 def adam_rows(param, s, r, rows, g, lr, c, b1, b2, eps):
     """New (s, r, param) of the given rows after one Adam step, as arrays
-    aligned with ``rows``; writes nothing. One gather per array, in-place
-    arithmetic in the order of s = b1*s + (1-b1)*g, r = b2*r + (1-b2)*g*g,
-    param -= lr*c*s / (sqrt(r) + eps)."""
+    aligned with ``rows``; writes nothing. One gather per array, the moments
+    by ``adam_moments``, then param -= lr*c*s / (sqrt(r) + eps) in place."""
     sr = np.take(s, rows, axis=0)
-    sr *= b1
-    sr += (1.0 - b1) * g
     rr = np.take(r, rows, axis=0)
-    rr *= b2
-    rr += ((1.0 - b2) * g) * g
+    adam_moments(sr, rr, g, b1, b2)
     den = np.sqrt(rr)
     den += eps
     pr = np.take(param, rows, axis=0)

@@ -8,6 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import evaluate
+from ._kernels import adam_correction, adam_moments
 from .data import frequency_groups, group_by, group_reduce, sample_triplets
 from .errors import AdaptRegError, ConfigError
 from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient
@@ -239,9 +241,8 @@ class LambdaAdam:
 
     def direction(self, g):
         self.t += 1
-        self.s = self.beta1 * self.s + (1 - self.beta1) * g
-        self.r = self.beta2 * self.r + (1 - self.beta2) * g * g
-        c = math.sqrt(1 - self.beta2 ** self.t) / (1 - self.beta1 ** self.t)
+        adam_moments(self.s, self.r, g, self.beta1, self.beta2)
+        c = adam_correction(self.t, self.beta1, self.beta2)
         return c * self.s / (np.sqrt(self.r) + self.eps)
 
 
@@ -328,8 +329,6 @@ def train_model(split, cfg, eval_fn=None):
     the state of its best evaluation; one that aborts before any evaluation
     improved returns its seeded start.
     """
-    from .evaluate import corpus_auc  # local import to avoid a cycle
-
     tr = cfg.training
     reg = cfg.regularization
     adaptive = reg.mode in ("opt", "sgda")
@@ -340,7 +339,7 @@ def train_model(split, cfg, eval_fn=None):
     item_groups = group_by(frequency_groups(split.item_frequency, cfg.groups.item_boundaries))
 
     if eval_fn is None:
-        eval_fn = lambda e: corpus_auc(e, split, stage="validation")
+        eval_fn = lambda e: evaluate.corpus_auc(e, split, stage="validation")
 
     steps_per_epoch = max(1, math.ceil(split.num_train_events / tr.batch_size))
     history, trajectory = [], []

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .adaptive import canonical_granularity
 from .errors import ConfigError
 
 DEFAULT_GRID = [10.0, 1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 0.0]
@@ -184,8 +185,6 @@ def _check_type(key, value, current):
 
 def resolve(cfg):
     """Fill derived defaults, apply presets, and validate."""
-    from .adaptive import canonical_granularity
-
     reg = cfg.regularization
     opt = cfg.optimizer
     if reg.mode not in ("fix", "opt", "sgda"):
@@ -208,6 +207,10 @@ def resolve(cfg):
             values = value if isinstance(value, (list, tuple)) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigError(f"{section}.{key} must be finite, got {value}")
+    for key, bounds in vars(cfg.groups).items():
+        # the rule of data.frequency_groups, checked before any run starts
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ConfigError(f"groups.{key} must be strictly ascending, got {bounds}")
     for name, value in (("optimizer.lr", opt.lr),
                         ("optimizer.eps", opt.eps),
                         ("regularization.step_size", reg.step_size),

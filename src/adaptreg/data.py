@@ -26,6 +26,18 @@ class InteractionLog:
         return len(self.users)
 
 
+def _parse_time(text):
+    # integer text exactly (a float holds 53 bits), other numbers such as
+    # 1e9 or 12.0 through float; out of int64 range is an overflow
+    try:
+        ts = int(text)
+    except ValueError:
+        ts = int(float(text))
+    if not -2**63 <= ts < 2**63:
+        raise OverflowError(f"timestamp {text.strip()} is out of int64 range")
+    return ts
+
+
 def load_interactions(path, delimiter=",", has_header=False,
                       user_col=0, item_col=1, time_col=2):
     """Parse a delimited (user, item, timestamp) file into an InteractionLog.
@@ -49,7 +61,7 @@ def load_interactions(path, delimiter=",", has_header=False,
             try:
                 u_tok = row[user_col].strip()
                 i_tok = row[item_col].strip()
-                ts = int(float(row[time_col]))
+                ts = _parse_time(row[time_col])
             except (IndexError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"malformed row {row!r}: {exc}") from None
             users.append(user_ids.setdefault(u_tok, len(user_ids)))
@@ -368,14 +380,6 @@ def save_id_map(path, tokens):
         w = csv.writer(fh)
         for idx, tok in enumerate(tokens):
             w.writerow([tok, idx])
-
-
-def load_id_map(path):
-    tokens = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            tokens.append(row[0])
-    return tokens
 
 
 def save_manifest(path, split):

@@ -2,10 +2,13 @@
 and closed-form sensitivities of the assumed step w.r.t. regularization
 coefficients.
 
-Adam's real step (``_kernels.adam_step``) and its assumed step (``assumed``)
-both run ``_kernels.adam_rows``: the real step writes back what the assumed
-step returns, so the step the hypergradient differentiates through is, bit for
-bit, the step training takes.
+Each optimizer computes its update of a set of rows in one place, and both its
+real step (``step``) and its assumed step (``assumed``) run it: the real step
+writes back what the assumed step returns, so the step the hypergradient
+differentiates through is, bit for bit, the step training takes. For SGD that
+is ``theta[rows] - lr * g``; for Adam it is ``_kernels.adam_rows``, which
+``_kernels.adam_step`` runs in cache-sized blocks of rows. The full assumed
+step (``assumed_step``) and ``clone`` are shared by both.
 
 The coefficient (lambda) step calls ``assumed`` and ``lambda_jacobian`` with a
 gradient restricted to the rows that both its train and its validation batch
@@ -15,13 +18,11 @@ place on one gathered copy of the rows."""
 
 import copy
 import hashlib
-import math
 
 import numpy as np
 
 from . import _kernels
 from .errors import NonFiniteGradientError
-from .mf import Embeddings
 
 
 def check_finite(grad, step=None):
@@ -32,13 +33,22 @@ def check_finite(grad, step=None):
             raise NonFiniteGradientError(side, int(rows[bad]), step)
 
 
-def _with_rows(emb, grad, rows):
-    out = emb.copy()
-    out.user[grad.user_rows], out.item[grad.item_rows] = rows
-    return out
+class _Optimizer:
+    """What SGD and Adam share: the full assumed step and the copy."""
+
+    def assumed_step(self, emb, grad):
+        """Full post-step embeddings: a copy of emb with the rows of
+        ``assumed`` written in. O(|U|+|I|); the training loop only needs the
+        rows."""
+        out = emb.copy()
+        out.user[grad.user_rows], out.item[grad.item_rows] = self.assumed(emb, grad)[:2]
+        return out
+
+    def clone(self):
+        return copy.deepcopy(self)
 
 
-class SgdOptimizer:
+class SgdOptimizer(_Optimizer):
     kind = "sgd"
 
     def __init__(self, lr=0.05):
@@ -46,25 +56,23 @@ class SgdOptimizer:
             raise ValueError("learning rate must be positive")
         self.lr = lr
 
+    def _rows(self, emb, grad):
+        # theta[rows] - lr * g of each side: the one SGD update
+        return (emb.user[grad.user_rows] - self.lr * grad.user_vals,
+                emb.item[grad.item_rows] - self.lr * grad.item_vals)
+
     def step(self, emb, grad, step_index=None):
         """theta <- theta - lr * g on touched rows (mutates emb)."""
         check_finite(grad, step_index)
-        _kernels.sgd_step(emb.user, grad.user_rows, grad.user_vals, self.lr)
-        _kernels.sgd_step(emb.item, grad.item_rows, grad.item_vals, self.lr)
+        emb.user[grad.user_rows], emb.item[grad.item_rows] = self._rows(emb, grad)
 
     def assumed(self, emb, grad):
         """``(user_rows, item_rows, moments)``: the post-step values of the rows
         ``grad`` touches, aligned with ``grad.user_rows``/``grad.item_rows``, and
-        ``None``, as SGD keeps no moments. Same arithmetic as step, O(touched
+        ``None``, as SGD keeps no moments. The rows step writes back, O(touched
         rows), and emb is not mutated."""
         check_finite(grad)
-        return (emb.user[grad.user_rows] - self.lr * grad.user_vals,
-                emb.item[grad.item_rows] - self.lr * grad.item_vals, None)
-
-    def assumed_step(self, emb, grad):
-        """Full post-step embeddings: a copy of emb with the rows of ``assumed``
-        written in. O(|U|+|I|); the training loop only needs the rows."""
-        return _with_rows(emb, grad, self.assumed(emb, grad)[:2])
+        return self._rows(emb, grad) + (None,)
 
     def lambda_jacobian(self, emb, grad, moments=None):
         """d theta_bar / d lambda per touched coordinate: -2 * lr * theta."""
@@ -81,11 +89,8 @@ class SgdOptimizer:
         """Take a saved ``state_arrays`` through the constructor's checks."""
         self.__init__(float(arrays["lr"]))
 
-    def clone(self):
-        return SgdOptimizer(self.lr)
 
-
-class AdamOptimizer:
+class AdamOptimizer(_Optimizer):
     """Adam with lazy moments: s/r decay only on rows touched by the batch.
 
     ``r_decay`` defaults to beta2 (standard second-moment decay); it can be
@@ -99,34 +104,23 @@ class AdamOptimizer:
         if not (lr > 0 and 0 < beta1 < 1 and 0 < beta2 < 1 and eps > 0
                 and 0 <= r_decay < 1):
             raise ValueError("invalid Adam hyperparameters")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.r_decay = r_decay
+        self.lr, self.beta1, self.beta2, self.eps, self.r_decay = lr, beta1, beta2, eps, r_decay
         self.t = 0
         self.s_user = self.r_user = self.s_item = self.r_item = None
 
-    def _ensure(self, emb):
-        if self.s_user is None:
-            self.s_user = np.zeros_like(emb.user)
-            self.r_user = np.zeros_like(emb.user)
-            self.s_item = np.zeros_like(emb.item)
-            self.r_item = np.zeros_like(emb.item)
-
-    def _correction(self, t):
-        return math.sqrt(1.0 - self.beta2 ** t) / (1.0 - self.beta1 ** t)
-
     def _sides(self, emb, grad):
-        # (param, s, r, rows, g) of the user side, then of the item side
-        self._ensure(emb)
+        # (param, s, r, rows, g) of the user side, then of the item side; the
+        # moments start at zero, allocated on first use
+        if self.s_user is None:
+            self.s_user, self.r_user = np.zeros_like(emb.user), np.zeros_like(emb.user)
+            self.s_item, self.r_item = np.zeros_like(emb.item), np.zeros_like(emb.item)
         return ((emb.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
                 (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals))
 
     def step(self, emb, grad, step_index=None):
         check_finite(grad, step_index)
         self.t += 1
-        c = self._correction(self.t)
+        c = _kernels.adam_correction(self.t, self.beta1, self.beta2)
         for side in self._sides(emb, grad):
             _kernels.adam_step(*side, self.lr, c, self.beta1, self.r_decay, self.eps)
 
@@ -135,17 +129,11 @@ class AdamOptimizer:
         moments)``, with each side's post-step ``(s, r)`` pair as the moments.
         Runs step's ``adam_rows`` kernel; state and emb are untouched."""
         check_finite(grad)
-        c = self._correction(self.t + 1)
+        c = _kernels.adam_correction(self.t + 1, self.beta1, self.beta2)
         (su, ru, user), (si, ri, item) = (
             _kernels.adam_rows(*side, self.lr, c, self.beta1, self.r_decay, self.eps)
             for side in self._sides(emb, grad))
         return user, item, ((su, ru), (si, ri))
-
-    def assumed_step(self, emb, grad):
-        """Full simulated t+1 embeddings: a copy of emb with the rows of
-        ``assumed`` written in. O(|U|+|I|); the training loop only needs the
-        rows."""
-        return _with_rows(emb, grad, self.assumed(emb, grad)[:2])
 
     def lambda_jacobian(self, emb, grad, moments=None):
         """Sensitivity of the assumed step to the lambda entry of each coordinate.
@@ -155,7 +143,7 @@ class AdamOptimizer:
         """
         if moments is None:
             moments = self.assumed(emb, grad)[2]
-        c = self._correction(self.t + 1)
+        c = _kernels.adam_correction(self.t + 1, self.beta1, self.beta2)
         out = []
         for theta, rows, g, (s_bar, r_bar) in zip(
                 (emb.user, emb.item), (grad.user_rows, grad.item_rows),
@@ -220,19 +208,12 @@ class AdamOptimizer:
                                      "the factors, and second moments nonnegative")
             self.s_user, self.r_user, self.s_item, self.r_item = moments
 
-    def clone(self):
-        return copy.deepcopy(self)
-
 
 def make_optimizer(kind, **kwargs):
+    """An optimizer of ``kind`` with the constructor's defaults; SGD reads
+    only ``lr`` of the keywords."""
     if kind == "sgd":
-        return SgdOptimizer(lr=kwargs.get("lr", 0.05))
+        return SgdOptimizer(kwargs.get("lr", 0.05))
     if kind == "adam":
-        return AdamOptimizer(
-            lr=kwargs.get("lr", 0.01),
-            beta1=kwargs.get("beta1", 0.9),
-            beta2=kwargs.get("beta2", 0.999),
-            eps=kwargs.get("eps", 1e-8),
-            r_decay=kwargs.get("r_decay"),
-        )
+        return AdamOptimizer(**kwargs)
     raise ValueError(f"unknown optimizer kind {kind!r}")

@@ -1,10 +1,11 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from adaptreg.adaptive import (
-    GRANULARITIES, RegCoefficients, canonical_granularity, compose_gradient,
+    GRANULARITIES, LambdaAdam, RegCoefficients, canonical_granularity, compose_gradient,
     hypergradient, project_and_step, record_trajectory, train_model,
 )
 from adaptreg.config import RunConfig
@@ -28,6 +29,10 @@ class TestGranularity:
         with pytest.raises(ConfigError):
             canonical_granularity("chunky")
 
+    def test_negative_init_rejected(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            RegCoefficients.create("full", 3, 5, 2, init=-0.1)
+
     def test_entry_counts(self):
         U, I, K = 3, 5, 2
         expect = {"global": 1, "dim": K, "user": U + 1, "item": I + 1,
@@ -35,6 +40,22 @@ class TestGranularity:
                   "full": (U + I) * K}
         for g, n in expect.items():
             assert RegCoefficients.create(g, U, I, K).num_entries == n
+
+
+class TestLambdaAdam:
+    def test_direction_bit_equal_to_out_of_place_formula(self):
+        rng = np.random.default_rng(4)
+        opt = LambdaAdam(50)
+        s, r = np.zeros(50), np.zeros(50)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for t in range(1, 6):
+            g = rng.normal(0, 1, 50) * (rng.random(50) < 0.5)
+            s = b1 * s + (1 - b1) * g
+            r = b2 * r + (1 - b2) * g * g
+            c = math.sqrt(1 - b2 ** t) / (1 - b1 ** t)
+            want = c * s / (np.sqrt(r) + eps)
+            assert opt.direction(g).tobytes() == want.tobytes()
+            assert opt.s.tobytes() == s.tobytes() and opt.r.tobytes() == r.tobytes()
 
 
 class TestBroadcast:

@@ -1,5 +1,8 @@
 import csv
 import os
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from adaptreg.checkpoint import load_checkpoint, save_checkpoint
 from adaptreg.cli import main
 from adaptreg.config import RunConfig, config_hash, load_config, resolve
-from adaptreg.errors import ConfigError, IncompatibleCheckpointError
+from adaptreg.errors import AdaptRegError, ConfigError, IncompatibleCheckpointError
 from adaptreg.mf import Embeddings, SparseGrad
 from adaptreg.adaptive import RegCoefficients, record_trajectory
 from adaptreg.data import frequency_groups, group_by
@@ -82,6 +85,24 @@ class TestIngest:
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
 
+    def test_unreadable_input_is_an_io_error(self, tmp_path, capsys):
+        rc = main(["ingest", "--input", str(tmp_path / "absent.csv"),
+                   "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "ERROR:IO" in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_with_mains_code(monkeypatch, capsys):
+    # python -m adaptreg.cli: the exit status is main()'s return value
+    monkeypatch.setattr(sys, "argv", ["adaptreg", "export-trajectory", "--run", "/nonexistent"])
+    with warnings.catch_warnings():
+        # the module is already imported by this file; runpy runs a fresh copy
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("adaptreg.cli", run_name="__main__")
+    assert exc.value.code == 1
+    assert "ERROR:CONFIG" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_run_artifacts(self, corpus, tmp_path, capsys):
@@ -110,6 +131,18 @@ class TestTrain:
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert "best_epoch 1" in out and "val_auc 0.900000" in out
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_aborted_run_prints_its_cause(self, corpus, tmp_path, capsys):
+        # with plain SGD a coefficient of 1e300 overflows the factors
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "optimizer.kind=sgd", "--set", "regularization.mode=fix",
+                   "--set", "regularization.fixed_value=1e300"] + FAST)
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "status aborted" in out
+        assert any(l.startswith("abort_reason non-finite") for l in out)
 
     def test_run_dir_encodes_seed(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -164,6 +197,8 @@ class TestTrain:
         "training: 5\n", "training.bogus=1", "regularization.mode=grid",
         "optimizer.kind=rmsprop", "regularization:\n  mode: fix\n  fixed_value: -0.1\n",
         "training.batch_size=0", "training.lambda_batch_size=-8", "regularization.init=-1",
+        "groups.user_boundaries=[50,25]", "groups.item_boundaries=[15,15,60]",
+        "groups:\n  user_boundaries: [25, 100, 50]\n",
     ], ids=lambda case: " ".join(case.split()))
     def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -293,6 +328,19 @@ class TestEvaluate:
         assert rc == 1
         assert "ERROR:GENERIC: NaN score for user" in capsys.readouterr().err
 
+    def test_manifest_without_test_items_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("user,partition,item,timestamp\n0,train,0,1\n0,validation,1,2\n"
+                            "1,train,1,1\n1,validation,2,2\n")
+        ckpt = tmp_path / "ck.npz"
+        save_checkpoint(ckpt, Embeddings.init(2, 3, 4, 0.1, np.random.default_rng(0)),
+                        RegCoefficients.create("global", 2, 3, 4), make_optimizer("sgd"))
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                   "--out", str(tmp_path / "e")])
+        assert rc == 1
+        assert "ERROR:EMPTY_CORPUS: manifest has zero test items" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("ks", [["0", "5"], ["-3", "5"], ["5", "10", "5"]])
     def test_bad_ks_rejected_before_writing(self, trained, tmp_path, capsys, ks):
         manifest, ckpt = trained
@@ -334,6 +382,38 @@ class TestGridSearch:
         assert [(r["lambda"], r["status"]) for r in rows] == [
             ("0.01", "ok"), ("1e+300", "failed")]
         assert rows[1]["val_auc"] == "nan"
+
+    def test_candidate_raising_is_a_failed_row(self, corpus, tmp_path, capsys, monkeypatch):
+        # an error outside the training steps (here the first candidate's
+        # first evaluation) fails that candidate, not the search
+        import adaptreg.evaluate
+        real, raised = adaptreg.evaluate.corpus_auc, []
+
+        def corpus_auc(*args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise AdaptRegError("evaluation failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptreg.evaluate, "corpus_auc", corpus_auc)
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "regularization.grid=[0.01,0.0001]"] + FAST)
+        assert rc == 0
+        assert "best_lambda 0.0001" in capsys.readouterr().out
+        grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
+        rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
+        assert [(r["lambda"], r["status"]) for r in rows] == [("0.01", "failed"), ("0.0001", "ok")]
+        assert rows[0]["val_auc"] == "nan"
+
+    def test_bad_boundaries_rejected_up_front(self, corpus, tmp_path, capsys):
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "groups.user_boundaries=[50,25]"] + FAST)
+        assert rc == 1
+        assert "ERROR:CONFIG: groups.user_boundaries must be strictly ascending" in (
+            capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_every_candidate_failed(self, corpus, tmp_path, capsys):
@@ -514,12 +594,16 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("content", [
         "header_only", "missing_key", "not_npz", "bad_json", "bad_utf8",
+        "no_header", "header_not_object", "npy_array",
     ])
     def test_unreadable_files_rejected(self, corpus, tmp_path, content, capsys):
         import json
         path = tmp_path / "bad.npz"
         if content == "not_npz":
             path.write_text("not a checkpoint\n")
+        elif content == "npy_array":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
         else:
             rng = np.random.default_rng(0)
             save_checkpoint(path, Embeddings.init(2, 3, 4, 0.1, rng),
@@ -529,6 +613,10 @@ class TestCheckpointRoundTrip:
             header = json.loads(bytes(arrays["header"]).decode())
             if content == "header_only":
                 arrays = {"header": np.frombuffer(b'{"version": 1}', dtype=np.uint8)}
+            elif content == "no_header":
+                del arrays["header"]
+            elif content == "header_not_object":
+                arrays["header"] = np.frombuffer(b"[1]", dtype=np.uint8)
             elif content == "missing_key":
                 del header["granularity"]
                 arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)

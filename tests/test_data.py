@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import stats
 
 from adaptreg.data import (
     Ragged, SplitDataset, _build_split, chronological_split, filter_min_count, frequency_groups,
-    group_by, group_reduce, load_id_map, load_interactions, load_manifest, sample_triplets,
+    group_by, group_reduce, load_interactions, load_manifest, sample_triplets,
     save_id_map, save_manifest,
 )
 from adaptreg.errors import EmptyCorpusError, ParseError, SaturatedSamplerError
@@ -51,6 +52,24 @@ class TestLoadInteractions:
         with pytest.raises(ParseError) as exc:
             load_interactions(p)
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("text", ["nan", "1e19", "-9223372036854775809",
+                                      "9223372036854775808", "12x"])
+    def test_bad_time_names_line(self, tmp_path, text):
+        p = write_lines(tmp_path / "raw.csv", ["a,x,1", f"b,y,{text}"])
+        with pytest.raises(ParseError) as exc:
+            load_interactions(p)
+        assert exc.value.line_no == 2
+
+    def test_integer_times_exact_beyond_float(self, tmp_path):
+        # through a float, ...993 reads as ...992 and ties with it, and the
+        # nanosecond stamp loses its last digits
+        p = write_lines(tmp_path / "raw.csv", [
+            "a,x,9007199254740993", "a,y,9007199254740992", "b,x,1700000000123456789",
+            "b,y, 1e9", "c,x,12.0", "c,y,-9223372036854775808"])
+        log = load_interactions(p)
+        assert log.times.tolist() == [9007199254740993, 9007199254740992,
+                                      1700000000123456789, 10**9, 12, -2**63]
 
     def test_multi_character_delimiter(self, tmp_path):
         p = write_lines(tmp_path / "ratings.dat",
@@ -391,8 +410,9 @@ class TestPersistence:
 
     def test_id_map_round_trip(self, tmp_path):
         path = tmp_path / "idmap.csv"
-        save_id_map(path, ["alpha", "beta", "gamma"])
-        assert load_id_map(path) == ["alpha", "beta", "gamma"]
+        save_id_map(path, ["alpha", "be,ta", "gamma"])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["alpha", "0"], ["be,ta", "1"], ["gamma", "2"]]
 
     def test_ingest_reproducible(self, tmp_path):
         lines = ["a,x,5", "a,y,1", "b,x,3", "a,z,9", "b,z,2", "b,y,8"]

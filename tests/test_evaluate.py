@@ -95,6 +95,10 @@ class TestUserAuc:
 
 
 class TestTopK:
+    def test_no_positives_excluded(self):
+        split = make_split(3, [[0]], [[]], [[]])
+        assert user_topk(rank_emb([1, 2, 3]), split, 0, 2) is None
+
     def test_rank_one_hit(self):
         split = make_split(5, [[]], [[]], [[0]])
         hr, ndcg = user_topk(rank_emb([5, 1, 2, 3, 4]), split, 0, 1)
@@ -477,6 +481,16 @@ class TestCertifiedBlocks:
         monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", rows * split.num_items)
         assert U > 2 * rows  # several blocks, the last one partial
         assert len(split.val[1]) == len(split.test[1]) == 0  # in the first block
+        assert same_bytes(corpus_auc(emb, split, stage), oracle_corpus_auc(emb, split, stage))
+        assert_same_report(corpus_metrics(emb, split, ks=(1, 3), stage=stage),
+                           oracle_corpus_metrics(emb, split, ks=(1, 3), stage=stage))
+
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    def test_one_user_per_block(self, monkeypatch, stage):
+        # user 1 has no positives, so its block has none and is skipped
+        emb, split = with_gaps(*INSTANCES["synthetic"]())
+        monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", split.num_items)
         assert same_bytes(corpus_auc(emb, split, stage), oracle_corpus_auc(emb, split, stage))
         assert_same_report(corpus_metrics(emb, split, ks=(1, 3), stage=stage),
                            oracle_corpus_metrics(emb, split, ks=(1, 3), stage=stage))
