@@ -69,8 +69,8 @@ class RegCoefficients:
     @classmethod
     def create(cls, granularity, num_users, num_items, dim, init=0.0):
         granularity = canonical_granularity(granularity)
-        if init < 0:
-            raise ConfigError("initial coefficient must be nonnegative")
+        if not math.isfinite(init) or init < 0:
+            raise ConfigError(f"initial coefficient must be finite and nonnegative, got {init!r}")
         blocks = _LAYOUT[granularity](num_users, num_items, dim)
         n = max(offset + rows * cols for offset, rows, cols in blocks)
         return cls(granularity, np.full(n, float(init)), num_users, num_items, dim)

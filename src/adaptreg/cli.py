@@ -13,7 +13,7 @@ from .adaptive import train_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, run_dir_name
 from .errors import AdaptRegError, ConfigError, EmptyCorpusError, IncompatibleCheckpointError
-from .evaluate import corpus_metrics, write_per_entity, write_report_summary
+from .evaluate import ITEM_METRIC_MODES, corpus_metrics, write_per_entity, write_report_summary
 
 
 def _common_flags(p):
@@ -198,8 +198,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", default=None)
     p.add_argument("--ks", type=int, nargs="+", default=[50, 100])
-    p.add_argument("--item-metric-mode", choices=["item-specific", "user-average"],
-                   default="item-specific")
+    p.add_argument("--item-metric-mode", choices=ITEM_METRIC_MODES, default="item-specific")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-trajectory", help="coefficient trajectory CSVs for plotting")

@@ -198,23 +198,45 @@ def chronological_split(log, ratios=(0.6, 0.2, 0.2)):
     Train takes ceil(r_train*n), validation ceil(r_val*n) capped at the
     remainder, test the rest. Timestamp ties keep stable input order.
     """
-    if any(r <= 0 for r in ratios) or not math.isclose(sum(ratios), 1.0):
-        raise ValueError(f"ratios must be positive and sum to 1, got {ratios}")
+    if (len(ratios) != 3 or any(r <= 0 for r in ratios)
+            or not math.isclose(sum(ratios), 1.0)):
+        raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
     U, I = log.num_users, log.num_items
-    # one stable sort on (user, dense time rank) puts each user's events in
-    # time order, ties in input order; it is the permutation of
-    # np.lexsort((times, users)) at a fraction of lexsort's cost
-    distinct, t_rank = np.unique(log.times, return_inverse=True)
-    key = log.users.astype(np.int64) * len(distinct) + t_rank
-    order = np.argsort(key, kind="stable")
-    users = log.users[order].astype(np.int64, copy=False)
+    users = log.users.astype(np.int64, copy=False)
+    order = _time_order(users, log.times, U)
     counts = np.bincount(users, minlength=U)
-    n_train = np.ceil(ratios[0] * counts).astype(np.int64)
+    # capped so a train ratio a hair above 1 cannot claim more than n events
+    n_train = np.minimum(np.ceil(ratios[0] * counts).astype(np.int64), counts)
     n_val = np.minimum(np.ceil(ratios[1] * counts).astype(np.int64), counts - n_train)
-    # each event's rank in its user's time order decides its partition
-    rank = np.arange(len(users)) - (np.cumsum(counts) - counts)[users]
-    part = (rank >= n_train[users]).astype(np.int64) + (rank >= (n_train + n_val)[users])
-    return _split_by_cell(U, I, part * U + users, log.items[order], log.times[order])
+    cell_counts = np.concatenate([n_train, n_val, counts - n_train - n_val])
+    # in time order each (partition, user) cell is one run of events, which
+    # starts at its user's first event plus the partitions before it; the
+    # partition-major layout takes the runs cell by cell
+    starts = np.cumsum(counts) - counts
+    run_starts = np.concatenate([starts, starts + n_train, starts + n_train + n_val])
+    source = np.repeat(run_starts - (np.cumsum(cell_counts) - cell_counts), cell_counts)
+    source += np.arange(len(source))
+    order = order[source]
+    return _split_of_layout(U, I, cell_counts, log.items[order], log.times[order])
+
+
+def _time_order(users, times, U):
+    """The stable permutation that orders events by user, then time, ties in
+    input order: one stable sort on ``user*span + time - t_min`` when every
+    such key fits in int64, else on ``user*T + dense time rank``. Both keys
+    give the permutation of ``np.lexsort((times, users))`` at a fraction of
+    lexsort's cost."""
+    if len(times) and times.dtype.kind in "iu" and np.can_cast(times.dtype, np.int64):
+        t_min = int(times.min())
+        span = int(times.max()) - t_min + 1
+        if int(U) * span < 2**63:
+            # the offset is taken in int64: in a narrower dtype it can wrap
+            key = times.astype(np.int64)
+            key -= t_min
+            key += users * span
+            return np.argsort(key, kind="stable")
+    distinct, t_rank = np.unique(times, return_inverse=True)
+    return np.argsort(users * len(distinct) + t_rank, kind="stable")
 
 
 def _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
@@ -229,16 +251,11 @@ def _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
                         degenerate)
 
 
-def _split_by_cell(U, I, cells, items, times):
-    """The split whose n-th event, item ``items[n]`` at ``times[n]``, is in
-    partition ``cells[n] // U`` (train, validation, test) of user
-    ``cells[n] % U``; the events of a cell keep their order.
-
-    The events are laid out partition by partition, and within one user by
-    user, so each partition is one slice of that layout.
-    """
-    order = np.argsort(cells, kind="stable")
-    counts = np.bincount(cells, minlength=3 * U)
+def _split_of_layout(U, I, counts, items, times):
+    """The split of events laid out partition by partition (train,
+    validation, test), and within one user by user: ``counts[p*U + u]``
+    events of user u in partition p, so each partition is one slice of
+    ``items`` and ``times``."""
     bounds = np.zeros(3 * U + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
     degenerate = np.flatnonzero((counts[U:2 * U] == 0) | (counts[2 * U:] == 0)).tolist()
@@ -247,8 +264,7 @@ def _split_by_cell(U, I, cells, items, times):
         for b in (bounds[p * U:(p + 1) * U + 1] for p in range(3)):
             yield Ragged(values[b[0]:b[-1]], b - b[0])
 
-    return _index_split(U, I, *partitions(items[order]), *partitions(times[order]),
-                        degenerate)
+    return _index_split(U, I, *partitions(items), *partitions(times), degenerate)
 
 
 def _index_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
@@ -436,6 +452,8 @@ def load_manifest(path):
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     U = int(users.max()) + 1
+    # within a (partition, user) cell the stable sort keeps file order
     cells = np.asarray(codes, dtype=np.int64) * U + users
-    return _split_by_cell(U, int(items.max()) + 1, cells, items,
-                          np.asarray(times, dtype=np.int64))
+    order = np.argsort(cells, kind="stable")
+    return _split_of_layout(U, int(items.max()) + 1, np.bincount(cells, minlength=3 * U),
+                            items[order], np.asarray(times, dtype=np.int64)[order])

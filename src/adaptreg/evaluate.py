@@ -248,6 +248,9 @@ class MetricReport:
     skipped_users: int = 0
 
 
+ITEM_METRIC_MODES = ("item-specific", "user-average")
+
+
 def corpus_metrics(emb, split, ks=(50, 100), stage="test",
                    item_metric_mode="item-specific"):
     """Unweighted per-user means over users with at least one positive and
@@ -257,8 +260,11 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
     ks: the cutoffs, distinct positive integers (``ConfigError`` otherwise).
     item_metric_mode: "item-specific" averages the hit/gain of the item itself
     in each test user's ranking; "user-average" averages the whole-user HR/NDCG
-    of the item's test users.
+    of the item's test users; any other mode is a ``ConfigError``.
     """
+    if item_metric_mode not in ITEM_METRIC_MODES:
+        raise ConfigError(f"item_metric_mode must be one of {ITEM_METRIC_MODES}, "
+                          f"got {item_metric_mode!r}")
     ks = tuple(ks)
     for k in ks:
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:

@@ -33,6 +33,12 @@ class TestGranularity:
         with pytest.raises(ConfigError, match="nonnegative"):
             RegCoefficients.create("full", 3, 5, 2, init=-0.1)
 
+    @pytest.mark.parametrize("init", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+    def test_non_finite_init_rejected(self, init):
+        # a NaN would pass a bare ``init < 0`` and make every coefficient NaN
+        with pytest.raises(ConfigError, match="finite"):
+            RegCoefficients.create("full", 3, 5, 2, init=init)
+
     def test_entry_counts(self):
         U, I, K = 3, 5, 2
         expect = {"global": 1, "dim": K, "user": U + 1, "item": I + 1,

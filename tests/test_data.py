@@ -125,7 +125,8 @@ class TestChronologicalSplit:
         split = chronological_split(toy_log(events, num_items=n))
         assert (len(split.train[0]), len(split.val[0]), len(split.test[0])) == expected
 
-    @pytest.mark.parametrize("ratios", [(0.5, 0.5, 0.0), (0.6, 0.2, 0.3)])
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5, 0.0), (0.6, 0.2, 0.3), (0.5, 0.5),
+                                        (0.4, 0.2, 0.2, 0.2)])
     def test_bad_ratios_rejected(self, ratios):
         with pytest.raises(ValueError, match="ratios"):
             chronological_split(toy_log([(0, 0, 1), (0, 1, 2)]), ratios)

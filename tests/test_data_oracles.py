@@ -132,6 +132,74 @@ def test_split_of_wide_timestamps():
     assert_same_split(chronological_split(log), oracle_chronological_split(log))
 
 
+def split_counting_sorts(log, monkeypatch):
+    """``chronological_split(log)`` and how often it called
+    ``np.argsort`` and ``np.unique``."""
+    calls = {"argsort": 0, "unique": 0}
+
+    def spy(name):
+        real = getattr(np, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    with monkeypatch.context() as m:
+        for name in calls:
+            m.setattr(np, name, spy(name))
+        split = chronological_split(log)
+    return split, calls
+
+
+def test_split_keeps_narrow_dtypes_over_the_int32_range(monkeypatch):
+    # int32 times from the type's minimum to its maximum: their offsets from
+    # the minimum wrap in int32, so the (user, time) key must take them in int64
+    log = tied_log(4)
+    info = np.iinfo(np.int32)
+    times = np.random.default_rng(4).integers(info.min, info.max, len(log), endpoint=True)
+    times[:2] = info.min, info.max
+    log.users = log.users.astype(np.int32)
+    log.items = log.items.astype(np.int32)
+    log.times = times.astype(np.int32)
+    got, calls = split_counting_sorts(log, monkeypatch)
+    assert_same_split(got, oracle_chronological_split(log))
+    assert calls == {"argsort": 1, "unique": 0}
+
+
+@pytest.mark.parametrize("num_users,span,dtype,unique_calls", [
+    # 2**63 - 1 = 7 * 1317624576693539401: the largest |U| * span the key takes
+    (7, (2**63 - 1) // 7, np.int64, 0),
+    (8, 2**60, np.int64, 1),
+    (2, 2**62, np.int64, 1),
+    # uint64 times do not fit int64, so they are ranked even when narrow
+    (3, 10, np.uint64, 1),
+], ids=["key-at-bound", "rank-past-bound", "rank-two-users", "rank-uint64"])
+def test_split_of_wide_timestamps_at_the_key_bound(num_users, span, dtype, unique_calls,
+                                                   monkeypatch):
+    rng = np.random.default_rng(num_users)
+    n = 400
+    t_min = 2**64 - span if dtype is np.uint64 else -2**62
+    times = t_min + rng.integers(0, span, n, dtype=np.uint64).astype(object)
+    times[:2] = t_min, t_min + span - 1
+    times[2::9] = times[3::9][: len(times[2::9])]
+    log = log_from_arrays(rng.integers(0, num_users, n), rng.integers(0, 50, n),
+                          np.asarray(times.tolist(), dtype=dtype), num_users, 50)
+    log.users[:2] = 0, num_users - 1
+    got, calls = split_counting_sorts(log, monkeypatch)
+    assert_same_split(got, oracle_chronological_split(log))
+    assert calls["unique"] == unique_calls
+
+
+def test_split_with_a_train_ratio_a_hair_above_one():
+    # the ratios pass the sum check, yet ceil(r_train * n) exceeds n
+    ratios = (1 + 1e-10, 1e-11, 1e-11)
+    log = tied_log(2, num_users=20)
+    got = chronological_split(log, ratios)
+    assert_same_split(got, oracle_chronological_split(log, ratios))
+    assert len(got.train.flat) == len(log)
+
+
 def test_split_of_empty_log():
     z = np.empty(0, dtype=np.int64)
     log = log_from_arrays(z, z, z, 3, 4)

@@ -508,6 +508,13 @@ class TestKs:
         assert corpus_metrics(emb, split, ks=np.array([3, 1])).ks == (3, 1)
 
 
+@pytest.mark.parametrize("mode", ["bogus", "Item-Specific", None])
+def test_unknown_item_metric_mode_rejected(mode):
+    emb, split = integer_instance()
+    with pytest.raises(ConfigError, match="item_metric_mode"):
+        corpus_metrics(emb, split, ks=(1,), item_metric_mode=mode)
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("fn", [user_auc, user_topk_ranks])
     def test_peak_below_eight_score_vectors(self, fn):
