@@ -3,7 +3,12 @@ frequency-group improvement reports.
 
 ``_score_user`` scores one user with a matrix-vector product and is the
 reference for every metric here: ``user_auc`` and ``user_topk_ranks`` call it
-directly. ``corpus_auc`` and ``corpus_metrics`` score every user through
+directly. It places the user's positives by exact counts of the candidates
+below each: from two comparison passes over its scores per positive when it
+has few positives for the catalog (``_counts``), else from one sort of its
+negatives. Counts are integers, so the two agree bit for bit.
+
+``corpus_auc`` and ``corpus_metrics`` score every user through
 ``_score_corpus`` instead, which scores a block of users with one matrix
 product and sorts each user's row of negatives once. The product sums in
 another order than the matrix-vector one, so its scores differ in the last
@@ -17,6 +22,7 @@ bit-identical to the per-user loop and a NaN is reported the same way.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +35,19 @@ from .errors import AdaptRegError, ConfigError
 BLOCK_ELEMENTS = 1 << 19
 
 
+def _counts(n_pos, n_items):
+    """Whether ``_score_user`` places ``n_pos`` positives among ``n_items``
+    scores by two comparison passes per positive rather than by one sort.
+    The passes cost about 2·P·I and the sort about I·log2(I), and a fixed
+    part of each call dominates small catalogs. The constant comes from the
+    positives sweep of ``benchmarks/bench_kernels.py``
+    (``BENCH_kernels.json``): ``user_auc`` counts faster up to P = 8 at 50k
+    items and slower from P = 16; at 3k it counts faster at P = 1 and is on
+    either side from run to run at P = 2 and 4. So this counts up to P = 11
+    at 50k items and P = 1 at 3k, and sorts where the two are about even."""
+    return n_pos * (n_items + 2**14) <= n_items * math.log2(n_items)
+
+
 def _below(sorted_scores, scores):
     """Per score: how many of ``sorted_scores`` lie strictly below it, and how
     many lie at or below it."""
@@ -36,14 +55,32 @@ def _below(sorted_scores, scores):
             np.searchsorted(sorted_scores, scores, "right"))
 
 
-def auc_from_scores(pos_scores, neg_scores, neg_sorted=False):
-    """Mann-Whitney AUC with ties counting one half: each positive earns one
-    per negative below it and one half per negative it ties. The numerator is
-    a sum of half-integers, so it is exact. ``neg_sorted=True`` says that
-    ``neg_scores`` is already ascending."""
-    neg = neg_scores if neg_sorted else np.sort(neg_scores)
-    lo, hi = _below(neg, pos_scores)
-    return (lo.sum() + 0.5 * (hi - lo).sum()) / (len(pos_scores) * len(neg))
+def _count_below(values, at):
+    """Per threshold of ``at``: how many of the unsorted ``values`` lie
+    strictly below it, and how many at or below it, from one comparison pass
+    each. NaN counts in neither."""
+    lo, hi = np.empty(len(at), np.intp), np.empty(len(at), np.intp)
+    buf = np.empty(len(values), dtype=bool)
+    for n, t in enumerate(at):
+        lo[n] = np.count_nonzero(np.less(values, t, out=buf))
+        hi[n] = np.count_nonzero(np.less_equal(values, t, out=buf))
+    return lo, hi
+
+
+def _auc(lo, hi, n_neg):
+    """Mann-Whitney AUC from each positive's count of negatives strictly
+    below it (``lo``) and at or below it (``hi``): one per negative below and
+    one half per negative tied. The numerator is a sum of half-integers, so
+    it is exact."""
+    return (lo.sum() + 0.5 * (hi - lo).sum()) / (len(lo) * n_neg)
+
+
+def auc_from_scores(pos_scores, neg_scores):
+    """Mann-Whitney AUC with ties counting one half; None when either side
+    is empty."""
+    if len(pos_scores) == 0 or len(neg_scores) == 0:
+        return None
+    return _auc(*_below(np.sort(neg_scores), pos_scores), len(neg_scores))
 
 
 def _stage_lists(split, stage):
@@ -55,6 +92,15 @@ def _stage_lists(split, stage):
     raise ValueError(f"unknown stage {stage!r}")
 
 
+def _check_nan(scores, excluded, u):
+    """Raise for the lowest-id NaN score of user ``u`` outside ``excluded``."""
+    is_nan = np.isnan(scores)
+    is_nan[excluded] = False
+    if is_nan.any():
+        raise AdaptRegError(
+            f"NaN score for user {u} at item {int(np.flatnonzero(is_nan)[0])}")
+
+
 def _score_user(emb, split, u, stage):
     """Score user ``u`` once over the whole catalog.
 
@@ -64,33 +110,48 @@ def _score_user(emb, split, u, stage):
     stage; score descending, ties by ascending item id), and the AUC against
     the non-positive candidates (None when there are none). A stage's
     positives are distinct and disjoint from its excluded items.
+
+    Each positive's rank and AUC term come from its counts of negatives
+    below and at or below it. With few positives for the catalog
+    (``_counts``) these are counts over every score less those over the
+    excluded items and the positives; otherwise each is a binary search in
+    the sorted negatives. Both are exact, so both give the same bits.
     """
     excluded, positives = _stage_lists(split, stage)
     excluded, positives = excluded[u], positives[u]
-    if len(positives) == 0:
+    P, I = len(positives), split.num_items
+    if P == 0:
         return None
     scores = emb.item @ emb.user[u]
-    is_neg = np.ones(split.num_items, dtype=bool)
-    is_neg[excluded] = False
-    is_neg[positives] = False
-    neg = scores[is_neg]
-    neg.sort()
     pos = scores[positives]
-    # sorting puts NaN last, where a rank would read it as the best score
-    if np.isnan(pos).any() or (len(neg) and np.isnan(neg[-1])):
-        is_nan = np.isnan(scores)
-        is_nan[excluded] = False
-        raise AdaptRegError(
-            f"NaN score for user {u} at item {int(np.flatnonzero(is_nan)[0])}")
-    auc = float(auc_from_scores(pos, neg, neg_sorted=True)) if len(neg) else None
-    neg_lo, neg_hi = _below(neg, pos)
+    n_neg = I - len(excluded) - P
     pos_lo, pos_hi = _below(np.sort(pos), pos)
-    ranks = 1 + len(neg) + len(pos) - neg_hi - pos_hi
+    if _counts(P, I):
+        # a maximum is NaN when any score is; only a candidate's NaN counts
+        if np.isnan(scores.max()):
+            _check_nan(scores, excluded, u)
+        # counted over every score, then less the excluded ones: a +inf
+        # mask on them would count them at or below a +inf positive
+        all_lo, all_hi = _count_below(scores, pos)
+        exc_lo, exc_hi = _below(np.sort(scores[excluded]), pos)
+        neg_lo, neg_hi = all_lo - exc_lo - pos_lo, all_hi - exc_hi - pos_hi
+    else:
+        is_neg = np.ones(I, dtype=bool)
+        is_neg[excluded] = False
+        is_neg[positives] = False
+        neg = scores[is_neg]
+        neg.sort()
+        # sorting puts NaN last, where a rank would read it as the best score
+        if np.isnan(pos).any() or (n_neg and np.isnan(neg[-1])):
+            _check_nan(scores, excluded, u)
+        neg_lo, neg_hi = _below(neg, pos)
+    auc = float(_auc(neg_lo, neg_hi, n_neg)) if n_neg else None
+    ranks = 1 + n_neg + P - neg_hi - pos_hi
     # a positive that ties another candidate also trails its lower-id ties
     for n in np.flatnonzero(neg_hi - neg_lo + pos_hi - pos_lo > 1):
         item, s = positives[n], pos[n]
-        ranks[n] += (np.count_nonzero(is_neg[:item] & (scores[:item] == s))
-                     + np.count_nonzero((positives < item) & (pos == s)))
+        ranks[n] += (np.count_nonzero(scores[:item] == s)
+                     - np.count_nonzero((excluded < item) & (scores[excluded] == s)))
     return positives, ranks, auc
 
 
@@ -223,8 +284,22 @@ def _hits_gains(ranks, k):
     return hits, np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
 
 
+def _check_ks(ks):
+    """``ks`` as a tuple of distinct positive integers; ``ConfigError``
+    otherwise."""
+    ks = tuple(ks)
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
+            raise ConfigError(f"ks must be positive integers, got {k!r}")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"ks must not repeat a k, got {ks}")
+    return ks
+
+
 def user_topk(emb, split, u, k, stage="test"):
-    """(HR@k, NDCG@k) averaged over the user's positives at ``stage``."""
+    """(HR@k, NDCG@k) averaged over the user's positives at ``stage``; ``k``
+    is a positive integer (``ConfigError`` otherwise)."""
+    _check_ks((k,))
     ranks = user_topk_ranks(emb, split, u, stage)
     if ranks is None:
         return None
@@ -265,12 +340,7 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
     if item_metric_mode not in ITEM_METRIC_MODES:
         raise ConfigError(f"item_metric_mode must be one of {ITEM_METRIC_MODES}, "
                           f"got {item_metric_mode!r}")
-    ks = tuple(ks)
-    for k in ks:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
-            raise ConfigError(f"ks must be positive integers, got {k!r}")
-    if len(set(ks)) != len(ks):
-        raise ConfigError(f"ks must not repeat a k, got {ks}")
+    ks = _check_ks(ks)
     scored = _score_corpus(emb, split, stage)
     user_ids = [u for u, s in enumerate(scored) if s is not None and s[2] is not None]
     scored = [scored[u] for u in user_ids]

@@ -348,6 +348,49 @@ def tiny_norms_instance():
     return Embeddings(user=emb.user * 2.0**-560, item=emb.item * 2.0**500), split
 
 
+def wide_instance(seed=26, U=12, I=8192, dim=8):
+    """Random factors on a catalog wide enough that the default placement
+    counts: per user 20 train items and 1 to 3 validation and 1 to 3 test
+    positives, drawn from items 10 to I - 2. User 0's first positive of each
+    stage shares its item row with a negative: item 0, of lower id, and item
+    I - 1, of higher id."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 4, (U, 2))
+    drawn = [10 + rng.choice(I - 11, 28, replace=False) for _ in range(U)]
+    train = [np.sort(d[:20]) for d in drawn]
+    val = [d[20:20 + n[u, 0]] for u, d in enumerate(drawn)]
+    test = [d[24:24 + n[u, 1]] for u, d in enumerate(drawn)]
+    emb, _ = random_instance(seed, U, I, dim)
+    for pos, neg in ((val[0][0], 0), (test[0][0], I - 1)):
+        emb.item[neg] = emb.item[pos]
+    return emb, make_split(I, train, val, test)
+
+
+def wide_infinite_instance():
+    """The wide instance with every user row positive in its first
+    coordinate, so that items 5 and 8 score +inf and items 6 and 9 -inf for
+    every user, and item 7 NaN, which every user trains on. Users 0 to 3 hold
+    an infinite positive that ties an infinite negative."""
+    emb, split = wide_instance(27)
+    emb.user[:, 0] = np.abs(emb.user[:, 0]) + 0.1
+    emb.item[[5, 8], 0] = np.inf
+    emb.item[[6, 9], 0] = -np.inf
+    emb.item[7, 0] = np.nan
+    U = split.num_users
+    add = lambda lists, extra: [np.append(lists[u], extra.get(u, [])).astype(np.int64)
+                                for u in range(U)]
+    train = [np.append(7, split.train[u]) for u in range(U)]
+    return emb, make_split(split.num_items, train, add(split.val, {0: [5], 1: [6]}),
+                           add(split.test, {2: [5], 3: [6, 8]}))
+
+
+def wide_float32_instance():
+    """The wide instance with float32 factors."""
+    emb, split = wide_instance()
+    return Embeddings(user=emb.user.astype(np.float32),
+                      item=emb.item.astype(np.float32)), split
+
+
 TIE_INSTANCES = {"zero-rows": zero_rows_instance,
                  "duplicate-negative": duplicate_negative_instance,
                  "duplicate-positives": duplicate_positives_instance,
@@ -359,6 +402,11 @@ INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
              "synthetic": synthetic_instance, "popular": popular_instance,
              "seed3": seed3_instance, "subnormal": subnormal_instance,
              **TIE_INSTANCES}
+
+# catalogs on which _score_user places every user's positives by counting
+WIDE_INSTANCES = {"wide": wide_instance, "wide-infinite": wide_infinite_instance,
+                  "wide-float32": wide_float32_instance}
+INSTANCES.update(WIDE_INSTANCES)
 
 
 def same_bytes(a, b):
@@ -654,3 +702,82 @@ class TestGroupReport:
         assert got == want
         notes = {row["note"] for row in got}
         assert {"empty group", "zero baseline"} <= notes
+
+
+def test_wide_instances_hold_ties_and_non_finite_scores():
+    # the cases each wide instance is built to hold
+    emb, split = wide_instance()
+    scores = emb.item @ emb.user[0]
+    assert scores[split.val[0][0]] == scores[0] and scores[split.test[0][0]] == scores[-1]
+    taken = np.concatenate([split.train[0], split.val[0], split.test[0]])
+    assert 0 not in taken and split.num_items - 1 not in taken
+    emb, split = wide_infinite_instance()
+    scores = emb.item @ emb.user.T
+    assert (scores[[5, 8]] == np.inf).all() and (scores[[6, 9]] == -np.inf).all()
+    assert np.isnan(scores[7]).all() and np.isfinite(np.delete(scores, [5, 6, 7, 8, 9], 0)).all()
+    assert all(7 in split.train[u] for u in range(split.num_users))
+
+
+@pytest.fixture(params=["count", "sort"])
+def placement(request, monkeypatch):
+    """``_score_user``, and so every user the block scorer falls back on,
+    places its positives by comparison passes, or by sorting, whatever the
+    default predicate would pick."""
+    counts = request.param == "count"
+    monkeypatch.setattr(evaluate, "_counts", lambda n_pos, n_items: counts)
+    return request.param
+
+
+@pytest.mark.usefixtures("placement")
+class TestMatchesOracleEachPlacement(TestMatchesOracle):
+    pass
+
+
+@pytest.mark.usefixtures("placement")
+class TestCertifiedBlocksEachPlacement(TestCertifiedBlocks):
+    pass
+
+
+@pytest.mark.usefixtures("placement")
+class TestNaNScoresEachPlacement(TestNaNScores):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["validation", "test"])
+@pytest.mark.parametrize("name", sorted(WIDE_INSTANCES))
+def test_wide_users_are_counted(monkeypatch, name, stage):
+    emb, split = WIDE_INSTANCES[name]()
+    U, I = split.num_users, split.num_items
+    _, positives = evaluate._stage_lists(split, stage)
+    assert all(1 <= len(p) <= 4 and evaluate._counts(len(p), I) for p in positives)
+    calls = []
+    real = evaluate._count_below
+    monkeypatch.setattr(evaluate, "_count_below",
+                        lambda values, at: calls.append(len(values)) or real(values, at))
+    for u in range(U):
+        user_auc(emb, split, u, stage)
+    assert calls == [I] * U
+
+
+@pytest.mark.parametrize("k", [0, -3, True, 2.5, np.int64(0), "5"])
+def test_user_topk_rejects_what_corpus_metrics_rejects(k):
+    emb, split = integer_instance()
+    with pytest.raises(ConfigError, match="ks must"):
+        user_topk(emb, split, 0, k)
+    with pytest.raises(ConfigError, match="ks must"):
+        corpus_metrics(emb, split, ks=(k,))
+
+
+@pytest.mark.parametrize("k", [1, np.int64(3), 40])
+def test_user_topk_accepts_positive_integers(k):
+    emb, split = integer_instance()
+    hr, ndcg = user_topk(emb, split, 0, k)
+    ranks = user_topk_ranks(emb, split, 0)
+    assert hr == np.mean(ranks <= k) and 0.0 <= ndcg <= hr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pos, neg", [([1.0], []), ([], [1.0]), ([], []),
+                                      (np.empty(0), np.array([0.5, 2.0]))])
+def test_auc_from_scores_with_an_empty_side_is_none(pos, neg):
+    assert auc_from_scores(pos, neg) is None
