@@ -8,16 +8,12 @@ below each: from two comparison passes over its scores per positive when it
 has few positives for the catalog (``_counts``), else from one sort of its
 negatives. Counts are integers, so the two agree bit for bit.
 
-``corpus_auc`` and ``corpus_metrics`` score every user through
-``_score_corpus`` instead, which scores a block of users with one matrix
-product and sorts each user's row of negatives once. The product sums in
-another order than the matrix-vector one, so its scores differ in the last
-bits. A comparison between two scores cannot flip, though, when their gap
-exceeds twice the rounding-error bound of a dot product. So a user whose
-positives each lie further than that band from every negative and from each
-other positive is certified: its counts, ranks and AUC are exactly those of
-``_score_user``, with no ties. Every other user, including every user with a
-non-finite score, is scored again by ``_score_user``, so the results are
+``corpus_auc`` and ``corpus_metrics`` read ``_score_corpus`` instead: flat
+arrays of every positive's rank and every user's AUC, from one matrix product
+and one row sort per block of users. Its scores differ from the matrix-vector
+product's in the last bits, so it keeps only the users whose order no such
+difference can flip (``_bands``). ``_score_user`` scores every other user
+again, including every user with a non-finite score, so the results are
 bit-identical to the per-user loop and a NaN is reported the same way.
 """
 
@@ -122,7 +118,8 @@ def _score_user(emb, split, u, stage):
     P, I = len(positives), split.num_items
     if P == 0:
         return None
-    scores = emb.item @ emb.user[u]
+    with np.errstate(invalid="ignore"):  # a NaN at an excluded item is no error
+        scores = emb.item @ emb.user[u]
     pos = scores[positives]
     n_neg = I - len(excluded) - P
     pos_lo, pos_hi = _below(np.sort(pos), pos)
@@ -192,73 +189,78 @@ def _bands(emb):
 
 
 def _score_corpus(emb, split, stage):
-    """``[_score_user(emb, split, u, stage) for u in range(num_users)]``, bit
-    for bit, scoring ``BLOCK_ELEMENTS // num_items`` users per matrix product.
+    """Every user's ``_score_user`` results, bit for bit, as ``ranks``
+    aligned with the stage's ``positives.flat`` and one AUC per user in
+    ``aucs``, NaN where ``_score_user`` gives None.
 
-    Each block's excluded items and positives are set to +inf and each row is
-    sorted, so a user's negatives lead its row in ascending order. A user is
-    certified when its scores and bands are finite, no negative lies within
-    the band of a positive and its positives lie more than the band apart.
-    Then the negatives below each positive and the positives at or below it
-    are exact counts with no ties, and they give ``_score_user``'s ranks and
-    AUC. ``_score_user`` scores every other user.
-    """
+    A block of ``BLOCK_ELEMENTS // num_items`` users is one matrix product
+    and one sort of its rows, in which each user's excluded items and
+    positives are +inf. A user is certified when its band is finite, no
+    negative lies within the band of a positive and its positives lie more
+    than the band apart; then exact counts give its ranks and AUC.
+    ``_score_user`` scores every other user, in ascending order."""
     excluded, positives = _stage_lists(split, stage)
     U, I = split.num_users, split.num_items
+    ranks, aucs = np.empty(len(positives.flat), np.int64), np.full(U, np.nan)
+    cuts = positives.offsets.tolist()
+
+    def score_users(users):
+        for u in users:
+            scored = _score_user(emb, split, u, stage)
+            if scored is not None:
+                ranks[cuts[u]:cuts[u + 1]] = scored[1]
+                aucs[u] = np.nan if scored[2] is None else scored[2]
+
     if np.result_type(emb.user, emb.item) != np.float64:
-        return [_score_user(emb, split, u, stage) for u in range(U)]
+        score_users(range(U))
+        return ranks, aucs
     bands = _bands(emb)
-    out = [None] * U
     step = max(1, BLOCK_ELEMENTS // max(I, 1))
     block = np.empty((min(step, U), I))
     for a in range(0, U, step):
         b = min(a + step, U)
-        # each block user's positives are items[bounds[r]:bounds[r + 1]]
-        bounds = positives.offsets[a:b + 1] - positives.offsets[a]
-        n_pos = np.diff(bounds)
-        if not n_pos.any():
+        if cuts[a] == cuts[b]:
             continue
+        n_pos = np.diff(positives.offsets[a:b + 1])
         n_exc = np.diff(excluded.offsets[a:b + 1])
         n_neg = I - n_exc - n_pos
         rows = np.arange(b - a)
         prow = np.repeat(rows, n_pos)
-        items = positives.flat[positives.offsets[a]:positives.offsets[b]]
-        scores = np.matmul(emb.user[a:b], emb.item.T, out=block[:b - a])
-        g = scores[prow, items]
-        scores[prow, items] = np.inf
-        scores[np.repeat(rows, n_exc),
-               excluded.flat[excluded.offsets[a]:excluded.offsets[b]]] = np.inf
-        scores.sort(axis=1)
+        items = positives.flat[cuts[a]:cuts[b]]
         with np.errstate(invalid="ignore"):
+            scores = np.matmul(emb.user[a:b], emb.item.T, out=block[:b - a])
+            g = scores[prow, items]
+            scores[prow, items] = np.inf
+            scores[np.repeat(rows, n_exc),
+                   excluded.flat[excluded.offsets[a]:excluded.offsets[b]]] = np.inf
+            scores.sort(axis=1)
             lo_t, hi_t = g - bands[a + prow], g + bands[a + prow]
-        last = scores[rows, np.maximum(n_neg - 1, 0)]
-        ok = (n_neg == 0) | (np.isfinite(scores[:, 0]) & np.isfinite(last))
-        ok[prow[~(np.isfinite(lo_t) & np.isfinite(hi_t))]] = False
-        # positives in ascending score order within each user; each must
-        # clear the band of the one below it
+        # a finite band bounds every partial sum of the user's dot products
+        # (``_bands``), so its scores, lo_t and hi_t are finite too
+        ok = np.isfinite(bands[a:b]) & (n_pos > 0)
+        # each positive must clear the band of its user's next lower one
         order = np.lexsort((g, prow))
         rs = prow[order]
         ok[rs[1:][(rs[1:] == rs[:-1]) & ~(g[order][1:] > hi_t[order][:-1])]] = False
         pos_hi = np.empty_like(prow)
-        pos_hi[order] = np.arange(1, len(order) + 1) - bounds[rs]
-        lo, hi = np.zeros_like(prow), np.zeros_like(prow)
-        cuts = bounds.tolist()
-        for r in np.flatnonzero(ok & (n_pos > 0)).tolist():
-            s, neg = slice(cuts[r], cuts[r + 1]), scores[r, :n_neg[r]]
-            lo[s] = neg.searchsorted(lo_t[s], "left")
-            hi[s] = neg.searchsorted(hi_t[s], "right")
-        ok[prow[lo != hi]] = False
-        ranks = 1 + n_neg[prow] + n_pos[prow] - lo - pos_hi
+        pos_hi[order] = np.arange(cuts[a] + 1, cuts[b] + 1) - positives.offsets[a + rs]
+        # lo: each positive's count of row entries below lo_t, by a branchless
+        # binary search of all rows at once. A row ends in a +inf mask or NaN,
+        # so flat[lo] stays in it; for a certified user it is the next negative
+        # or a mask, which exceeds hi_t iff no negative lies in [lo_t, hi_t].
+        flat, lo, n = scores.reshape(-1), prow * I, I
+        while n > 1:
+            lo += n // 2 * (flat[lo + n // 2] < lo_t)
+            n -= n // 2
+        lo += flat[lo] < lo_t
+        ok[prow[~(flat[lo] > hi_t)]] = False
+        lo -= prow * I
+        ranks[cuts[a]:cuts[b]] = 1 + n_neg[prow] + n_pos[prow] - lo - pos_hi
         # an exact integer over an exact integer: _score_user's one division
         with np.errstate(divide="ignore", invalid="ignore"):
-            aucs = np.bincount(prow, lo, b - a) / (n_pos * n_neg)
-        for r in np.flatnonzero(n_pos).tolist():
-            if ok[r]:
-                s = slice(cuts[r], cuts[r + 1])
-                out[a + r] = (items[s], ranks[s], float(aucs[r]) if n_neg[r] else None)
-            else:
-                out[a + r] = _score_user(emb, split, a + r, stage)
-    return out
+            aucs[a:b] = np.bincount(prow, lo, b - a) / (n_pos * n_neg)
+        score_users((a + np.flatnonzero(~ok & (n_pos > 0))).tolist())
+    return ranks, aucs
 
 
 def user_auc(emb, split, u, stage="test"):
@@ -341,17 +343,15 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
         raise ConfigError(f"item_metric_mode must be one of {ITEM_METRIC_MODES}, "
                           f"got {item_metric_mode!r}")
     ks = _check_ks(ks)
-    scored = _score_corpus(emb, split, stage)
-    user_ids = [u for u, s in enumerate(scored) if s is not None and s[2] is not None]
-    scored = [scored[u] for u in user_ids]
-    aucs = np.asarray([s[2] for s in scored])
-    # each user's positives are one run of the concatenated arrays; grouping
-    # them by item with a stable sort keeps each item's values in user order,
-    # the order its mean must sum them in
-    counts = np.asarray([len(s[0]) for s in scored], dtype=np.int64)
+    ranks, aucs = _score_corpus(emb, split, stage)
+    _, positives = _stage_lists(split, stage)
+    # each scored user's positives are one run of the masked arrays; a stable
+    # group-by item keeps each item's values in user order, as its mean sums them
+    scored, counts = ~np.isnan(aucs), np.diff(positives.offsets)
+    keep = np.repeat(scored, counts)
+    user_ids, aucs, counts = np.flatnonzero(scored), aucs[scored], counts[scored]
     starts = np.cumsum(counts) - counts
-    items, ranks = (np.concatenate([s[n] for s in scored] or [np.empty(0, np.int64)])
-                    for n in (0, 1))
+    items, ranks = positives.flat[keep], ranks[keep]
     item_ids, order, item_starts, item_counts = group_by(items)
     item_ids = item_ids.astype(np.int64)
     user_hr, user_ndcg, item_hr, item_ndcg = {}, {}, {}, {}
@@ -382,9 +382,9 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
 def corpus_auc(emb, split, stage="validation"):
     """Mean AUC over the users with at least one positive and one negative
     for the stage: the in-training validation metric."""
-    vals = [s[2] for s in _score_corpus(emb, split, stage)
-            if s is not None and s[2] is not None]
-    return float(np.mean(vals)) if vals else float("nan")
+    aucs = _score_corpus(emb, split, stage)[1]
+    aucs = aucs[~np.isnan(aucs)]
+    return float(aucs.mean()) if len(aucs) else float("nan")
 
 
 def group_improvement_report(values_a, values_b, entity_ids_a, entity_ids_b, groups):

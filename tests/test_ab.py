@@ -1,0 +1,72 @@
+"""The summary arithmetic of ``benchmarks/ab.py`` on fixed numbers; no git
+and no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [10, 12, 11, 13, 9, 10, 14, 12, 11, 10]
+CHANGE = [12, 13, 12, 15, 10, 9, 16, 13, 12, 11]
+
+
+def pairs(parent, change, name="users_per_s"):
+    return [dict(parent={name: p}, change={name: c}) for p, c in zip(parent, change)]
+
+
+def test_medians_quartiles_and_counts(ab):
+    row = ab.summarize(pairs(PARENT, CHANGE), {"users_per_s": "higher"})["users_per_s"]
+    # sorted parent 9 10 10 10 11 11 12 12 13 14; change 9 10 11 12 12 12 13 13 15 16
+    assert row["parent_quartiles"] == [10, 11, 12]
+    assert row["change_quartiles"] == [11.25, 12, 13]
+    assert (row["parent_median"], row["change_median"], row["parent_iqr"]) == (11, 12, 2)
+    assert (row["change_higher"], row["change_lower"], row["equal"]) == (9, 1, 0)
+    assert row["change_wins"] == 9
+    assert row["median_gap_exceeds_parent_iqr"] is False
+    assert row["parent"] == PARENT and row["change"] == CHANGE
+
+
+def test_lower_is_better_and_gap_beyond_iqr(ab):
+    parent, change = [3.0, 3.2, 3.1, 3.0], [2.0, 3.2, 2.1, 2.2]
+    row = ab.summarize(pairs(parent, change, "wall_s"), {"wall_s": "lower"})["wall_s"]
+    # parent quartiles 3.0, 3.05, 3.125: IQR 0.125; change median 2.15
+    assert row["parent_iqr"] == pytest.approx(0.125)
+    assert row["change_median"] == pytest.approx(2.15)
+    assert (row["change_lower"], row["equal"], row["change_wins"]) == (3, 1, 3)
+    assert row["median_gap_exceeds_parent_iqr"] is True
+
+
+def test_metric_without_direction_or_in_some_pairs(ab):
+    runs = pairs([1, 2], [2, 2])
+    runs[1]["change"]["extra"] = 5.0
+    out = ab.summarize(runs)
+    assert list(out) == ["users_per_s"]
+    assert "change_wins" not in out["users_per_s"]
+    assert ab.summarize([]) == {}
+
+
+def test_one_pair(ab):
+    row = ab.summarize(pairs([4.0], [5.0]))["users_per_s"]
+    assert row["parent_quartiles"] == [4.0] * 3 and row["parent_iqr"] == 0
+
+
+def test_last_json_line(ab):
+    perfbench = json.dumps({"correct": True, "metrics": {
+        "wall_s": {"value": 2.5, "unit": "s"}, "ops_ok_frac": {"value": 1, "unit": "ratio"}}})
+    assert ab.last_json_metrics(f"log line\n{{broken\n{perfbench}\n") == {
+        "wall_s": 2.5, "ops_ok_frac": 1.0}
+    for stdout in ("", f"{perfbench}\nwrote out\n", "[1, 2]", '{"a_ms": 3}',
+                   '{"metrics": {"a_ms": 3}}'):
+        assert ab.last_json_metrics(stdout) is None

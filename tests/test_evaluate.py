@@ -647,6 +647,21 @@ class TestNaNScores:
         assert user_auc(emb, split, 1, "test") == 1.0
         assert list(user_topk_ranks(emb, split, 1, "test")) == [1]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    def test_nan_from_infinite_factors_warns_nothing(self, stage):
+        # item 0's factors (inf, -inf) score inf - inf = NaN for both users:
+        # user 0 excludes it at either stage, user 1 has it as a candidate
+        split = make_split(6, [[0, 5], [1]], [[2], [3]], [[4], [2]])
+        item = np.array([[np.inf, -np.inf]] + [[i, 0.0] for i in range(1, 6)])
+        emb = Embeddings(user=np.ones((2, 2)), item=item)
+        assert user_auc(emb, split, 0, stage) == (1 / 3 if stage == "validation" else 1.0)
+        for fn in (lambda: user_auc(emb, split, 1, stage),
+                   lambda: corpus_auc(emb, split, stage),
+                   lambda: corpus_metrics(emb, split, ks=(1,), stage=stage)):
+            with pytest.raises(AdaptRegError, match="NaN score for user 1 at item 0$"):
+                fn()
+
 
 class TestGroupReport:
     def test_zero_delta(self):

@@ -11,6 +11,7 @@ bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,3 +356,65 @@ def test_train_model_matches_oracle_loop(small_split, monkeypatch, mode,
     assert fast.emb.item.tobytes() == slow.emb.item.tobytes()
     assert fast.optimizer.state_digest() == slow.optimizer.state_digest()
     assert (fast.lam.values != cfg.regularization.init).any()
+
+
+# Two sizes (users, items) whose coefficient counts differ 100-fold at
+# ``full``, ``user`` and ``item`` granularity, and a bound of 32 (batch, K)
+# float64 blocks. One step peaked at 18.0 and 18.4 such blocks.
+STEP_SIZES = ((2_000, 500), (200_000, 50_000))
+STEP_K, STEP_BATCH = 8, 1024
+STEP_BOUND = 32 * STEP_BATCH * STEP_K * 8
+
+
+def step_instance(users, items, granularity):
+    """Coefficients, embeddings, an Adam optimizer with its moments
+    allocated, and a train and a validation batch."""
+    rng = np.random.default_rng(0)
+    emb = Embeddings.init(users, items, STEP_K, 0.1, rng)
+    opt = make_optimizer("adam")
+    opt.step(emb, bpr_gradient(emb, random_batch(rng, users, items, STEP_BATCH)))
+    lam = RegCoefficients.create(granularity, users, items, STEP_K, init=0.01)
+    tb, vb = (random_batch(rng, users, items, STEP_BATCH) for _ in range(2))
+    return lam, emb, opt, tb, vb
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` allocates, traced after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The cost of one coefficient step, pinned without a clock: its memory
+    peak stays under one bound in batch units while the coefficient count
+    grows 100-fold."""
+
+    @pytest.mark.parametrize("granularity", ["full", "user", "item"])
+    def test_sizes_differ_fifty_fold(self, granularity):
+        small, large = (RegCoefficients.create(granularity, u, i, STEP_K).num_entries
+                        for u, i in STEP_SIZES)
+        assert large >= 50 * small
+
+    @pytest.mark.parametrize("size", STEP_SIZES, ids=["small", "large"])
+    @pytest.mark.parametrize("granularity", ["full", "user", "item"])
+    def test_lambda_step_peak_within_batch_bound(self, granularity, size):
+        lam, emb, opt, tb, vb = step_instance(*size, granularity)
+        assert traced_peak(lambda: lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0)) < STEP_BOUND
+
+    def test_dense_oracle_exceeds_the_bound(self):
+        # one slot per coefficient entry: about 244 blocks at the large size
+        lam, emb, opt, tb, vb = step_instance(*STEP_SIZES[1], "full")
+        assert traced_peak(lambda: hypergradient(lam, emb, opt, tb, vb)) > STEP_BOUND
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12 (lazy Adam on lambda): "
+                       "Adam on the coefficients moves every entry on every step")
+    def test_lambda_adam_step_peak_within_batch_bound(self):
+        lam, emb, opt, tb, vb = step_instance(*STEP_SIZES[1], "full")
+        lam_opt = LambdaAdam(lam.num_entries)
+        assert traced_peak(
+            lambda: lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0, lam_opt)) < STEP_BOUND
