@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,7 +166,9 @@ class SplitDataset:
     Each per-user field is a ``Ragged`` of |U| rows: ``split.train[u]`` is
     user u's train items in time order, a view into ``split.train.flat``,
     which holds every train event user by user, and is also the sampler's
-    event array. Every array the split holds is read-only.
+    event array. The partitions are the only per-user copies of the items:
+    evaluation and the sampler read a stage's excluded items from them.
+    Every array the split holds is read-only.
     """
 
     num_users: int
@@ -177,10 +179,8 @@ class SplitDataset:
     train_times: Ragged
     val_times: Ragged
     test_times: Ragged
-    user_pos_train: Ragged  # per-user sorted item ids
-    user_pos_train_val: Ragged
     train_keys: np.ndarray  # sorted u*num_items+i over train events
-    train_val_keys: np.ndarray
+    val_keys: np.ndarray  # sorted u*num_items+i over validation events
     train_event_user: np.ndarray  # user of each event of train.flat
     val_event_user: np.ndarray  # user of each event of val.flat
     item_frequency: np.ndarray  # train counts
@@ -217,7 +217,9 @@ def chronological_split(log, ratios=(0.6, 0.2, 0.2)):
     source = np.repeat(run_starts - (np.cumsum(cell_counts) - cell_counts), cell_counts)
     source += np.arange(len(source))
     order = order[source]
-    return _split_of_layout(U, I, cell_counts, log.items[order], log.times[order])
+    items, times = log.items[order], log.times[order]
+    del order, source  # not held while the split is built
+    return _split_of_layout(U, I, cell_counts, items, cell_counts, times)
 
 
 def _time_order(users, times, U):
@@ -241,73 +243,63 @@ def _time_order(users, times, U):
 
 def _build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
     """The split of per-user item and time arrays, one list of |U| arrays per
-    partition."""
-    def ragged(arrays):
-        offsets = np.zeros(U + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, arrays), np.int64, U), out=offsets[1:])
-        return Ragged(np.concatenate(arrays) if U else np.empty(0, dtype=np.int64), offsets)
+    partition, and the caller's ``degenerate`` users; a split built only to
+    be scored may leave its time arrays empty."""
+    def layout(*partitions):
+        arrays = [a for p in partitions for a in p]
+        counts = np.fromiter(map(len, arrays), np.int64, 3 * U)
+        return counts, np.concatenate(arrays) if U else np.empty(0, dtype=np.int64)
 
-    return _index_split(U, I, *map(ragged, (train, val, test, train_t, val_t, test_t)),
-                        degenerate)
+    split = _split_of_layout(U, I, *layout(train, val, test), *layout(train_t, val_t, test_t))
+    return replace(split, degenerate_users=degenerate)
 
 
-def _split_of_layout(U, I, counts, items, times):
+def _split_of_layout(U, I, counts, items, time_counts, times):
     """The split of events laid out partition by partition (train,
     validation, test), and within one user by user: ``counts[p*U + u]``
-    events of user u in partition p, so each partition is one slice of
-    ``items`` and ``times``."""
-    bounds = np.zeros(3 * U + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    degenerate = np.flatnonzero((counts[U:2 * U] == 0) | (counts[2 * U:] == 0)).tolist()
-
-    def partitions(values):
+    items of user u in partition p, so each partition is one slice of
+    ``items``; ``time_counts`` lays out ``times`` the same way."""
+    def partitions(cells, values):
+        bounds = np.zeros(3 * U + 1, dtype=np.int64)
+        np.cumsum(cells, out=bounds[1:])
         for b in (bounds[p * U:(p + 1) * U + 1] for p in range(3)):
             yield Ragged(values[b[0]:b[-1]], b - b[0])
 
-    return _index_split(U, I, *partitions(items), *partitions(times), degenerate)
-
-
-def _index_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
-    """The split of the given partitions, with the sampler's and evaluation's
-    indexes built from them."""
+    train, val, test = partitions(counts, items)
+    train_t, val_t, test_t = partitions(time_counts, times)
     tr_n, va_n = np.diff(train.offsets), np.diff(val.offsets)
     tr_u = np.repeat(np.arange(U, dtype=np.int64), tr_n)
     va_u = np.repeat(np.arange(U, dtype=np.int64), va_n)
-    tr_i, va_i = train.flat, val.flat
-    # keys order by user, then item, so each user's slice of keys - u*I is
-    # that user's sorted items
-    train_keys = np.sort(tr_u * I + tr_i)
-    train_val_keys = np.sort(np.concatenate([train_keys, va_u * I + va_i]))
-    tv_u = np.repeat(np.arange(U, dtype=np.int64), tr_n + va_n)
-    dtype = np.result_type(tr_i, va_i)
-    pos_train = Ragged((train_keys - tr_u * I).astype(tr_i.dtype, copy=False), train.offsets)
-    pos_train_val = Ragged((train_val_keys - tv_u * I).astype(dtype, copy=False),
-                           train.offsets + val.offsets)
-    item_freq = np.bincount(tr_i, minlength=I).astype(np.int64)
-    for a in (train_keys, train_val_keys, tr_u, va_u, item_freq, tr_n):
+    # keys order by user, then item
+    train_keys = np.sort(tr_u * I + train.flat)
+    val_keys = np.sort(va_u * I + val.flat)
+    item_freq = np.bincount(train.flat, minlength=I).astype(np.int64)
+    degenerate = np.flatnonzero((counts[U:2 * U] == 0) | (counts[2 * U:] == 0)).tolist()
+    for a in (train_keys, val_keys, tr_u, va_u, item_freq, tr_n):
         a.flags.writeable = False
     return SplitDataset(
         num_users=U, num_items=I,
         train=train, val=val, test=test,
         train_times=train_t, val_times=val_t, test_times=test_t,
-        user_pos_train=pos_train, user_pos_train_val=pos_train_val,
-        train_keys=train_keys, train_val_keys=train_val_keys,
+        train_keys=train_keys, val_keys=val_keys,
         train_event_user=tr_u, val_event_user=va_u,
         item_frequency=item_freq, user_frequency=tr_n,
         degenerate_users=degenerate,
     )
 
 
-def _member(sorted_keys, u, j, num_items):
-    """Whether each (u, j) pair is in ``sorted_keys``; the probes are sorted
-    before the search and the answers put back in probe order."""
+def _member(key_arrays, u, j, num_items):
+    """Whether each (u, j) pair is in any of the sorted ``key_arrays``; the
+    probes are sorted once before the searches and the answers put back in
+    probe order."""
     keys = u * num_items + j
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
     order = np.argsort(keys)
     probes = keys[order]
-    pos = np.searchsorted(sorted_keys, probes)
-    hit = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == probes
+    hit = np.zeros(len(keys), dtype=bool)
+    for sorted_keys in key_arrays:
+        if len(sorted_keys):
+            pos = np.searchsorted(sorted_keys, probes)
+            hit |= sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == probes
     out = np.empty(len(keys), dtype=bool)
     out[order] = hit
     return out
@@ -325,19 +317,18 @@ def sample_triplets(split, rng, size, partition="train"):
     MAX_REJECTION_ROUNDS rounds.
     """
     if partition == "train":
-        eu, ei, keys = split.train_event_user, split.train.flat, split.train_keys
-        excluded = split.user_pos_train
+        eu, ei = split.train_event_user, split.train.flat
+        parts, keys = (split.train,), (split.train_keys,)
     elif partition == "validation":
-        eu, ei, keys = split.val_event_user, split.val.flat, split.train_val_keys
-        excluded = split.user_pos_train_val
+        eu, ei = split.val_event_user, split.val.flat
+        parts, keys = (split.train, split.val), (split.train_keys, split.val_keys)
     else:
         raise ValueError(f"unknown partition {partition!r}")
     if len(eu) == 0:
         raise EmptyCorpusError(f"{partition} partition has no events")
     I = split.num_items
     idx = rng.integers(0, len(eu), size)
-    u = eu[idx].copy()
-    i = ei[idx].copy()
+    u, i = eu[idx], ei[idx]
     j = rng.integers(0, I, size)
     bad = _member(keys, u, j, I)
     rounds = 0
@@ -347,15 +338,17 @@ def sample_triplets(split, rng, size, partition="train"):
         rounds += 1
     if bad.any():
         all_items = np.arange(I, dtype=np.int64)
+        # a user's partitions are disjoint, so these items are distinct
+        excluded = lambda user: np.concatenate([p[user] for p in parts])
         for n in np.flatnonzero(bad):
-            eligible = np.setdiff1d(all_items, excluded[u[n]], assume_unique=True)
+            eligible = np.setdiff1d(all_items, excluded(u[n]), assume_unique=True)
             while len(eligible) == 0:
                 # user saturated: resample the event (skip the user)
-                if np.all(np.diff(excluded.offsets)[eu] >= I):
+                if np.all(sum(np.diff(p.offsets) for p in parts)[eu] >= I):
                     raise SaturatedSamplerError("every user's exclusion set covers all items")
                 k = int(rng.integers(0, len(eu)))
                 u[n], i[n] = eu[k], ei[k]
-                eligible = np.setdiff1d(all_items, excluded[u[n]], assume_unique=True)
+                eligible = np.setdiff1d(all_items, excluded(u[n]), assume_unique=True)
             j[n] = eligible[rng.integers(0, len(eligible))]
     return TripletBatch(users=u, pos=i, neg=j)
 
@@ -455,5 +448,6 @@ def load_manifest(path):
     # within a (partition, user) cell the stable sort keeps file order
     cells = np.asarray(codes, dtype=np.int64) * U + users
     order = np.argsort(cells, kind="stable")
-    return _split_of_layout(U, int(items.max()) + 1, np.bincount(cells, minlength=3 * U),
-                            items[order], np.asarray(times, dtype=np.int64)[order])
+    counts = np.bincount(cells, minlength=3 * U)
+    return _split_of_layout(U, int(items.max()) + 1, counts, items[order],
+                            counts, np.asarray(times, dtype=np.int64)[order])

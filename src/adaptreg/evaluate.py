@@ -80,11 +80,11 @@ def auc_from_scores(pos_scores, neg_scores):
 
 
 def _stage_lists(split, stage):
-    """The per-user excluded items and positives of ``stage``."""
+    """The partitions whose items ``stage`` excludes, and its positives."""
     if stage == "test":
-        return split.user_pos_train_val, split.test
+        return (split.train, split.val), split.test
     if stage == "validation":
-        return split.user_pos_train, split.val
+        return (split.train,), split.val
     raise ValueError(f"unknown stage {stage!r}")
 
 
@@ -114,7 +114,8 @@ def _score_user(emb, split, u, stage):
     the sorted negatives. Both are exact, so both give the same bits.
     """
     excluded, positives = _stage_lists(split, stage)
-    excluded, positives = excluded[u], positives[u]
+    # only counted, masked or compared with, so their order does not matter
+    excluded, positives = np.concatenate([p[u] for p in excluded]), positives[u]
     P, I = len(positives), split.num_items
     if P == 0:
         return None
@@ -222,8 +223,8 @@ def _score_corpus(emb, split, stage):
         if cuts[a] == cuts[b]:
             continue
         n_pos = np.diff(positives.offsets[a:b + 1])
-        n_exc = np.diff(excluded.offsets[a:b + 1])
-        n_neg = I - n_exc - n_pos
+        n_exc = [np.diff(p.offsets[a:b + 1]) for p in excluded]
+        n_neg = I - sum(n_exc) - n_pos
         rows = np.arange(b - a)
         prow = np.repeat(rows, n_pos)
         items = positives.flat[cuts[a]:cuts[b]]
@@ -231,8 +232,8 @@ def _score_corpus(emb, split, stage):
             scores = np.matmul(emb.user[a:b], emb.item.T, out=block[:b - a])
             g = scores[prow, items]
             scores[prow, items] = np.inf
-            scores[np.repeat(rows, n_exc),
-                   excluded.flat[excluded.offsets[a]:excluded.offsets[b]]] = np.inf
+            for p, n in zip(excluded, n_exc):
+                scores[np.repeat(rows, n), p.flat[p.offsets[a]:p.offsets[b]]] = np.inf
             scores.sort(axis=1)
             lo_t, hi_t = g - bands[a + prow], g + bands[a + prow]
         # a finite band bounds every partial sum of the user's dot products
@@ -364,11 +365,12 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
             hits, gains = np.repeat(user_hr[k], counts), np.repeat(user_ndcg[k], counts)
         item_hr[k] = group_reduce(hits[order], item_starts, item_counts)
         item_ndcg[k] = group_reduce(gains[order], item_starts, item_counts)
+    mean = lambda v: float(v.mean()) if len(v) else float("nan")  # NaN over no users
     return MetricReport(
         ks=ks,
-        auc=float(aucs.mean()) if len(aucs) else float("nan"),
-        hr={k: float(np.mean(user_hr[k])) for k in ks},
-        ndcg={k: float(np.mean(user_ndcg[k])) for k in ks},
+        auc=mean(aucs),
+        hr={k: mean(user_hr[k]) for k in ks},
+        ndcg={k: mean(user_ndcg[k]) for k in ks},
         user_ids=np.asarray(user_ids, dtype=np.int64),
         user_auc=aucs,
         user_hr=user_hr,

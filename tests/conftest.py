@@ -125,14 +125,15 @@ def oracle_auc_from_scores(pos_scores, neg_scores):
 def oracle_candidates(split, u, stage):
     """Candidate item ids (ascending) and this user's positives for the stage."""
     if stage == "test":
-        excluded = split.user_pos_train_val[u]
+        excluded = (split.train[u], split.val[u])
         positives = split.test[u]
     else:
         assert stage == "validation"
-        excluded = split.user_pos_train[u]
+        excluded = (split.train[u],)
         positives = split.val[u]
     mask = np.ones(split.num_items, dtype=bool)
-    mask[excluded] = False
+    for items in excluded:
+        mask[items] = False
     return np.flatnonzero(mask), positives
 
 
@@ -310,8 +311,6 @@ def oracle_chronological_split(log, ratios=(0.6, 0.2, 0.2)):
 
 
 def oracle_build_split(U, I, train, val, test, train_t, val_t, test_t, degenerate):
-    pos_train = [np.sort(t) for t in train]
-    pos_train_val = [np.sort(np.concatenate([t, v])) for t, v in zip(train, val)]
     tr_u = np.concatenate([np.full(len(t), u, dtype=np.int64) for u, t in enumerate(train)]) \
         if U else np.empty(0, dtype=np.int64)
     tr_i = np.concatenate(train) if U else np.empty(0, dtype=np.int64)
@@ -319,18 +318,14 @@ def oracle_build_split(U, I, train, val, test, train_t, val_t, test_t, degenerat
         if U else np.empty(0, dtype=np.int64)
     va_i = np.concatenate(val) if U else np.empty(0, dtype=np.int64)
     train_keys = np.sort(tr_u * I + tr_i)
-    tv_i = np.concatenate([pos_train_val[u] for u in range(U)]) if U else np.empty(0, dtype=np.int64)
-    tv_u = np.concatenate([np.full(len(pos_train_val[u]), u, dtype=np.int64) for u in range(U)]) \
-        if U else np.empty(0, dtype=np.int64)
-    train_val_keys = np.sort(tv_u * I + tv_i)
+    val_keys = np.sort(va_u * I + va_i)
     item_freq = np.bincount(tr_i, minlength=I).astype(np.int64)
     user_freq = np.asarray([len(t) for t in train], dtype=np.int64)
     return SplitDataset(
         num_users=U, num_items=I,
         train=train, val=val, test=test,
         train_times=train_t, val_times=val_t, test_times=test_t,
-        user_pos_train=pos_train, user_pos_train_val=pos_train_val,
-        train_keys=train_keys, train_val_keys=train_val_keys,
+        train_keys=train_keys, val_keys=val_keys,
         train_event_user=tr_u, val_event_user=va_u,
         item_frequency=item_freq, user_frequency=user_freq,
         degenerate_users=degenerate,
@@ -350,13 +345,15 @@ def oracle_redensify(ids, tokens):
     return out, new_tokens
 
 
-def oracle_member(sorted_keys, u, j, num_items):
+def oracle_member(key_arrays, u, j, num_items):
     keys = u * num_items + j
-    pos = np.searchsorted(sorted_keys, keys)
-    pos_c = np.minimum(pos, len(sorted_keys) - 1) if len(sorted_keys) else pos
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    return (pos < len(sorted_keys)) & (sorted_keys[pos_c] == keys)
+    hit = np.zeros(len(keys), dtype=bool)
+    for sorted_keys in key_arrays:
+        if len(sorted_keys):
+            pos = np.searchsorted(sorted_keys, keys)
+            pos_c = np.minimum(pos, len(sorted_keys) - 1)
+            hit |= (pos < len(sorted_keys)) & (sorted_keys[pos_c] == keys)
+    return hit
 
 
 def oracle_load_interactions(path, delimiter=",", has_header=False,

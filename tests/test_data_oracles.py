@@ -3,10 +3,11 @@ readers against the per-user forms they replaced.
 
 The oracles in ``conftest`` are the earlier data-layer code: a split that
 gathers, sorts and cuts each user's events on its own, an index build that
-sorts every user's items separately, an id remap that walks the events one by
-one, a membership probe that searches the keys in their drawn order, a raw-log
-reader that keys a dict by token pairs and sorts them, and a manifest reader
-that groups rows in per-user dicts. The rewrite keeps the same arithmetic, so
+tags each user's events with its id one user at a time, an id remap that
+walks the events one by one, a membership probe that searches each key array
+in the drawn order of the probes, a raw-log reader that keys a dict by token
+pairs and sorts them, and a manifest reader that groups rows in per-user
+dicts. The rewrite keeps the same arithmetic, so
 every field must match by dtype, shape and bytes, and so must a seeded sampler
 batch.
 """
@@ -294,9 +295,11 @@ def _probe_case(kind, rng, keys, I):
 def test_member_matches_oracle(kind, small_split):
     rng = np.random.default_rng(0)
     I = small_split.num_items
-    for keys in (small_split.train_keys, small_split.train_val_keys):
+    for key_arrays in ((small_split.train_keys,),
+                       (small_split.train_keys, small_split.val_keys)):
+        keys = np.sort(np.concatenate(key_arrays))
         u, j = _probe_case(kind, rng, keys, I)
-        got, want = _member(keys, u, j, I), oracle_member(keys, u, j, I)
+        got, want = _member(key_arrays, u, j, I), oracle_member(key_arrays, u, j, I)
         assert same_bytes(got, want)
         assert got.tolist() == [int(k) in set(keys.tolist()) for k in u * I + j]
 
@@ -308,15 +311,16 @@ def test_member_of_mixed_probes_keeps_probe_order(small_split):
     j = rng.integers(0, I, 2000)
     j[::3] = small_split.train.flat[rng.integers(0, len(keys), len(j[::3]))]
     u[::3] = small_split.train_event_user[rng.integers(0, len(keys), len(u[::3]))]
-    got = _member(keys, u, j, I)
+    got = _member((keys,), u, j, I)
     assert 0 < got.sum() < len(got)
-    assert same_bytes(got, oracle_member(keys, u, j, I))
+    assert same_bytes(got, oracle_member((keys,), u, j, I))
 
 
 def test_member_of_empty_keys():
     z = np.empty(0, dtype=np.int64)
     u, j = np.array([0, 1, 2]), np.array([3, 0, 1])
-    assert same_bytes(_member(z, u, j, 4), oracle_member(z, u, j, 4))
+    for key_arrays in ((), (z,), (z, z)):
+        assert same_bytes(_member(key_arrays, u, j, 4), oracle_member(key_arrays, u, j, 4))
 
 
 @pytest.mark.parametrize("partition", ["train", "validation"])

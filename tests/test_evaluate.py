@@ -175,6 +175,15 @@ class TestCorpusMetrics:
         assert rep.skipped_users == 1
         assert list(rep.user_ids) == [1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_scored_user_gives_nan_without_warning(self):
+        # the one user has no test positive: every corpus mean is over none
+        split = make_split(4, [[0]], [[1]], [[]])
+        emb = Embeddings(user=np.ones((1, 1)), item=np.arange(4.0).reshape(-1, 1))
+        rep = corpus_metrics(emb, split, ks=(1, 3))
+        assert rep.skipped_users == 1 and len(rep.user_ids) == 0
+        assert np.isnan([rep.auc, rep.hr[1], rep.hr[3], rep.ndcg[1], rep.ndcg[3]]).all()
+
     def test_item_specific_mode(self):
         # item 0 hits for user 0, misses for user 1 -> item HR 0.5
         split = make_split(3, [[], []], [[], []], [[0], [0]])
@@ -475,7 +484,8 @@ def affected_users(emb, split, stage):
     finite_items = np.isfinite(emb.item).all()
     out = set()
     for u in range(split.num_users):
-        cands = np.setdiff1d(np.arange(split.num_items), excluded[u])
+        cands = np.setdiff1d(np.arange(split.num_items),
+                             np.concatenate([p[u] for p in excluded]))
         if len(positives[u]) == 0 or len(cands) < 2:
             continue
         row = emb.user[u]
@@ -745,6 +755,37 @@ def placement(request, monkeypatch):
 
 @pytest.mark.usefixtures("placement")
 class TestMatchesOracleEachPlacement(TestMatchesOracle):
+    pass
+
+
+class TestExcludedOrder:
+    """A stage's excluded items are only counted, masked and compared with,
+    so the order of a user's train and validation rows cannot change a
+    result of a stage that excludes them."""
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_permuted_exclusions_give_the_same_bits(self, name, stage):
+        emb, split = INSTANCES[name]()
+        rng = np.random.default_rng(0)
+        train, val, test = list(split.train), list(split.val), list(split.test)
+        shuffle = lambda rows: [r[rng.permutation(len(r))] for r in rows]
+        shuffled = shuffle(train)
+        assert any((a != b).any() for a, b in zip(train, shuffled))
+        ordered = make_split(split.num_items, train, val, test)
+        permuted = make_split(split.num_items, shuffled,
+                              shuffle(val) if stage == "test" else val, test)
+        for u in range(split.num_users):
+            for fn in (user_auc, user_topk_ranks):
+                a, b = fn(emb, ordered, u, stage), fn(emb, permuted, u, stage)
+                assert (a is None) == (b is None) and (a is None or same_bytes(a, b)), u
+        assert same_bytes(corpus_auc(emb, ordered, stage), corpus_auc(emb, permuted, stage))
+        assert_same_report(corpus_metrics(emb, ordered, ks=(1, 3, 10), stage=stage),
+                           corpus_metrics(emb, permuted, ks=(1, 3, 10), stage=stage))
+
+
+@pytest.mark.usefixtures("placement")
+class TestExcludedOrderEachPlacement(TestExcludedOrder):
     pass
 
 
