@@ -46,6 +46,13 @@ over 50k items in random order, with timestamps drawn from a small range so
 that ties occur. It also records, with ``tracemalloc``, the bytes that the
 built split keeps allocated and the peak while building it.
 
+The ingest case writes a ``u<id>,i<id>,<time>`` file shaped like the
+pipeline-small corpus (``tests/_synth.write_plain_log``: about 190k rows over
+4k users and 3k items, 2% of them repeating an earlier pair) and times
+``data.load_interactions`` on it through the plain (array) reader and, forced,
+through the row reader, and ``data.filter_min_count`` (20/20) on the loaded
+log. Each row also records its ``tracemalloc`` peak per input byte.
+
 Every table printed is also written to ``--out`` (``BENCH_kernels.json`` at
 the repository root by default), with the numpy version, the BLAS build and
 the CPU model the timings were taken on. The tables print the best repeat;
@@ -57,20 +64,21 @@ import argparse
 import json
 import platform
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from adaptreg import _kernels, evaluate
+from adaptreg import _kernels, data, evaluate
 from adaptreg.adaptive import RegCoefficients, lambda_step, sparse_hypergradient
 from adaptreg.data import InteractionLog, _build_split, chronological_split, sample_triplets
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
 from adaptreg.optim import make_optimizer
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _synth import make_split  # noqa: E402
+from _synth import make_split, write_plain_log  # noqa: E402
 
 LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
 HYPERGRADIENT_SIZES = ((4_000, 3_000), (20_000, 5_000))  # users x items
@@ -79,6 +87,7 @@ WIDE_ADAM = dict(user_draws=8192, user_rows=100_000, item_draws=16_384,
 EVAL_ITEMS = (3_000, 50_000)
 SWEEP_POSITIVES = (1, 2, 4, 8, 16, 32)
 SPLIT_USERS, SPLIT_ITEMS = 100_000, 50_000
+INGEST_ROWS = 190_000
 TRAIN_BATCH = 8192
 
 
@@ -260,6 +269,40 @@ def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
                 kept_bytes=kept - before, peak_bytes=peak - before)
 
 
+def traced_peak(fn):
+    """The ``tracemalloc`` peak, in bytes, of one ``fn()`` call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def ingest_case(rows=INGEST_ROWS, repeats=5, **catalog):
+    """Milliseconds per repeat, and the traced peak per input byte, for
+    ``load_interactions`` through the plain reader and through the row
+    reader, and for ``filter_min_count`` (20/20), on a ``write_plain_log``
+    file of about ``rows`` rows (``catalog`` sets its users and items)."""
+    def rows_load():
+        real, data._plain_columns = data._plain_columns, lambda *args: None
+        try:
+            return data.load_interactions(path)
+        finally:
+            data._plain_columns = real
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_plain_log(Path(tmp) / "raw.csv", rows, **catalog)
+        size = path.stat().st_size
+        log = data.load_interactions(path)
+        cases = dict(load_plain=lambda: data.load_interactions(path), load_rows=rows_load,
+                     filter_min_count=lambda: data.filter_min_count(log, 20, 20))
+        out = dict(rows=len(log), bytes=size)
+        for name, fn in cases.items():
+            out[name] = dict(ms=time_call(fn, repeats), peak_per_byte=traced_peak(fn) / size)
+    return out
+
+
 def kernel_table(size, args):
     rng = np.random.default_rng(0)
     c = triplet_case(rng, size, args.users, args.items, args.dim)
@@ -386,6 +429,14 @@ def main():
           f"{split['ms']['min']:.1f} ms, keeps {split['kept_bytes'] / 2**20:.1f} MiB "
           f"(peak {split['peak_bytes'] / 2**20:.1f} MiB)")
     result["split"] = split
+
+    print()
+    ingest = ingest_case()
+    print(f"ingest: {ingest['bytes'] / 2**20:.2f} MiB, {ingest['rows']} events after dedupe")
+    for name in ("load_plain", "load_rows", "filter_min_count"):
+        print(f"{name:<17} {ingest[name]['ms']['min']:>8.1f} ms  "
+              f"peak {ingest[name]['peak_per_byte']:.2f} B/input byte")
+    result["ingest"] = ingest
 
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)

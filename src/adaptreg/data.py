@@ -2,11 +2,13 @@
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyCorpusError, ParseError, SaturatedSamplerError
+from .errors import EmptyCorpusError, ParseError, SaturatedSamplerError, ShapeMismatchError
 from .mf import TripletBatch
 
 
@@ -38,6 +40,14 @@ def _parse_time(text):
     return ts
 
 
+_BLOCK_BYTES = 1 << 20  # the plain reader's largest block of whole lines
+_TIME_DIGITS = 18  # 10**18 - 1 < 2**63: such a time is exact in int64
+_POWERS_OF_10 = 10 ** np.arange(_TIME_DIGITS + 1, dtype=np.int64)
+_STRIPPED = np.array([chr(c).isspace() for c in range(256)])  # bytes str.strip() drops
+# per n <= 8, the uint64 whose first n bytes are all ones and the rest zero
+_LOW_BYTES = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(9)), np.uint64)
+
+
 def load_interactions(path, delimiter=",", has_header=False,
                       user_col=0, item_col=1, time_col=2):
     """Parse a delimited (user, item, timestamp) file into an InteractionLog.
@@ -47,7 +57,50 @@ def load_interactions(path, delimiter=",", has_header=False,
     (user, item) pairs collapse to the earliest timestamp; ids are dense in
     order of first appearance and events keep the order of each pair's first
     row.
+
+    A plain file is read as arrays, a block of whole lines at a time. A file
+    is plain when the delimiter is tab or printable ASCII other than ``"``
+    and the columns are non-negative ints; every byte is printable ASCII
+    other than ``"``, a byte of the delimiter, ``\\n`` or a ``\\r`` directly
+    before ``\\n``; every non-blank line has the configured columns; no line
+    is longer than ``csv.field_size_limit()``; no user or item token starts
+    or ends with whitespace; and every time field matches ``-?[0-9]{1,18}``.
+    Every other file goes through the row reader, with identical results. A
+    malformed line makes a file not plain, so a ``ParseError`` always comes
+    from the row reader, with its line number.
     """
+    cols = (user_col, item_col, time_col)
+    users, items, times, user_tokens, item_tokens = (
+        _plain_columns(path, delimiter, has_header, cols)
+        or _row_columns(path, delimiter, has_header, cols))
+    if not len(users):
+        raise EmptyCorpusError(f"no interactions found in {path}")
+    # a user's or item's first row is the first row of one of its pairs, so
+    # the ids above are also dense in order of first appearance among pairs
+    I = len(item_tokens)
+    times = np.asarray(times, dtype=np.int64)
+    pairs = np.asarray(users, dtype=np.int64) * I + np.asarray(items, dtype=np.int64)
+    del users, items  # not held through the sort
+    pairs, perm, starts = _runs(pairs)
+    earliest = np.minimum.reduceat(times[perm], starts)
+    order = np.argsort(np.minimum.reduceat(perm, starts))  # by each pair's first row
+    del perm, starts, times
+    pairs = pairs[order]
+    return InteractionLog(
+        users=pairs // I,
+        items=pairs % I,
+        times=earliest[order],
+        num_users=len(user_tokens),
+        num_items=I,
+        user_tokens=user_tokens,
+        item_tokens=item_tokens,
+    )
+
+
+def _row_columns(path, delimiter, has_header, cols):
+    """Each row's user id, item id and time, one row at a time, and the
+    tokens of the ids in order of first appearance."""
+    user_col, item_col, time_col = cols
     user_ids, item_ids = {}, {}  # token -> dense id, in order of first appearance
     users, items, times = [], [], []
     with open(path, newline="") as fh:
@@ -67,28 +120,175 @@ def load_interactions(path, delimiter=",", has_header=False,
             users.append(user_ids.setdefault(u_tok, len(user_ids)))
             items.append(item_ids.setdefault(i_tok, len(item_ids)))
             times.append(ts)
-    if not users:
-        raise EmptyCorpusError(f"no interactions found in {path}")
-    # a user's or item's first row is the first row of one of its pairs, so
-    # the ids above are also dense in order of first appearance among pairs
-    I = len(item_ids)
-    times = np.asarray(times, dtype=np.int64)
-    pairs, first, inverse = np.unique(
-        np.asarray(users, dtype=np.int64) * I + np.asarray(items, dtype=np.int64),
-        return_index=True, return_inverse=True)
-    earliest = times[first]
-    np.minimum.at(earliest, inverse, times)
-    order = np.argsort(first)
-    pairs = pairs[order]
-    return InteractionLog(
-        users=pairs // I,
-        items=pairs % I,
-        times=earliest[order],
-        num_users=len(user_ids),
-        num_items=I,
-        user_tokens=list(user_ids),
-        item_tokens=list(item_ids),
-    )
+    return users, items, times, list(user_ids), list(item_ids)
+
+
+def _plain_columns(path, delimiter, has_header, cols):
+    """What ``_row_columns`` returns, read as arrays a block of whole lines
+    at a time, or None when the file is not plain (see ``load_interactions``).
+
+    A longer delimiter is replaced by ``\\x1f``, which a plain file does not
+    hold, and which splits a line exactly as ``str.split`` does."""
+    if (not delimiter or '"' in delimiter
+            or not all(c == "\t" or " " <= c <= "~" for c in delimiter)
+            or not all(isinstance(c, int) and c >= 0 for c in cols)):
+        return None
+    sep = delimiter.encode()
+    plain = bytes(range(0x20, 0x7f)).replace(b'"', b"") + sep + b"\n\r"
+    limit = csv.field_size_limit()
+    tables = ({}, {})  # user and item token -> dense id, in order of first appearance
+    parts = ([], [], [])  # per block: user ids, item ids, times
+    with open(path, "rb") as fh:
+        for n, block in enumerate(_line_blocks(fh)):
+            if block.translate(None, plain) or block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            if len(sep) > 1:
+                block = block.replace(sep, b"\x1f")
+            part = _plain_block(block, sep[0] if len(sep) == 1 else 0x1f,
+                                has_header and n == 0, cols, limit, tables)
+            if part is None:
+                return None
+            for column, p in zip(parts, part):
+                column.append(p)
+    columns = []
+    for blocks in parts:
+        columns.append(np.concatenate(blocks) if blocks else np.empty(0, np.int64))
+        blocks.clear()  # not held while the next column is joined
+    return (*columns, list(tables[0]), list(tables[1]))
+
+
+def _line_blocks(fh):
+    """The file in blocks of whole lines; only the last may lack its newline.
+    A block is about an eighth of the file, so that its arrays stay small
+    beside the file's own, but 16 KiB at least and ``_BLOCK_BYTES`` at most."""
+    size = min(max(os.fstat(fh.fileno()).st_size // 8, 1 << 14), _BLOCK_BYTES)
+    rest = b""
+    while chunk := fh.read(size):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            rest += chunk
+            continue
+        block, rest = rest + memoryview(chunk)[:cut], chunk[cut:]
+        del chunk  # only the block is held while it is read
+        yield block
+    if rest:
+        yield rest
+
+
+def _plain_block(block, delimiter, skip_first, cols, limit, tables):
+    """The user ids, item ids and times of a block of plain bytes with a
+    one-byte ``delimiter``, or None when its lines are not plain."""
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    if block[-1:] != b"\n":
+        ends = np.append(ends, len(buf))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    # every \r stands right before its line's \n
+    ends -= (ends > starts) & (buf[ends - 1] == 13)
+    if len(ends) and int((ends - starts).max()) > limit:
+        return None
+    rows = ends > starts  # blank lines are skipped
+    if skip_first:
+        rows[:1] = False
+    starts, ends = starts[rows], ends[rows]
+    if not len(starts):
+        return (np.empty(0, np.int64),) * 3
+    # the last delimiter is a sentinel past the block
+    delims = np.append(np.flatnonzero(buf == delimiter), len(buf))
+    first = np.searchsorted(delims, starts)
+    if int((np.searchsorted(delims, ends) - first).min()) < max(cols):
+        return None
+
+    def field(c):
+        """Where each row's field ``c`` starts and ends."""
+        a = starts if c == 0 else delims[first + c - 1] + 1
+        return a, np.minimum(delims[first + c], ends)
+
+    times = _plain_times(buf, *field(cols[2]))
+    if times is None:
+        return None
+    ids = []
+    for c, table in zip(cols[:2], tables):
+        a, b = field(c)
+        # index -1 reads the block's last byte, and only for an empty token
+        edge = _STRIPPED[buf[np.minimum(a, b - 1)]] | _STRIPPED[buf[b - 1]]
+        if (edge & (b > a)).any():
+            return None
+        step = max(_BLOCK_BYTES // int((b - a).max() + 8), 1)  # rows whose keys fit in a block
+        ids.append(np.concatenate([_token_ids(buf, a[lo:lo + step], b[lo:lo + step], table)
+                                   for lo in range(0, len(a), step)]))
+    return ids[0], ids[1], times
+
+
+def _windows(buf, at, width):
+    """Row n is ``buf[at[n]:at[n] + width]``, read as zeros past the end of
+    ``buf``; ``at`` ascends."""
+    cut = max(len(buf) - width, 0)
+    tail = np.zeros(len(buf) - cut + width, np.uint8)
+    tail[:len(buf) - cut] = buf[cut:]
+    k = np.searchsorted(at, cut)
+    out = np.empty((len(at), width), np.uint8)
+    if k:
+        out[:k] = sliding_window_view(buf, width)[at[:k]]
+    out[k:] = sliding_window_view(tail, width)[at[k:] - cut]
+    return out
+
+
+def _plain_times(buf, a, b):
+    """The integer of each field ``buf[a:b]``, or None when one is not
+    ``-?[0-9]{1,18}``."""
+    # a field that is empty at the end of the block reads the byte before it
+    neg = buf[np.minimum(a, len(buf) - 1)] == ord("-")
+    digits = b - a - neg
+    if not ((digits >= 1) & (digits <= _TIME_DIGITS)).all():
+        return None
+    D = int(digits.max())
+    window = _windows(buf, a + neg, D)
+    window -= ord("0")  # a byte other than a digit wraps past 9
+    window[np.arange(D) >= digits[:, None]] = 0
+    if (window > 9).any():
+        return None
+    # each row reads its digits followed by zeros, then divides the zeros off
+    value = np.zeros(len(a), np.int64)
+    for k in range(D):
+        value *= 10
+        value += window[:, k]
+    value //= _POWERS_OF_10[D - digits]
+    return np.negative(value, out=value, where=neg)
+
+
+def _token_ids(buf, a, b, table):
+    """The dense id of each token ``buf[a:b]``: ids are new in the order the
+    tokens first appear, unless ``table`` already holds them."""
+    lengths = b - a
+    words = max(-(-int(lengths.max()) // 8), 1)
+    keys = _windows(buf, a, 8 * words).view(np.uint64)
+    # zero every byte past the token; no plain token holds a NUL
+    keys &= _LOW_BYTES[np.clip(lengths[:, None] - np.arange(0, 8 * words, 8), 0, 8)]
+    keys = (keys if words == 1 else keys.view(f"S{8 * words}")).ravel()
+    uniq, perm, starts = _runs(keys)
+    del keys
+    order = np.argsort(np.minimum.reduceat(perm, starts))  # by first appearance
+    # as bytes, a key drops its trailing NULs
+    new = uniq[order].view(f"S{8 * words}").tolist()
+    local = np.empty(len(uniq), np.int64)
+    local[order] = [table.setdefault(tok.decode(), len(table)) for tok in new]
+    ids = np.empty(len(perm), np.int64)
+    ids[perm] = np.repeat(local, np.diff(starts, append=len(perm)))
+    return ids
+
+
+def _runs(keys):
+    """The distinct ``keys`` ascending, a permutation that sorts ``keys``,
+    and where each distinct key's run starts in the sorted keys."""
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    return keys[starts], perm, starts
 
 
 def filter_min_count(log, min_user, min_item):
@@ -122,14 +322,18 @@ def filter_min_count(log, min_user, min_item):
 
 
 def _redensify(ids, tokens):
-    """Dense ids in order of first appearance, and the token of each new id."""
-    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    new_id = np.empty(len(uniq), dtype=ids.dtype)
-    new_id[order] = np.arange(len(uniq))
-    olds = uniq[order].tolist()
+    """Dense ids in order of first appearance, and the token of each new id.
+    Each old id's first appearance is found with ``np.minimum.at`` over
+    ``ids.max() + 1`` slots, and only the distinct old ids are sorted by it."""
+    first = np.full(int(ids.max()) + 1 if len(ids) else 0, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    olds = np.flatnonzero(first < len(ids))
+    olds = olds[np.argsort(first[olds])]
+    new_id = np.empty(len(first), dtype=ids.dtype)
+    new_id[olds] = np.arange(len(olds))
+    olds = olds.tolist()
     new_tokens = [tokens[old] for old in olds] if tokens else [str(old) for old in olds]
-    return new_id[inverse], new_tokens
+    return new_id[ids], new_tokens
 
 
 class Ragged:
@@ -392,17 +596,24 @@ def save_id_map(path, tokens):
 
 
 def save_manifest(path, split):
-    """Delimited (user, partition, item, timestamp) rows, chronological per user."""
+    """Delimited (user, partition, item, timestamp) rows, chronological per
+    user. Every item needs its time: a split whose time arrays differ in
+    shape from its item arrays, such as one built only to be scored, raises
+    ``ShapeMismatchError`` before the file is opened."""
+    partitions = (("train", split.train, split.train_times),
+                  ("validation", split.val, split.val_times),
+                  ("test", split.test, split.test_times))
+    for name, items, times in partitions:
+        if not np.array_equal(items.offsets, times.offsets):
+            u = int(np.argmax(np.diff(items.offsets) != np.diff(times.offsets)))
+            raise ShapeMismatchError(f"{name} partition of user {u}: {len(items[u])} items "
+                                     f"but {len(times[u])} times")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "partition", "item", "timestamp"])
         for u in range(split.num_users):
-            for name, items, times in (
-                ("train", split.train[u], split.train_times[u]),
-                ("validation", split.val[u], split.val_times[u]),
-                ("test", split.test[u], split.test_times[u]),
-            ):
-                for it, ts in zip(items, times):
+            for name, items, times in partitions:
+                for it, ts in zip(items[u], times[u]):
                     w.writerow([u, name, int(it), int(ts)])
 
 

@@ -56,3 +56,22 @@ def write_raw_csv(path, log, delimiter=","):
         w = csv.writer(fh, delimiter=delimiter)
         for u, i, t in zip(log.users, log.items, log.times):
             w.writerow([log.user_tokens[u], log.item_tokens[i], int(t)])
+
+
+def write_plain_log(path, rows, num_users=4_000, num_items=3_000, repeat_frac=0.02, seed=0):
+    """A ``u<id>,i<id>,<time>`` file of about ``rows`` rows, shaped like the
+    pipeline-small corpus: random users and items, a ``repeat_frac`` share
+    of rows repeating an earlier pair later, all in time order."""
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, num_users, rows)
+    items = rng.integers(0, num_items, rows)
+    times = rng.integers(0, 10_000_000, rows)
+    again = rng.random(rows) < repeat_frac
+    users = np.concatenate([users, users[again]])
+    items = np.concatenate([items, items[again]])
+    times = np.concatenate([times, times[again] + rng.integers(1, 1_000_000, int(again.sum()))])
+    order = np.argsort(times, kind="stable")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"u{u},i{i},{t}\n" for u, i, t in
+                      zip(users[order].tolist(), items[order].tolist(), times[order].tolist()))
+    return path

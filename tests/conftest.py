@@ -356,6 +356,14 @@ def oracle_member(key_arrays, u, j, num_items):
     return hit
 
 
+def oracle_time(text):
+    """Integer text exactly, any other number through float."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(float(text))
+
+
 def oracle_load_interactions(path, delimiter=",", has_header=False,
                              user_col=0, item_col=1, time_col=2):
     """Keep each (user, item) token pair's first-row order and earliest
@@ -372,7 +380,7 @@ def oracle_load_interactions(path, delimiter=",", has_header=False,
             try:
                 u_tok = row[user_col].strip()
                 i_tok = row[item_col].strip()
-                ts = int(float(row[time_col]))
+                ts = oracle_time(row[time_col])
             except (IndexError, ValueError) as exc:
                 raise ParseError(path, line_no, f"malformed row {row!r}: {exc}") from None
             key = (u_tok, i_tok)

@@ -1,8 +1,10 @@
 """``benchmarks/bench_kernels.py`` still runs against the library.
 
 The evaluation cases read private names of ``adaptreg.evaluate``
-(``_score_user`` to count fallbacks, ``_counts`` to force each placement), so
-a rename there must fail here rather than in the script behind a claim.
+(``_score_user`` to count fallbacks, ``_counts`` to force each placement),
+and the ingest case replaces ``adaptreg.data._plain_columns`` to force the row
+reader, so a rename there must fail here rather than in the script behind a
+claim.
 """
 
 import importlib.util
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptreg import evaluate
+from adaptreg import data, evaluate
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
@@ -37,3 +39,12 @@ def test_positives_sweep_on_a_tiny_catalog(bench):
     assert row["positives"] == 2 and row["counts"] == bool(real(2, 60))
     for key in ("user_auc_count_ms", "user_auc_sort_ms", "corpus_auc_ms"):
         assert len(row[key]["repeats"]) == 1
+
+
+def test_ingest_case_on_a_small_file(bench):
+    real = data._plain_columns
+    row = bench.ingest_case(rows=2_000, repeats=1, num_users=40, num_items=30)
+    assert data._plain_columns is real
+    assert 0 < row["rows"] <= 2_000 * 1.02 and row["bytes"] > 0
+    for key in ("load_plain", "load_rows", "filter_min_count"):
+        assert len(row[key]["ms"]["repeats"]) == 1 and row[key]["peak_per_byte"] > 0

@@ -483,3 +483,137 @@ def test_load_manifest_names_the_oracles_line(tmp_path, bad):
         oracle_load_manifest(path)
     assert got.value.line_no == want.value.line_no
     assert str(got.value) == str(want.value)
+
+
+# The plain reader against the row reader and the oracle: seeded plain files,
+# and files one byte away from plain, which the plain reader must decline.
+
+PLAIN = [chr(c) for c in range(0x20, 0x7f) if chr(c) != '"']
+
+
+def plain_lines(seed, delimiter, has_header):
+    """A seeded plain file's lines, its read arguments and the fields of each
+    line. Tokens are 0 to 20 printable bytes without the delimiter's, drawn
+    from small pools so that pairs repeat; times run from small to 18
+    digits, negative too, some with leading zeros; the user, item and time
+    columns sit anywhere among up to five, and rows may carry extra fields."""
+    rng = np.random.default_rng(seed)
+    alphabet = [c for c in PLAIN if c not in delimiter]
+
+    def text(longest=20):
+        return "".join(rng.choice(alphabet, rng.integers(0, longest + 1)))
+
+    def token():
+        return text().strip()
+
+    def time():
+        digits = int(rng.integers(1, 19))
+        value = str(int(rng.integers(0, 10 ** digits, dtype=np.uint64)))
+        sign = "-" if rng.random() < 0.3 else ""
+        return sign + "0" * int(digits < 18 and rng.random() < 0.1) + value
+
+    users = [token() for _ in range(rng.integers(1, 30))]
+    items = [token() for _ in range(rng.integers(1, 40))]
+    width = int(rng.integers(3, 6))
+    cols = [int(c) for c in rng.permutation(width)[:3]]
+    rows = []
+    for _ in range(rng.integers(1, 200)):
+        if rows and rng.random() < 0.2:  # a repeated pair
+            u, i = rows[rng.integers(0, len(rows))][1]
+        else:
+            u, i = users[rng.integers(0, len(users))], items[rng.integers(0, len(items))]
+        fields = [text(6) for _ in range(width + int(rng.integers(0, 3)))]
+        for c, value in zip(cols, (u, i, time())):
+            fields[c] = value
+        rows.append((fields, (u, i)))
+    lines = [delimiter.join(fields) for fields, _ in rows]
+    for at in rng.integers(0, len(lines) + 1, rng.integers(0, 4)):
+        lines.insert(at, "")  # blank lines
+    fields = [f for f, _ in rows]
+    if has_header:
+        header = [text(8) for _ in range(rng.integers(1, 6))]
+        lines.insert(0, delimiter.join(header))
+        fields.insert(0, header)
+    kwargs = dict(delimiter=delimiter, has_header=has_header, user_col=cols[0],
+                  item_col=cols[1], time_col=cols[2])
+    return lines, kwargs, fields
+
+
+def read_columns(read, path, kwargs):
+    cols = (kwargs["user_col"], kwargs["item_col"], kwargs["time_col"])
+    return read(path, kwargs["delimiter"], kwargs["has_header"], cols)
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "61-byte-blocks"])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "::"],
+                         ids=["comma", "tab", "semicolon", "colons"])
+def test_plain_reader_matches_the_row_reader_and_oracle(tmp_path, monkeypatch, delimiter,
+                                                         seed, blocks):
+    lines, kwargs, fields = plain_lines(100 * seed + len(delimiter), delimiter, seed >= 3)
+    # the seeds take LF and CRLF, each with and without a final newline and
+    # with and without a header
+    newline = "\r\n" if seed % 2 else "\n"
+    path = tmp_path / "raw.txt"
+    path.write_bytes((newline.join(lines) + newline * (seed // 2 % 2)).encode())
+    if blocks == "61-byte-blocks":  # most lines span two blocks or more
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 61)
+    plain = read_columns(data._plain_columns, path, kwargs)
+    rows = read_columns(data._row_columns, path, kwargs)
+    assert plain is not None
+    for got, want in zip(plain[:3], rows[:3]):
+        assert same_bytes(got, np.asarray(want, dtype=np.int64))
+    assert plain[3:] == rows[3:]
+    got = load_interactions(path, **kwargs)
+    if len(delimiter) > 1:
+        # the oracle reads csv: the same fields, comma separated and quoted
+        path = write_rows(tmp_path / "twin.csv", fields)
+        kwargs["delimiter"] = ","
+    assert_same_log(got, oracle_load_interactions(path, **kwargs))
+
+
+def outcome(read, path):
+    """The log ``read`` makes of ``path``, or the error it raises: its type,
+    message and line."""
+    try:
+        return read(path)
+    except (ParseError, csv.Error) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+PLAIN_LINES = ["u1,i1,5", "u2,i1,7", "u1,i2,3", "u3,i3,9", "u2,i3,-4"]
+
+
+ONE_BYTE_FROM_PLAIN = {
+    "quote": 'u1,i"2,3', "padded-token": "u1, i2,3", "plus-sign": "u1,i2,+5",
+    "underscore": "u1,i2,1_000", "float-time": "u1,i2,12.0",
+    "19-digit-time": "u1,i2,1234567890123456789", "lone-cr": "u1,i2,3,\ru4,i4,4",
+    "non-ascii": "u1,ï2,3", "short-row": "u1,i2",
+    "over-field-limit": "u1," + "i" * (csv.field_size_limit() + 1) + ",3",
+}
+
+
+@pytest.mark.parametrize("case", ONE_BYTE_FROM_PLAIN)
+def test_one_byte_from_plain_reads_like_the_oracle(tmp_path, case):
+    line = ONE_BYTE_FROM_PLAIN[case]
+    path = tmp_path / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\n".join(PLAIN_LINES[:2] + [line] + PLAIN_LINES[2:]) + "\n")
+    if case == "over-field-limit":
+        assert len(line) > csv.field_size_limit()
+    assert data._plain_columns(path, ",", False, (0, 1, 2)) is None
+    got, want = outcome(load_interactions, path), outcome(oracle_load_interactions, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_log(got, want)
+
+
+def test_plain_reader_takes_a_line_at_the_field_limit(tmp_path):
+    path = tmp_path / "raw.csv"
+    long = "u9,i9,1," + "x" * (csv.field_size_limit() - 8)
+    path.write_text("\n".join(PLAIN_LINES + [long]) + "\n")
+    assert len(long) == csv.field_size_limit()
+    plain = data._plain_columns(path, ",", False, (0, 1, 2))
+    assert plain is not None and plain[3][-1] == "u9"
+    assert_same_log(load_interactions(path), oracle_load_interactions(path))
