@@ -65,9 +65,12 @@ def load_interactions(path, delimiter=",", has_header=False,
     before ``\\n``; every non-blank line has the configured columns; no line
     is longer than ``csv.field_size_limit()``; no user or item token starts
     or ends with whitespace; and every time field matches ``-?[0-9]{1,18}``.
-    Every other file goes through the row reader, with identical results. A
-    malformed line makes a file not plain, so a ``ParseError`` always comes
-    from the row reader, with its line number.
+    Every other file goes through the row reader, with identical results.
+
+    Every input fault raises ``ParseError`` naming the file line its row
+    starts on: a malformed row, a byte the locale's encoding cannot decode
+    (named on its own line), or a field over ``csv.field_size_limit()``.
+    A faulty file is not plain, so the fault comes from the row reader.
     """
     cols = (user_col, item_col, time_col)
     users, items, times, user_tokens, item_tokens = (
@@ -103,24 +106,55 @@ def _row_columns(path, delimiter, has_header, cols):
     user_col, item_col, time_col = cols
     user_ids, item_ids = {}, {}  # token -> dense id, in order of first appearance
     users, items, times = [], [], []
-    with open(path, newline="") as fh:
-        rows = (csv.reader(fh, delimiter=delimiter) if len(delimiter) == 1
-                else (line.rstrip("\r\n").split(delimiter) for line in fh))
-        for line_no, row in enumerate(rows, start=1):
-            if line_no == 1 and has_header:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                u_tok = row[user_col].strip()
-                i_tok = row[item_col].strip()
-                ts = _parse_time(row[time_col])
-            except (IndexError, ValueError, OverflowError) as exc:
-                raise ParseError(path, line_no, f"malformed row {row!r}: {exc}") from None
-            users.append(user_ids.setdefault(u_tok, len(user_ids)))
-            items.append(item_ids.setdefault(i_tok, len(item_ids)))
-            times.append(ts)
+    for line_no, row in _rows(path, delimiter):
+        if line_no == 1 and has_header:  # the first row starts on line 1
+            continue
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            u_tok = row[user_col].strip()
+            i_tok = row[item_col].strip()
+            ts = _parse_time(row[time_col])
+        except (IndexError, ValueError, OverflowError) as exc:
+            raise ParseError(path, line_no, f"malformed row {row!r}: {exc}") from None
+        users.append(user_ids.setdefault(u_tok, len(user_ids)))
+        items.append(item_ids.setdefault(i_tok, len(item_ids)))
+        times.append(ts)
     return users, items, times, list(user_ids), list(item_ids)
+
+
+def _rows(path, delimiter):
+    """Each row of a delimited file as (the file line it starts on, its
+    fields). A one-character delimiter is read with ``csv``, quoting
+    honoured, so a row may span lines; a longer one splits each line on it.
+
+    A field over ``csv.field_size_limit()`` raises ``ParseError`` naming the
+    line its row starts on; a byte the locale's encoding cannot decode, one
+    naming the byte's own line."""
+    with open(path, newline="") as fh:
+        start = 1  # the line the next row starts on
+        try:
+            if len(delimiter) > 1:
+                for line in fh:
+                    yield start, line.rstrip("\r\n").split(delimiter)
+                    start += 1
+            else:
+                reader = csv.reader(fh, delimiter=delimiter)
+                for row in reader:
+                    yield start, row
+                    start = reader.line_num + 1  # csv counts a quoted field's lines
+        except UnicodeDecodeError as exc:
+            # the text layer decodes ahead of the rows and holds back a \r
+            # that may start a \r\n, so the byte's line is counted from its
+            # offset: exc.object ends where the file has been read to
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            fh.buffer.seek(0)
+            head = fh.buffer.read(at)
+            line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise ParseError(path, line_no, f"cannot decode {exc.object[exc.start:exc.end]!r} "
+                                            f"as {exc.encoding}: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(path, start, str(exc)) from None
 
 
 def _plain_columns(path, delimiter, has_header, cols):
@@ -199,6 +233,9 @@ def _plain_block(block, delimiter, skip_first, cols, limit, tables):
     first = np.searchsorted(delims, starts)
     if int((np.searchsorted(delims, ends) - first).min()) < max(cols):
         return None
+    # zeros past the block, so that a read of a field's bytes, rounded up
+    # to whole 8-byte words, stays inside the array
+    buf = np.concatenate([buf, np.zeros(int((ends - starts).max()) + 8, np.uint8)])
 
     def field(c):
         """Where each row's field ``c`` starts and ends."""
@@ -211,8 +248,8 @@ def _plain_block(block, delimiter, skip_first, cols, limit, tables):
     ids = []
     for c, table in zip(cols[:2], tables):
         a, b = field(c)
-        # index -1 reads the block's last byte, and only for an empty token
-        edge = _STRIPPED[buf[np.minimum(a, b - 1)]] | _STRIPPED[buf[b - 1]]
+        # an empty token reads a byte that is not its own, and is let pass
+        edge = _STRIPPED[buf[a]] | _STRIPPED[buf[b - 1]]
         if (edge & (b > a)).any():
             return None
         step = max(_BLOCK_BYTES // int((b - a).max() + 8), 1)  # rows whose keys fit in a block
@@ -222,24 +259,16 @@ def _plain_block(block, delimiter, skip_first, cols, limit, tables):
 
 
 def _windows(buf, at, width):
-    """Row n is ``buf[at[n]:at[n] + width]``, read as zeros past the end of
-    ``buf``; ``at`` ascends."""
-    cut = max(len(buf) - width, 0)
-    tail = np.zeros(len(buf) - cut + width, np.uint8)
-    tail[:len(buf) - cut] = buf[cut:]
-    k = np.searchsorted(at, cut)
-    out = np.empty((len(at), width), np.uint8)
-    if k:
-        out[:k] = sliding_window_view(buf, width)[at[:k]]
-    out[k:] = sliding_window_view(tail, width)[at[k:] - cut]
-    return out
+    """Row n is a copy of ``buf[at[n]:at[n] + width]``, which the zero-padded
+    block holds whole. Only plain bytes get here: a file with an input fault
+    is not plain, and the row reader's ``ParseError`` names its line."""
+    return sliding_window_view(buf, width)[at]
 
 
 def _plain_times(buf, a, b):
     """The integer of each field ``buf[a:b]``, or None when one is not
     ``-?[0-9]{1,18}``."""
-    # a field that is empty at the end of the block reads the byte before it
-    neg = buf[np.minimum(a, len(buf) - 1)] == ord("-")
+    neg = buf[a] == ord("-")
     digits = b - a - neg
     if not ((digits >= 1) & (digits <= _TIME_DIGITS)).all():
         return None
@@ -623,34 +652,37 @@ _PARTITION_CODE = {"train": 0, "validation": 1, "test": 2}
 def load_manifest(path):
     """Rebuild a split from ``save_manifest`` rows; every (user, item) pair
     appears once. Rows may come in any order: within a (user, partition) cell
-    they keep file order, and users without rows get empty partitions."""
+    they keep file order, and users without rows get empty partitions.
+
+    The first row is the header. Every input fault raises ``ParseError``
+    naming the file line its row starts on, as ``load_interactions`` does; a
+    blank row is malformed here."""
     seen = set()
     users, codes, items, times = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise EmptyCorpusError(f"manifest {path} is empty")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                u = int(row[0])
-                part = row[1]
-                it = int(row[2])
-                ts = int(row[3])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
-            code = _PARTITION_CODE.get(part)
-            if code is None:
-                raise ParseError(path, line_no, f"unknown partition {part!r}")
-            if u < 0 or it < 0:
-                raise ParseError(path, line_no, f"negative id in {row!r}")
-            # a repeated pair would be both a positive and an excluded item
-            if (u, it) in seen:
-                raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
-            seen.add((u, it))
-            users.append(u)
-            codes.append(code)
-            items.append(it)
-            times.append(ts)
+    rows = _rows(path, ",")
+    if next(rows, None) is None:  # the header
+        raise EmptyCorpusError(f"manifest {path} is empty")
+    for line_no, row in rows:
+        try:
+            u = int(row[0])
+            part = row[1]
+            it = int(row[2])
+            ts = int(row[3])
+        except (IndexError, ValueError) as exc:
+            raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
+        code = _PARTITION_CODE.get(part)
+        if code is None:
+            raise ParseError(path, line_no, f"unknown partition {part!r}")
+        if u < 0 or it < 0:
+            raise ParseError(path, line_no, f"negative id in {row!r}")
+        # a repeated pair would be both a positive and an excluded item
+        if (u, it) in seen:
+            raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
+        seen.add((u, it))
+        users.append(u)
+        codes.append(code)
+        items.append(it)
+        times.append(ts)
     if not users:
         raise EmptyCorpusError(f"manifest {path} has no rows")
     users = np.asarray(users, dtype=np.int64)

@@ -367,12 +367,21 @@ def oracle_time(text):
 def oracle_load_interactions(path, delimiter=",", has_header=False,
                              user_col=0, item_col=1, time_col=2):
     """Keep each (user, item) token pair's first-row order and earliest
-    timestamp in a dict, sort the pairs, then assign ids pair by pair."""
+    timestamp in a dict, sort the pairs, then assign ids pair by pair. A
+    ``ParseError`` names the file line its row starts on, a ``csv`` error's
+    too."""
     seen = {}  # (u_tok, i_tok) -> [order, timestamp]
     order = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=1):
+        while True:
+            line_no = reader.line_num + 1  # the line the next row starts on
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise ParseError(path, line_no, str(exc)) from None
             if line_no == 1 and has_header:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):

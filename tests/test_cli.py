@@ -91,6 +91,18 @@ class TestIngest:
         assert rc == 1
         assert "ERROR:IO" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,line_no", [
+        (b"u1,i1,5\nu2,i\xff2,7\n", 2),
+        (b"u1,i1,5\nu2,i2,6\nu3,i3,7\nu4,i\xff4,8\n", 4),
+        (b"u" * 200_000 + b",i1,5\n", 1),
+    ], ids=["undecodable", "undecodable-last-line", "over-field-limit"])
+    def test_input_fault_is_a_parse_error_on_its_line(self, tmp_path, capsys, content, line_no):
+        raw = tmp_path / "bad.csv"
+        raw.write_bytes(content)
+        rc = main(["ingest", "--input", str(raw), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ERROR:PARSE: {raw}:{line_no}:")
+
 
 def test_module_entry_point_exits_with_mains_code(monkeypatch, capsys):
     # python -m adaptreg.cli: the exit status is main()'s return value
@@ -151,6 +163,16 @@ class TestTrain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "-seed9" in out
+
+    @pytest.mark.parametrize("bad", [b"te\xffst", b"9" * 200_000],
+                             ids=["undecodable", "over-field-limit"])
+    def test_manifest_input_fault_is_a_parse_error(self, tmp_path, capsys, bad):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"user,partition,item,timestamp\n0,train,1,5\n0," + bad
+                             + b",2,6\n")
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "r")] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ERROR:PARSE: {manifest}:3:")
 
     def test_missing_manifest(self, capsys):
         rc = main(["train", "--manifest", "/nonexistent/manifest.csv"])

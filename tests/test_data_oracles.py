@@ -617,3 +617,86 @@ def test_plain_reader_takes_a_line_at_the_field_limit(tmp_path):
     plain = data._plain_columns(path, ",", False, (0, 1, 2))
     assert plain is not None and plain[3][-1] == "u9"
     assert_same_log(load_interactions(path), oracle_load_interactions(path))
+
+
+# Every input fault of a raw log or a manifest is a ParseError that names the
+# file line its row starts on.
+
+def test_parse_error_names_the_line_a_row_starts_on(tmp_path):
+    # the quoted field of row 1 spans lines 1 and 2, so row 2 sits on line 3
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b'u1,"i\n1",5\nu2,i2,abc\n')
+    with pytest.raises(ParseError) as got:
+        load_interactions(path)
+    assert got.value.line_no == 3 and str(got.value).startswith(f"{path}:3: malformed row")
+    assert outcome(oracle_load_interactions, path) == (ParseError, str(got.value), 3)
+
+
+def test_a_header_spanning_lines_is_skipped(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b'"user\nid",item,time\nu1,i1,5\nu2,i1,7\n')
+    got = load_interactions(path, has_header=True)
+    assert_same_log(got, oracle_load_interactions(path, has_header=True))
+    assert got.user_tokens == ["u1", "u2"] and got.times.tolist() == [5, 7]
+
+
+@pytest.mark.parametrize("content,line_no", [
+    (b"u1,i1,5\nu2,i\xff2,7\n", 2),
+    (b"u1,i1,5\nu2,i2,6\nu3,i3,7\nu4,i\xff4,8", 4),
+    (b"u1,i1,5\nu2,i\xc3", 2),
+    # past the first block of text that is decoded at once
+    (b"".join(b"u%d,i%d,%d\r\n" % (n, n, n) for n in range(3000)) + b"u,\xe9,1\r\n", 3001),
+    # 16-byte lines: a lone \r ends the first 8 KiB the text layer decodes
+    (b"".join(b"u%05d,i,%06d\r" % (n, n) for n in range(512)) + b"u,\xe9,1\r", 513),
+    # inside a quoted field that spans lines
+    (b'u1,i1,5\nu2,"i\n2\n\xff",7\n', 4),
+], ids=["line-2", "last-line", "cut-at-end", "far-crlf", "far-lone-cr", "quoted"])
+@pytest.mark.parametrize("delimiter", [",", "::"], ids=["comma", "double-colon"])
+def test_an_undecodable_byte_is_a_parse_error_on_its_line(tmp_path, content, line_no,
+                                                          delimiter):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(content.replace(b",", delimiter.encode()))
+    with pytest.raises(ParseError) as exc:
+        load_interactions(path, delimiter=delimiter)
+    assert exc.value.line_no == line_no
+    assert "cannot decode b'\\x" in str(exc.value)
+
+
+def test_a_field_over_the_limit_is_a_parse_error_on_its_rows_line(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text('u1,i1,5\nu2,"i\n2' + "x" * (csv.field_size_limit() + 1) + '",7\n')
+    with pytest.raises(ParseError) as exc:
+        load_interactions(path)
+    assert exc.value.line_no == 2 and "field larger than field limit" in str(exc.value)
+    assert outcome(oracle_load_interactions, path) == (ParseError, str(exc.value), 2)
+
+
+def test_a_blank_manifest_row_is_still_a_parse_error(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("user,partition,item,timestamp\n0,train,1,5\n\n0,test,2,6\n")
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert exc.value.line_no == 3 and "malformed manifest row" in str(exc.value)
+
+
+# Arguments the plain reader declines before it reads the file: the row
+# reader reads such a file as the oracle does.
+
+@pytest.mark.parametrize("delimiter,cols", [
+    ('"', (0, 1, 2)), ("\x01", (0, 1, 2)), ("\xe9", (0, 1, 2)),
+    (",", (-1, 1, 0)), (",", (np.int64(0), 1, 2)),
+], ids=["quote", "control-byte", "non-ascii", "negative-column", "numpy-column"])
+def test_plain_reader_declines_such_arguments(tmp_path, delimiter, cols):
+    rows = log_rows_with_repeats(2, num_users=20, num_items=30, min_events=1, max_events=8)
+    path = tmp_path / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(delimiter.join(map(str, r)) + "\n" for r in rows))
+    assert data._plain_columns(path, delimiter, False, cols) is None
+    kwargs = dict(delimiter=delimiter, user_col=cols[0], item_col=cols[1], time_col=cols[2])
+    got = outcome(lambda p: load_interactions(p, **kwargs), path)
+    want = outcome(lambda p: oracle_load_interactions(p, **kwargs), path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_log(got, want)
+
