@@ -53,6 +53,11 @@ pipeline-small corpus (``tests/_synth.write_plain_log``: about 190k rows over
 through the row reader, and ``data.filter_min_count`` (20/20) on the loaded
 log. Each row also records its ``tracemalloc`` peak per input byte.
 
+Every timing is CPU time of this process (``time.process_time``), not wall
+time, so that a figure moves less with the load other processes put on the
+host. The BLAS is pinned to one thread before numpy is imported, as in
+``perfbench/run.py``, so that CPU time does not sum BLAS threads.
+
 Every table printed is also written to ``--out`` (``BENCH_kernels.json`` at
 the repository root by default), with the numpy version, the BLAS build and
 the CPU model the timings were taken on. The tables print the best repeat;
@@ -62,12 +67,16 @@ plus every repeat in run order, so that it carries its own noise band.
 
 import argparse
 import json
+import os
 import platform
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # one BLAS thread, set before numpy is imported
 
 import numpy as np
 
@@ -105,14 +114,14 @@ def triplet_case(rng, size, U, I, K):
 
 
 def time_call(fn, repeats, scale=1e3):
-    """Per-repeat times of ``fn`` after one warm-up call, in seconds times
+    """Per-repeat CPU times of ``fn`` after one warm-up call, in seconds times
     ``scale`` (milliseconds by default): ``{min, median, max, repeats}``."""
     fn()  # warm-up
     times = []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         fn()
-        times.append((time.perf_counter() - t0) * scale)
+        times.append((time.process_time() - t0) * scale)
     return dict(min=min(times), median=float(np.median(times)), max=max(times),
                 repeats=times)
 

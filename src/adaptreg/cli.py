@@ -152,10 +152,9 @@ def cmd_evaluate(args):
     ks = tuple(args.ks)
     report = corpus_metrics(emb, split, ks=ks,
                             item_metric_mode=args.item_metric_mode)
-    out_dir = cfg.output if args.out is None else args.out
-    os.makedirs(out_dir, exist_ok=True)
-    write_report_summary(os.path.join(out_dir, "metrics.txt"), report)
-    write_per_entity(os.path.join(out_dir, "metrics"), report)
+    os.makedirs(cfg.output, exist_ok=True)
+    write_report_summary(os.path.join(cfg.output, "metrics.txt"), report)
+    write_per_entity(os.path.join(cfg.output, "metrics"), report)
     print(f"auc {report.auc:.6f}")
     for k in ks:
         print(f"hr@{k} {report.hr[k]:.6f}")

@@ -84,103 +84,93 @@ class RunConfig:
     output: str = "runs"
 
 
-_SECTIONS = {
-    "data": DataConfig,
-    "model": ModelConfig,
-    "optimizer": OptimizerConfig,
-    "regularization": RegularizationConfig,
-    "training": TrainingConfig,
-    "groups": GroupsConfig,
-}
+def _paths(mapping):
+    """(key path, value) for each field of a ``{section: {field: value}}``
+    mapping; a value that is not a mapping is a top-level field (``output``)."""
+    for top, block in mapping.items():
+        if isinstance(block, dict):
+            yield from (((top, name), value) for name, value in block.items())
+        else:
+            yield (top,), block
+
+
+# every settable key, ("section", "field") or ("output",), with its declared default
+_FIELDS = dict(_paths(asdict(RunConfig())))
 
 
 def load_config(path=None, overrides=()):
-    """Build a RunConfig from an optional YAML file plus dotted overrides
-    (e.g. training.epochs=5); flags win over the file."""
-    raw = {}
-    if path:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+    """Build a RunConfig from an optional YAML file plus ``key=value`` flags
+    (e.g. training.epochs=5). Both name a field by the same dotted key. A flag's
+    text is read as the field's declared kind, so flags win over the file."""
     cfg = RunConfig()
-    unknown = sorted(set(raw) - set(_SECTIONS) - {"output"})
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]}")
-    for section, cls in _SECTIONS.items():
-        block = raw.get(section, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        obj = getattr(cfg, section)
-        for key, value in block.items():
-            if not hasattr(obj, key):
-                raise ConfigError(f"unknown config key {section}.{key}")
-            _check_type(f"{section}.{key}", value, getattr(obj, key))
-            setattr(obj, key, value)
-    if "output" in raw:
-        _check_type("output", raw["output"], cfg.output)
-        cfg.output = raw["output"]
-    for ov in overrides:
-        _apply_override(cfg, ov)
+    for key_path, value in _paths(_read_yaml(path)):
+        _set(cfg, key_path, value)
+    for spec in overrides:
+        key, eq, text = spec.partition("=")
+        if not eq:
+            raise ConfigError(f"override {spec!r} must be key=value")
+        _set(cfg, tuple(key.split(".")), text, parse=True)
     return resolve(cfg)
 
 
-def _apply_override(cfg, spec):
-    if "=" not in spec:
-        raise ConfigError(f"override {spec!r} must be key=value")
-    key, value = spec.split("=", 1)
-    parts = key.split(".")
-    obj = cfg
-    for p in parts[:-1]:
-        if not hasattr(obj, p):
-            raise ConfigError(f"unknown config path {key!r}")
-        obj = getattr(obj, p)
-    leaf = parts[-1]
-    if not hasattr(obj, leaf):
-        raise ConfigError(f"unknown config path {key!r}")
-    current = getattr(obj, leaf)
-    try:
-        setattr(obj, leaf, _coerce(value, current))
-    except ValueError:
-        raise ConfigError(f"override {spec!r}: cannot parse {value!r}") from None
+def _read_yaml(path):
+    if not path:
+        return {}
+    # read as bytes, so that YAML's own reader reports an undecodable byte
+    with open(path, "rb") as fh:
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
+    if raw is not None and not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must map section names to fields, got {raw!r}")
+    return raw or {}
 
 
-def _coerce(text, current):
-    if isinstance(current, bool):
-        word = text.lower()
-        if word not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValueError(text)
-        return word in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float) or current is None:
-        # a None default (lr, r_decay, fixed_value) stands for a number
-        return float(text)
-    if isinstance(current, (list, tuple)):
-        vals = [v for v in text.replace("[", "").replace("]", "").split(",") if v]
-        return type(current)(float(v) if "." in v or "e" in v.lower() else int(v)
-                             for v in vals)
-    return text
+def _set(cfg, path, value, parse=False):
+    """Set the field at ``path`` to a YAML value, which must already have the
+    field's declared kind and is kept as read (so is its hash), or, with
+    ``parse``, to a flag's text read as that kind."""
+    key = ".".join(map(str, path))
+    if path not in _FIELDS:
+        raise ConfigError(f"{key} is not a config field")
+    kind, check, read = _kind(_FIELDS[path])
+    if parse:
+        try:
+            value = read(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"override {key}={value}: cannot parse {value!r} as {kind}") from None
+    elif not check(value):
+        raise ConfigError(f"config key {key} must be {kind}, got {value!r}")
+    setattr(getattr(cfg, path[0]) if len(path) > 1 else cfg, path[-1], value)
 
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_type(key, value, current):
-    """Reject a YAML value of another type than ``_coerce`` makes for the
-    field; a value that passes is kept as read, so its config hash is too."""
-    if isinstance(current, bool):
-        ok, kind = isinstance(value, bool), "true or false"
-    elif isinstance(current, int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(current, float) or current is None:
-        ok, kind = _is_number(value) or (current is None and value is None), "a number"
-    elif isinstance(current, (list, tuple)):
-        ok = isinstance(value, list) and all(_is_number(v) for v in value)
-        kind = "a list of numbers"
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if not ok:
-        raise ConfigError(f"config key {key} must be {kind}, got {value!r}")
+def _number(text):
+    return float(text) if "." in text or "e" in text.lower() else int(text)
+
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _kind(default):
+    """A field's kind, from its declared default: (description, check of a
+    YAML value, reader of a flag's text). A None default (lr, r_decay,
+    fixed_value) stands for a number."""
+    if isinstance(default, bool):
+        return "true or false", lambda v: isinstance(v, bool), lambda t: _BOOL_WORDS[t.lower()]
+    if isinstance(default, int):
+        return "an integer", lambda v: _is_number(v) and isinstance(v, int), int
+    if isinstance(default, float) or default is None:
+        return "a number", lambda v: _is_number(v) or (default is None and v is None), float
+    if isinstance(default, (list, tuple)):
+        return ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                lambda t: type(default)(
+                    _number(v) for v in t.replace("[", "").replace("]", "").split(",") if v))
+    return "a string", lambda v: isinstance(v, str), str
 
 
 def resolve(cfg):
@@ -202,25 +192,24 @@ def resolve(cfg):
         raise ConfigError(f"unknown optimizer kind {opt.kind!r}")
     if opt.lr is None:
         opt.lr = 0.01 if opt.kind == "adam" else 0.05
-    for section in _SECTIONS:
-        for key, value in vars(getattr(cfg, section)).items():
-            values = value if isinstance(value, (list, tuple)) else [value]
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ConfigError(f"{section}.{key} must be finite, got {value}")
-    for key, bounds in vars(cfg.groups).items():
-        # the rule of data.frequency_groups, checked before any run starts
-        if any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise ConfigError(f"groups.{key} must be strictly ascending, got {bounds}")
-    for name, value in (("optimizer.lr", opt.lr),
-                        ("optimizer.eps", opt.eps),
-                        ("regularization.step_size", reg.step_size),
-                        ("regularization.clip", reg.clip),
-                        ("model.init_scale", cfg.model.init_scale)):
-        if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-    for name, value in (("optimizer.beta1", opt.beta1), ("optimizer.beta2", opt.beta2)):
-        if not 0 < value < 1:
-            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+    fields = {".".join(path): value for path, value in _paths(asdict(cfg))}
+    for key, value in fields.items():
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if key.startswith("groups.") and any(a >= b for a, b in zip(value, value[1:])):
+            # the rule of data.frequency_groups, checked before any run starts
+            raise ConfigError(f"{key} must be strictly ascending, got {value}")
+    for rule, holds, keys in (
+            ("positive", lambda v: v > 0, "optimizer.lr optimizer.eps regularization.step_size "
+             "regularization.clip model.init_scale training.batch_size training.lambda_batch_size"),
+            ("at least 1", lambda v: v >= 1, "training.epochs training.patience "
+             "training.eval_every regularization.every model.dim"),
+            ("in (0, 1)", lambda v: 0 < v < 1, "optimizer.beta1 optimizer.beta2"),
+            ("nonnegative", lambda v: v >= 0, "regularization.init")):
+        for key in keys.split():
+            if not holds(fields[key]):
+                raise ConfigError(f"{key} must be {rule}, got {fields[key]}")
     if opt.r_decay is not None and not 0 <= opt.r_decay < 1:
         raise ConfigError(f"optimizer.r_decay must lie in [0, 1), got {opt.r_decay}")
     ratios = cfg.data.ratios
@@ -230,24 +219,17 @@ def resolve(cfg):
         raise ConfigError("data.delimiter must not be empty")
     if reg.mode == "fix" and reg.fixed_value is not None and reg.fixed_value < 0:
         raise ConfigError("fixed_value must be nonnegative")
-    if reg.init < 0:
-        raise ConfigError(f"regularization.init must be nonnegative, got {reg.init}")
     if any(v < 0 for v in reg.grid):
         raise ConfigError(f"regularization.grid candidates must be nonnegative, got {reg.grid}")
-    if cfg.training.batch_size <= 0 or cfg.training.lambda_batch_size <= 0:
-        raise ConfigError("batch sizes must be positive")
-    for name, value in (("training.epochs", cfg.training.epochs),
-                        ("training.patience", cfg.training.patience),
-                        ("training.eval_every", cfg.training.eval_every),
-                        ("regularization.every", reg.every),
-                        ("model.dim", cfg.model.dim)):
-        if value < 1:
-            raise ConfigError(f"{name} must be at least 1, got {value}")
     return cfg
 
 
 def semantic_dict(cfg):
-    """Config content that affects results (excludes output/seed)."""
+    """The config content hashed into a run-directory name: every field but
+    ``output`` and ``training.seed``. Not every hashed field changes a run's
+    results: ``data.*`` (ingest settings and where the manifest is),
+    ``regularization.grid`` and, in a ``fix`` run, the fields that only
+    learned coefficients read do not, so two names can hold the same results."""
     d = asdict(cfg)
     d.pop("output", None)
     d["training"].pop("seed", None)

@@ -2,12 +2,18 @@
 
 import csv
 import os
+import zipfile
 from dataclasses import asdict
 
 import numpy as np
 import yaml
 
 from .data import frequency_groups, group_by, group_reduce
+from .errors import ConfigError
+
+# the arrays of trajectory.npz, as save_trajectory writes them
+_TRAJECTORY_ARRAYS = ("epochs", "user_mean", "item_mean", "user_var", "item_var",
+                     "group_rows", "user_group_freq", "item_group_freq")
 
 
 def write_resolved_config(run_dir, cfg):
@@ -54,6 +60,24 @@ def save_trajectory(run_dir, trajectory, split, cfg):
     )
 
 
+def _load_trajectory(path):
+    """The arrays of a trajectory archive, by name. A file that is not one is
+    a ConfigError naming the first array it lacks."""
+    arrays = {}
+    with open(path, "rb") as fh:  # closed even where np.load fails part way
+        try:
+            loaded = np.load(fh)
+            if isinstance(loaded, np.lib.npyio.NpzFile):  # not a bare .npy array
+                with loaded:
+                    arrays = {name: loaded[name] for name in loaded.files}
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            pass  # pickled, empty or broken: no arrays at all
+    missing = [name for name in _TRAJECTORY_ARRAYS if name not in arrays]
+    if missing:
+        raise ConfigError(f"{path} is not a trajectory archive: it has no array {missing[0]!r}")
+    return arrays
+
+
 def export_trajectory_csv(run_dir, out_dir=None):
     """Emit per-group time series and frequency-vs-coefficient tables.
 
@@ -61,12 +85,12 @@ def export_trajectory_csv(run_dir, out_dir=None):
     header-only files.
     """
     out_dir = out_dir or run_dir
-    with np.load(os.path.join(run_dir, "trajectory.npz")) as data:
-        epochs = data["epochs"]
-        user_mean, item_mean = data["user_mean"], data["item_mean"]
-        user_var, item_var = data["user_var"], data["item_var"]
-        group_rows = data["group_rows"]
-        ug_freq, ig_freq = data["user_group_freq"], data["item_group_freq"]
+    data = _load_trajectory(os.path.join(run_dir, "trajectory.npz"))
+    epochs = data["epochs"]
+    user_mean, item_mean = data["user_mean"], data["item_mean"]
+    user_var, item_var = data["user_var"], data["item_var"]
+    group_rows = data["group_rows"]
+    ug_freq, ig_freq = data["user_group_freq"], data["item_group_freq"]
     tpath = os.path.join(out_dir, "trajectory.csv")
     with open(tpath, "w", newline="") as fh:
         w = csv.writer(fh)

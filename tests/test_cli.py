@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import runpy
 import sys
@@ -221,6 +222,10 @@ class TestTrain:
         "training.batch_size=0", "training.lambda_batch_size=-8", "regularization.init=-1",
         "groups.user_boundaries=[50,25]", "groups.item_boundaries=[15,15,60]",
         "groups:\n  user_boundaries: [25, 100, 50]\n",
+        # keys that name no field, and files that are no config
+        "training=5", "regularization=x", "training.epochs.real=1", "data.__class__=x",
+        "training.__init__=x", "training:\n  __init__: x\n", "5\n", "training:\n  1: 3\n",
+        "[]\n", "training.epochs: 3\n", "training:\n  epochs: [\n", "? [a, b]\n: 1\n",
     ], ids=lambda case: " ".join(case.split()))
     def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -235,8 +240,42 @@ class TestTrain:
         assert "ERROR:CONFIG" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_undecodable_config_file_rejected(self, corpus, tmp_path, capsys):
+        manifest = str(corpus / "data" / "manifest.csv")
+        path = tmp_path.parent / f"{tmp_path.name}.yaml"
+        path.write_bytes(b"training:\n  epochs: 3\n  # \xff\n")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path), "--config",
+                   str(path)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:CONFIG: config file {path}:") and "position 26" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text,flag,value", [
+        ("optimizer:\n  lr: 1\n", "optimizer.lr=0.5", 0.5),
+        ("regularization:\n  mode: fix\n  fixed_value: 1\n",
+         "regularization.fixed_value=0.25", 0.25),
+        ("data:\n  ratios: [0.6, 0.2, 0.2]\n", "data.ratios=0.5,0.25,0.25", (0.5, 0.25, 0.25)),
+    ])
+    def test_flag_is_read_as_the_declared_kind(self, tmp_path, text, flag, value):
+        # the YAML value above has another type than the flag's text reads as
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        key, _ = flag.split("=")
+        section, name = key.split(".")
+        got = getattr(getattr(load_config(str(p), [flag]), section), name)
+        assert got == value and type(got) is type(value)
+
 
 class TestConfigHash:
+    def test_run_directory_names_are_pinned(self, tmp_path):
+        assert config_hash(resolve(RunConfig())) == "436627ca9b25"
+        p = tmp_path / "cfg.yaml"
+        p.write_text("optimizer: {lr: 1, r_decay: null}\ndata: {ratios: [0.6, 0.2, 0.2]}\n"
+                     "output: elsewhere\n")
+        cfg = load_config(str(p), ["training.epochs=3", "regularization.granularity=du"])
+        assert config_hash(cfg) == "877101a4f4c5"
+
     def test_semantic_field_changes_hash(self):
         a = resolve(RunConfig())
         b = resolve(RunConfig())
@@ -465,6 +504,13 @@ class TestGridSearch:
         assert "ERROR:" in capsys.readouterr().err
 
 
+def _saved(save, *args, **kwargs):
+    """The bytes that ``save`` (np.save or np.savez) writes for these arrays."""
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
 class TestExportTrajectory:
     def test_fixed_run_rows_constant(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -514,6 +560,23 @@ class TestExportTrajectory:
         rc = main(["export-trajectory", "--run", "/nonexistent"])
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,missing", [
+        (b"step,lambda\n1,0.5\n", "epochs"),
+        (b"", "epochs"),
+        (_saved(np.save, np.arange(3)), "epochs"),
+        (_saved(np.savez, epochs=np.arange(3)), "user_mean"),
+        (b"PK\x03\x04 truncated", "epochs"),
+    ], ids=["text", "empty", "npy", "epochs-only", "broken-zip"])
+    def test_non_archive_rejected(self, tmp_path, capsys, content, missing):
+        path = tmp_path / "trajectory.npz"
+        path.write_bytes(content)
+        rc = main(["export-trajectory", "--run", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:CONFIG: {path} is not a trajectory archive")
+        assert f"no array {missing!r}" in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestCheckpointRoundTrip:
