@@ -6,15 +6,19 @@ Usage, from the repository root::
     python3 benchmarks/ab.py HEAD~1 --pairs 10 --seed 501 -- \\
         python3 perfbench/run.py --workload pipeline-small --seed {seed} --seconds 20
 
-The parent ref is exported with ``git archive`` into a temporary directory,
-which is removed afterwards; the change side is the working tree as it
-stands. Each pair runs the command once in each tree, from that tree's root,
-with ``{seed}`` replaced by the pair's seed (``--seed`` plus the pair's
+The parent ref is exported with ``git archive`` into a temporary directory.
+The change side is exported into another one: the files git would commit
+from the working tree as it stands, that is, tracked files (less deleted
+ones) and untracked files that are not ignored. So neither side runs with
+build leftovers such as ``__pycache__``, and both directories are removed
+afterwards. Each pair runs the command once in each tree, from that tree's
+root, with ``{seed}`` replaced by the pair's seed (``--seed`` plus the pair's
 index); the first pair runs the parent first, and each later pair swaps the
 order. Each run must end its standard output with one JSON line that holds
 ``{"metrics": {name: {"value": v, ...}}}``, as ``perfbench/run.py`` does.
 
-``--out`` (``BENCH_ab.json`` at the repository root by default) records every
+``--out`` (``BENCH_ab.json`` at the repository root by default) records the
+parent commit, a digest of the change tree's paths and contents, every
 pair and, per metric, each side's median and quartiles, the parent's
 interquartile range, how many pairs the change read higher, lower and equal,
 and, for the metrics ``BENCHMARK.json`` gives a direction, how many pairs the
@@ -22,8 +26,11 @@ change won. The script only reports: it reads no bound and changes none.
 """
 
 import argparse
+import hashlib
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -85,11 +92,11 @@ def summarize(pairs, better=None):
     return out
 
 
-def export(ref, dest):
+def export(ref, dest, root=ROOT):
     """Write the files of commit ``ref`` into ``dest``; return its full hash."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=root,
                             check=True, capture_output=True, text=True).stdout.strip()
-    data = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+    data = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root,
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         if hasattr(tarfile, "data_filter"):
@@ -97,6 +104,29 @@ def export(ref, dest):
         else:
             tar.extractall(dest)
     return commit
+
+
+def export_worktree(dest, root=ROOT):
+    """Copy into ``dest`` the files git would commit from the working tree of
+    ``root`` as they stand: tracked files that still exist and untracked ones
+    that are not ignored. Return a sha256 hex digest of their paths and
+    contents (a symlink's target), in path order."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, check=True,
+                            capture_output=True).stdout
+    digest = hashlib.sha256()
+    for name in sorted({os.fsdecode(n) for n in listed.split(b"\0") if n}):
+        src, dst = Path(root, name), Path(dest, name)
+        if src.is_symlink():
+            content = os.fsencode(os.readlink(src))
+        elif src.is_file():
+            content = src.read_bytes()
+        else:
+            continue  # deleted from the working tree, or a submodule
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
+        digest.update(b"%s\0%d\0%s" % (os.fsencode(name), len(content), content))
+    return digest.hexdigest()
 
 
 def run(tree, argv):
@@ -132,9 +162,11 @@ def main():
         ap.error("give at least one pair, and the benchmark command after --")
 
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="ab-change-") as change_tree:
         commit = export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": str(ROOT)}
+        change_digest = export_worktree(change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         for n in range(args.pairs):
             seed = args.seed + n
             argv = [a.replace("{seed}", str(seed)) for a in command]
@@ -150,7 +182,8 @@ def main():
                 flush=True)
 
     complete = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
-    result = dict(parent_ref=args.parent, parent_commit=commit, command=command,
+    result = dict(parent_ref=args.parent, parent_commit=commit,
+                  change_tree_digest=change_digest, command=command,
                   pairs=pairs, complete_pairs=len(complete),
                   metrics=summarize(complete, directions()))
     with open(args.out, "w") as fh:

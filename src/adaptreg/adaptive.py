@@ -8,11 +8,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import evaluate
+from . import _kernels, evaluate
 from ._kernels import adam_correction, adam_moments
 from .data import frequency_groups, group_by, group_reduce, sample_triplets
 from .errors import AdaptRegError, ConfigError
-from .mf import Embeddings, SparseGrad, TripletBatch, bpr_gradient
+from .mf import Embeddings, SparseGrad, bpr_gradient
 from .optim import check_finite, make_optimizer
 
 GRANULARITIES = ("global", "dim", "user", "item", "user-dim", "item-dim", "full")
@@ -165,15 +165,19 @@ def sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch):
         part[ib] = new
         overlay.append(part)
     # unique() is order-preserving, so the remapped batch reads the same
-    # values in the same order and the kernel arithmetic is unchanged
-    v = bpr_gradient(Embeddings(*overlay), TripletBatch(u_inv, i_inv[:n], i_inv[n:]))
+    # values in the same order and the kernel arithmetic is unchanged; its
+    # ids are already the dense row ids of the overlay, so they index it and
+    # its gradient rows alike
+    p, q = i_inv[:n], i_inv[n:]
+    _, v_user, v_item = _kernels.bpr_grad_batch(*overlay, u_inv, p, q, u_inv, p, q,
+                                                len(v_users), len(v_items))
 
     # user contributions before item ones, each row-major: the order in which
     # a dense scatter-add would accumulate them, so the sums are bit-equal
     idx = np.concatenate([lam.entries(0, shared_u).ravel(),
                           lam.entries(1, shared_i).ravel()])
-    contrib = np.concatenate([(v.user_vals[ib_u] * j_user).ravel(),
-                              (v.item_vals[ib_i] * j_item).ravel()])
+    contrib = np.concatenate([(v_user[ib_u] * j_user).ravel(),
+                              (v_item[ib_i] * j_item).ravel()])
     if (idx[1:] > idx[:-1]).all():
         # distinct and sorted (always so for full): each sum has one term,
         # and + 0.0 turns a -0.0 into the +0.0 that bincount would give
@@ -298,6 +302,8 @@ class TrainResult:
     history: list            # dicts: epoch, step, train_loss, val_auc (when evaluated)
     trajectory: list         # TrajectoryRow per epoch
     best_epoch: int
+    user_groups: tuple       # data.group_by of each side's frequency groups,
+    item_groups: tuple       # which the trajectory's group statistics read
     aborted: bool = False
     abort_reason: str = ""
 
@@ -395,4 +401,5 @@ def train_model(split, cfg, eval_fn=None):
         _, emb, lam, optimizer = _seeded_start(split, cfg, adaptive)
     return TrainResult(emb=emb, lam=lam, optimizer=optimizer, history=history,
                        trajectory=trajectory, best_epoch=best_epoch,
+                       user_groups=user_groups, item_groups=item_groups,
                        aborted=aborted, abort_reason=abort_reason)

@@ -37,13 +37,29 @@ def save_checkpoint(path, emb, lam, optimizer, meta=None):
     np.savez(path, **arrays)
 
 
+def _array(path, data, name, real=False):
+    """Array ``name`` of an open checkpoint archive. A pickled (object)
+    array, which ``np.load`` does not unpickle, is refused, and so, with
+    ``real``, is one of anything but real floating-point numbers, which is
+    what ``save_checkpoint`` writes for factors and coefficients."""
+    try:
+        value = data[name]
+    except ValueError as exc:
+        raise IncompatibleCheckpointError(
+            f"checkpoint {path} array {name} is unreadable: {exc}") from None
+    if real and value.dtype.kind != "f":
+        raise IncompatibleCheckpointError(
+            f"checkpoint {path} array {name} holds {value.dtype}, not real floating-point numbers")
+    return value
+
+
 def _read_header(path, data):
     """The JSON header of an open checkpoint archive, once the header and
     every key and array that loading needs are known to be present."""
     if "header" not in data.files:
         raise IncompatibleCheckpointError(f"checkpoint {path} has no header")
     try:
-        header = json.loads(bytes(data["header"]).decode())
+        header = json.loads(bytes(_array(path, data, "header")).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IncompatibleCheckpointError(
             f"checkpoint {path} has an unreadable header: {exc}") from None
@@ -78,11 +94,11 @@ def load_checkpoint(path):
         raise IncompatibleCheckpointError(f"{path} is not an npz checkpoint")
     with archive as data:
         header = _read_header(path, data)
-        emb = Embeddings(user=np.array(data["user_factors"]),
-                         item=np.array(data["item_factors"]))
+        emb = Embeddings(user=_array(path, data, "user_factors", real=True),
+                         item=_array(path, data, "item_factors", real=True))
         U, I, K = header["num_users"], header["num_items"], header["dim"]
         lam = RegCoefficients.create(header["granularity"], U, I, K)
-        values = np.array(data["lambda_values"])
+        values = _array(path, data, "lambda_values", real=True)
         if (emb.user.shape, emb.item.shape, values.shape) != ((U, K), (I, K), lam.values.shape):
             raise IncompatibleCheckpointError(
                 f"checkpoint arrays {emb.user.shape}/{emb.item.shape}/{values.shape} "
@@ -96,7 +112,7 @@ def load_checkpoint(path):
             optimizer = make_optimizer(header["optimizer"])
         except ValueError as exc:
             raise IncompatibleCheckpointError(f"checkpoint {path}: {exc}") from None
-        opt_state = {k[4:]: np.array(v) for k, v in data.items() if k.startswith("opt_")}
+        opt_state = {k[4:]: _array(path, data, k) for k in data.files if k.startswith("opt_")}
         try:
             optimizer.load_state(opt_state, emb)
         except KeyError as exc:

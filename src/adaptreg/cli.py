@@ -72,7 +72,7 @@ def _train_one(cfg, split, run_dir):
     result = train_model(split, cfg)
     runs_mod.write_resolved_config(run_dir, cfg)
     runs_mod.write_history(run_dir, result.history)
-    runs_mod.save_trajectory(run_dir, result.trajectory, split, cfg)
+    runs_mod.save_trajectory(run_dir, result, split)
     save_checkpoint(os.path.join(run_dir, "checkpoint.npz"), result.emb,
                     result.lam, result.optimizer,
                     meta={"best_epoch": result.best_epoch,

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .adaptive import canonical_granularity
+from .data import frequency_groups
 from .errors import ConfigError
 
 DEFAULT_GRID = [10.0, 1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 0.0]
@@ -197,9 +198,11 @@ def resolve(cfg):
         values = value if isinstance(value, (list, tuple)) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must be finite, got {value}")
-        if key.startswith("groups.") and any(a >= b for a, b in zip(value, value[1:])):
-            # the rule of data.frequency_groups, checked before any run starts
-            raise ConfigError(f"{key} must be strictly ascending, got {value}")
+        if key.startswith("groups."):
+            try:  # data.frequency_groups' own rule, checked before any run starts
+                frequency_groups((), value)
+            except ValueError:
+                raise ConfigError(f"{key} must be strictly ascending, got {value}") from None
     for rule, holds, keys in (
             ("positive", lambda v: v > 0, "optimizer.lr optimizer.eps regularization.step_size "
              "regularization.clip model.init_scale training.batch_size training.lambda_batch_size"),

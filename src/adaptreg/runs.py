@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import yaml
 
-from .data import frequency_groups, group_by, group_reduce
+from .data import group_reduce
 from .errors import ConfigError
 
 # the arrays of trajectory.npz, as save_trajectory writes them
@@ -32,10 +32,12 @@ def write_history(run_dir, history):
     return path
 
 
-def save_trajectory(run_dir, trajectory, split, cfg):
-    """Raw snapshots plus static group frequency context, as npz."""
-    user_groups = frequency_groups(split.user_frequency, cfg.groups.user_boundaries)
-    item_groups = frequency_groups(split.item_frequency, cfg.groups.item_boundaries)
+def save_trajectory(run_dir, result, split):
+    """Raw snapshots plus static group frequency context, as npz. The
+    snapshots and both sides' frequency groups are ``result``'s, as
+    ``train_model`` built them; ``split`` gives only the frequencies whose
+    mean per group the archive holds."""
+    trajectory = result.trajectory
     rows = []
     for tr in trajectory:
         for kind, stats in ((0, tr.user_group_stats), (1, tr.item_group_stats)):
@@ -43,8 +45,8 @@ def save_trajectory(run_dir, trajectory, split, cfg):
                 rows.append([tr.step, kind, g, size, mean, var])
     def group_mean_freq(freqs, groups):
         # one slot per group up to the largest, 0.0 for an empty one
-        ids, order, starts, counts = group_by(groups)
-        out = np.zeros(int(groups.max()) + 1 if len(groups) else 0)
+        ids, order, starts, counts = groups
+        out = np.zeros(int(ids[-1]) + 1 if len(ids) else 0)
         out[ids] = group_reduce(freqs[order], starts, counts)
         return out
     np.savez(
@@ -55,8 +57,8 @@ def save_trajectory(run_dir, trajectory, split, cfg):
         user_var=np.asarray([tr.user_var for tr in trajectory]),
         item_var=np.asarray([tr.item_var for tr in trajectory]),
         group_rows=np.asarray(rows, dtype=np.float64).reshape(-1, 6),
-        user_group_freq=group_mean_freq(split.user_frequency.astype(float), user_groups),
-        item_group_freq=group_mean_freq(split.item_frequency.astype(float), item_groups),
+        user_group_freq=group_mean_freq(split.user_frequency.astype(float), result.user_groups),
+        item_group_freq=group_mean_freq(split.item_frequency.astype(float), result.item_groups),
     )
 
 

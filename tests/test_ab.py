@@ -1,8 +1,10 @@
-"""The summary arithmetic of ``benchmarks/ab.py`` on fixed numbers; no git
-and no benchmark runs."""
+"""The summary arithmetic of ``benchmarks/ab.py`` on fixed numbers, and its
+exports of both sides from a temporary git repository; no benchmark runs."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,46 @@ def test_last_json_line(ab):
     for stdout in ("", f"{perfbench}\nwrote out\n", "[1, 2]", '{"a_ms": 3}',
                    '{"metrics": {"a_ms": 3}}'):
         assert ab.last_json_metrics(stdout) is None
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_exports_hold_what_git_would_commit(ab, tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.txt").write_text("deleted in the working tree\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")
+    (repo / "gone.txt").unlink()
+    (repo / "pkg" / "__pycache__").mkdir()
+    (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    commit = ab.export("HEAD", parent, root=repo)
+    digest = ab.export_worktree(change, root=repo)
+
+    def files(tree):
+        return {p.relative_to(tree).as_posix(): p.read_text()
+                for p in tree.rglob("*") if p.is_file()}
+
+    assert len(commit) == 40
+    assert files(parent) == {".gitignore": "__pycache__/\n", "pkg/mod.py": "X = 1\n",
+                             "gone.txt": "deleted in the working tree\n"}
+    assert files(change) == {".gitignore": "__pycache__/\n", "pkg/mod.py": "X = 2\n",
+                             "pkg/new.py": "Y = 3\n"}
+    # the digest reads what the export holds: the same files give the same
+    # digest, and the stale bytecode, which is not exported, changes nothing
+    again = tmp_path / "again"
+    (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"staler")
+    assert ab.export_worktree(again, root=repo) == digest
+    (repo / "pkg" / "new.py").write_text("Y = 4\n")
+    assert ab.export_worktree(tmp_path / "edited", root=repo) != digest

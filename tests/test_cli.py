@@ -13,8 +13,8 @@ from adaptreg.cli import main
 from adaptreg.config import RunConfig, config_hash, load_config, resolve
 from adaptreg.errors import AdaptRegError, ConfigError, IncompatibleCheckpointError
 from adaptreg.mf import Embeddings, SparseGrad
-from adaptreg.adaptive import RegCoefficients, record_trajectory
-from adaptreg.data import frequency_groups, group_by
+from adaptreg.adaptive import RegCoefficients, TrainResult, record_trajectory
+from adaptreg.data import frequency_groups, group_by, load_manifest
 from adaptreg.optim import make_optimizer
 from adaptreg.runs import save_trajectory
 
@@ -535,6 +535,31 @@ class TestExportTrajectory:
         assert frows
         assert all(float(r["mean_frequency"]) > 0 for r in frows)
 
+    def test_train_hands_its_groups_to_the_trajectory(self, corpus, tmp_path, capsys):
+        # boundaries m, m + 0.25 and m + 0.5 with a whole m: frequencies are
+        # whole numbers, so none falls between the last two, and that group
+        # is empty on each side
+        manifest = str(corpus / "data" / "manifest.csv")
+        split = load_manifest(manifest)
+        bounds = {}
+        for side in ("user", "item"):
+            m = int(np.median(getattr(split, f"{side}_frequency")))
+            bounds[side] = [m, m + 0.25, m + 0.5]
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST + [
+            arg for side in ("user", "item") for arg in (
+                "--set", f"groups.{side}_boundaries=[{','.join(map(str, bounds[side]))}]")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        run_dir = [l.split(" ", 1)[1] for l in out.splitlines()
+                   if l.startswith("run_dir ")][0]
+        with np.load(os.path.join(run_dir, "trajectory.npz")) as data:
+            for side in ("user", "item"):
+                freqs = getattr(split, f"{side}_frequency")
+                want = oracle_group_mean_freq(freqs.astype(float),
+                                              frequency_groups(freqs, bounds[side]))
+                assert data[f"{side}_group_freq"].tobytes() == want.tobytes()
+                assert len(want) == 4 and want[2] == 0.0
+
     def test_group_frequencies_equal_per_group_loop(self, small_split, tmp_path):
         # no frequency falls between the last two boundaries: that group is
         # empty, and its slot reads 0.0
@@ -547,7 +572,11 @@ class TestExportTrajectory:
         user_groups = frequency_groups(small_split.user_frequency, cfg.groups.user_boundaries)
         item_groups = frequency_groups(small_split.item_frequency, cfg.groups.item_boundaries)
         trajectory = [record_trajectory(lam, 1, group_by(user_groups), group_by(item_groups))]
-        save_trajectory(str(tmp_path), trajectory, small_split, cfg)
+        result = TrainResult(emb=None, lam=lam, optimizer=None, history=[],
+                             trajectory=trajectory, best_epoch=1,
+                             user_groups=group_by(user_groups),
+                             item_groups=group_by(item_groups))
+        save_trajectory(str(tmp_path), result, small_split)
         with np.load(tmp_path / "trajectory.npz") as data:
             for key, groups, freqs in (
                     ("user_group_freq", user_groups, small_split.user_frequency),
@@ -630,6 +659,7 @@ class TestCheckpointRoundTrip:
         "unknown_optimizer", "missing_opt_array", "dim_not_integer", "dim_float",
         "unknown_granularity", "negative_lambda", "nan_lambda", "inf_lambda",
         "moment_shape", "negative_lr", "negative_step", "nan_moment", "negative_r",
+        "string_factors", "complex_factors",
     ])
     def test_malformed_contents_rejected(self, corpus, tmp_path, case, capsys):
         import json
@@ -664,6 +694,10 @@ class TestCheckpointRoundTrip:
             arrays["opt_s_item"][2, 1] = np.nan
         elif case == "negative_r":
             arrays["opt_r_user"][1, 0] = -1e-3
+        elif case == "string_factors":
+            arrays["user_factors"] = arrays["user_factors"].astype(str)
+        elif case == "complex_factors":
+            arrays["item_factors"] = arrays["item_factors"].astype(np.complex128)
         else:
             bad = {"negative_lambda": -0.1, "nan_lambda": np.nan, "inf_lambda": np.inf}
             arrays["lambda_values"][5] = bad[case]
@@ -679,7 +713,8 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("content", [
         "header_only", "missing_key", "not_npz", "bad_json", "bad_utf8",
-        "no_header", "header_not_object", "npy_array",
+        "no_header", "header_not_object", "npy_array", "object_header",
+        "object_user_factors", "object_lambda_values", "object_opt_lr",
     ])
     def test_unreadable_files_rejected(self, corpus, tmp_path, content, capsys):
         import json
@@ -702,6 +737,9 @@ class TestCheckpointRoundTrip:
                 del arrays["header"]
             elif content == "header_not_object":
                 arrays["header"] = np.frombuffer(b"[1]", dtype=np.uint8)
+            elif content.startswith("object_"):
+                # a pickled array, which np.load refuses to read
+                arrays[content[len("object_"):]] = np.array([None], dtype=object)
             elif content == "missing_key":
                 del header["granularity"]
                 arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
