@@ -22,7 +22,11 @@ parent commit, a digest of the change tree's paths and contents, every
 pair and, per metric, each side's median and quartiles, the parent's
 interquartile range, how many pairs the change read higher, lower and equal,
 and, for the metrics ``BENCHMARK.json`` gives a direction, how many pairs the
-change won. The script only reports: it reads no bound and changes none.
+change won, out of every pair run (a pair with a failed side is not won), and
+whether the change resolved a gain there: at least 10 pairs ran, it won at
+least 9 in 10 of them, and its median lies further from the parent's than
+the parent's interquartile range. The script only reports: it reads no bound and changes
+none.
 """
 
 import argparse
@@ -63,18 +67,22 @@ def quartiles(values):
 
 
 def summarize(pairs, better=None):
-    """Per metric that both sides reported in every pair: each side's values,
-    quartiles and median, the parent's interquartile range, and the pairs in
-    which the change read higher, lower or equal. ``better`` maps a metric to
-    "higher" or "lower"; for those metrics ``change_wins`` counts the pairs
-    the change won."""
+    """Per metric that both sides reported in every complete pair (one whose
+    sides are both not None): each side's values, quartiles and median, the
+    parent's interquartile range, and the complete pairs in which the change
+    read higher, lower or equal. ``better`` maps a metric to "higher" or
+    "lower"; for those metrics ``change_wins`` counts the pairs the change
+    won, which no failed pair is, and ``resolved`` holds when there are at
+    least 10 ``pairs``, it won at least 9 in 10 of them and the median gap
+    exceeds the parent's interquartile range."""
     better = better or {}
-    names = [n for n in pairs[0]["parent"] if all(
-        n in p["parent"] and n in p["change"] for p in pairs)] if pairs else []
+    complete = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
+    names = [n for n in complete[0]["parent"] if all(
+        n in p["parent"] and n in p["change"] for p in complete)] if complete else []
     out = {}
     for name in names:
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+        parent = [p["parent"][name] for p in complete]
+        change = [p["change"][name] for p in complete]
         pq, cq = quartiles(parent), quartiles(change)
         row = dict(parent=parent, change=change,
                    parent_quartiles=list(pq), change_quartiles=list(cq),
@@ -88,6 +96,8 @@ def summarize(pairs, better=None):
             row["better"] = better[name]
             row["change_wins"] = row["change_higher" if better[name] == "higher"
                                      else "change_lower"]
+            row["resolved"] = (len(pairs) >= 10 and 10 * row["change_wins"] >= 9 * len(pairs)
+                               and row["median_gap_exceeds_parent_iqr"])
         out[name] = row
     return out
 
@@ -185,12 +195,13 @@ def main():
     result = dict(parent_ref=args.parent, parent_commit=commit,
                   change_tree_digest=change_digest, command=command,
                   pairs=pairs, complete_pairs=len(complete),
-                  metrics=summarize(complete, directions()))
+                  metrics=summarize(pairs, directions()))
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for name, row in result["metrics"].items():
-        wins = f" wins {row['change_wins']}/{len(complete)}" if "change_wins" in row else ""
+        wins = (f" wins {row['change_wins']}/{len(pairs)}"
+                f"{' resolved' if row['resolved'] else ''}" if "change_wins" in row else "")
         print(f"{name:<28} parent {row['parent_median']:.6g} (IQR {row['parent_iqr']:.3g})"
               f"  change {row['change_median']:.6g}{wins}")
     print(f"wrote {args.out}")

@@ -31,15 +31,6 @@ and 100), on 200 users with 40 random events each, K=32, over a 3k and a 50k
 item catalog. It also records how many users ``corpus_auc`` could not
 certify from its block product and scored one at a time instead.
 
-The positives sweep times the same ``user_auc`` loop (validation stage,
-K=32) on 100 users that each hold 20 train items and exactly P validation
-positives, for P = 1, 2, 4, 8, 16 and 32, over a 3k and a 50k item catalog.
-It is timed twice, once with every user placing its positives by comparison
-passes and once by sorting (``evaluate._counts`` forced either way), and the
-row records which of the two the default predicate picks. The predicate's
-constant is read off this crossover. For scale, each row also times one
-``corpus_auc`` call, whose block scorer always sorts.
-
 The split case times ``data.chronological_split`` (ratios 0.6/0.2/0.2) on a
 numpy-generated log of 100k users with 1 to 20 events each, about 1M events
 over 50k items in random order, with timestamps drawn from a small range so
@@ -82,7 +73,7 @@ import numpy as np
 
 from adaptreg import _kernels, data, evaluate
 from adaptreg.adaptive import RegCoefficients, lambda_step, sparse_hypergradient
-from adaptreg.data import InteractionLog, _build_split, chronological_split, sample_triplets
+from adaptreg.data import InteractionLog, chronological_split, sample_triplets
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
 from adaptreg.optim import make_optimizer
 
@@ -94,7 +85,6 @@ HYPERGRADIENT_SIZES = ((4_000, 3_000), (20_000, 5_000))  # users x items
 WIDE_ADAM = dict(user_draws=8192, user_rows=100_000, item_draws=16_384,
                  item_rows=50_000, dim=32)
 EVAL_ITEMS = (3_000, 50_000)
-SWEEP_POSITIVES = (1, 2, 4, 8, 16, 32)
 SPLIT_USERS, SPLIT_ITEMS = 100_000, 50_000
 INGEST_ROWS = 190_000
 TRAIN_BATCH = 8192
@@ -227,33 +217,6 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
         corpus_metrics_ms=time_call(lambda: evaluate.corpus_metrics(emb, split),
                                     repeats, 1e3 / users),
         corpus_auc_fallback_users=fallback_users(emb, split, "validation"))
-
-
-def positives_sweep(items, positives, users=100, excluded=20, dim=32, repeats=7):
-    """Milliseconds per user, per repeat, for ``user_auc`` over every user,
-    with each user's ``positives`` validation positives placed by counting
-    and by sorting, whether the default predicate counts them, and one
-    ``corpus_auc`` call."""
-    rng = np.random.default_rng(0)
-    drawn = [rng.choice(items, excluded + 2 * positives, replace=False) for _ in range(users)]
-    lists = ([d[a:b] for d in drawn] for a, b in (
-        (0, excluded), (excluded, excluded + positives), (excluded + positives, None)))
-    train, val, test = ([np.sort(x) for x in part] for part in lists)
-    no_times = [np.empty(0, np.int64)] * users
-    split = _build_split(users, items, train, val, test, no_times, no_times, no_times, [])
-    emb = Embeddings.init(users, items, dim, 0.1, rng)
-    user_auc = lambda: [evaluate.user_auc(emb, split, u, "validation") for u in range(users)]
-    real, row = evaluate._counts, dict(positives=positives,
-                                       counts=bool(evaluate._counts(positives, items)))
-    try:
-        for path in ("count", "sort"):
-            evaluate._counts = lambda n_pos, n_items, c=path == "count": c
-            row[f"user_auc_{path}_ms"] = time_call(user_auc, repeats, 1e3 / users)
-    finally:
-        evaluate._counts = real
-    row["corpus_auc_ms"] = time_call(lambda: evaluate.corpus_auc(emb, split, "validation"),
-                                     repeats, 1e3 / users)
-    return row
 
 
 def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
@@ -416,21 +379,6 @@ def main():
               f"corpus_metrics {rows[-1]['corpus_metrics_ms']['min']:>7.3f}  "
               f"fallback users {rows[-1]['corpus_auc_fallback_users']}")
     result["evaluation"] = dict(dim=32, users=200, events_per_user=40, catalogs=rows)
-
-    print()
-    print("positives sweep: dim=32, 100 users, 20 train items, ms per user")
-    rows = []
-    for items in EVAL_ITEMS:
-        for positives in SWEEP_POSITIVES:
-            row = dict(items=items, **positives_sweep(items, positives))
-            rows.append(row)
-            print(f"{items:>7} items P={positives:<3} "
-                  f"user_auc count {row['user_auc_count_ms']['median']:>7.3f} "
-                  f"sort {row['user_auc_sort_ms']['median']:>7.3f}  "
-                  f"default {'count' if row['counts'] else 'sort'}  "
-                  f"corpus_auc {row['corpus_auc_ms']['median']:>7.3f}")
-    result["positives_sweep"] = dict(dim=32, users=100, excluded=20, stage="validation",
-                                     rows=rows)
 
     print()
     split = split_case()

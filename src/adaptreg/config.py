@@ -4,6 +4,7 @@ hash used to name run directories."""
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -117,11 +118,12 @@ def load_config(path=None, overrides=()):
 def _read_yaml(path):
     if not path:
         return {}
-    # read as bytes, so that YAML's own reader reports an undecodable byte
+    # read as bytes, so that YAML's own reader reports an undecodable byte;
+    # an integer too long for Python to read from text is a ValueError
     with open(path, "rb") as fh:
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must map section names to fields, got {raw!r}")
@@ -198,6 +200,12 @@ def resolve(cfg):
         values = value if isinstance(value, (list, tuple)) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must be finite, got {value}")
+        # what numpy holds the value as: an integer field as int64, any
+        # other number, list entries included, as float64
+        lo, hi = ((-2**63, 2**63 - 1) if isinstance(_FIELDS[tuple(key.split("."))], int)
+                  else (-sys.float_info.max, sys.float_info.max))
+        if any(_is_number(v) and not lo <= v <= hi for v in values):
+            raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {value}")
         if key.startswith("groups."):
             try:  # data.frequency_groups' own rule, checked before any run starts
                 frequency_groups((), value)

@@ -573,11 +573,14 @@ def sample_triplets(split, rng, size, partition="train"):
         all_items = np.arange(I, dtype=np.int64)
         # a user's partitions are disjoint, so these items are distinct
         excluded = lambda user: np.concatenate([p[user] for p in parts])
+        held = sum(np.diff(p.offsets) for p in parts)
+        # eu's users are those with an event in the partition, parts[-1]
+        every_saturated = np.all(held[np.diff(parts[-1].offsets) > 0] >= I)
         for n in np.flatnonzero(bad):
             eligible = np.setdiff1d(all_items, excluded(u[n]), assume_unique=True)
             while len(eligible) == 0:
                 # user saturated: resample the event (skip the user)
-                if np.all(sum(np.diff(p.offsets) for p in parts)[eu] >= I):
+                if every_saturated:
                     raise SaturatedSamplerError("every user's exclusion set covers all items")
                 k = int(rng.integers(0, len(eu)))
                 u[n], i[n] = eu[k], ei[k]

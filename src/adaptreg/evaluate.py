@@ -4,9 +4,7 @@ frequency-group improvement reports.
 ``_score_user`` scores one user with a matrix-vector product and is the
 reference for every metric here: ``user_auc`` and ``user_topk_ranks`` call it
 directly. It places the user's positives by exact counts of the candidates
-below each: from two comparison passes over its scores per positive when it
-has few positives for the catalog (``_counts``), else from one sort of its
-negatives. Counts are integers, so the two agree bit for bit.
+below each, from two comparison passes over its scores per positive.
 
 ``corpus_auc`` and ``corpus_metrics`` read ``_score_corpus`` instead: flat
 arrays of every positive's rank and every user's AUC, from one matrix product
@@ -18,7 +16,6 @@ bit-identical to the per-user loop and a NaN is reported the same way.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +26,6 @@ from .errors import AdaptRegError, ConfigError
 # Scores per block of users in ``_score_corpus``: a block's float64 score
 # matrix is at most 4 MB.
 BLOCK_ELEMENTS = 1 << 19
-
-
-def _counts(n_pos, n_items):
-    """Whether ``_score_user`` places ``n_pos`` positives among ``n_items``
-    scores by two comparison passes per positive rather than by one sort.
-    The passes cost about 2·P·I and the sort about I·log2(I), and a fixed
-    part of each call dominates small catalogs. The constant comes from the
-    positives sweep of ``benchmarks/bench_kernels.py``
-    (``BENCH_kernels.json``): ``user_auc`` counts faster up to P = 8 at 50k
-    items and slower from P = 16; at 3k it counts faster at P = 1 and is on
-    either side from run to run at P = 2 and 4. So this counts up to P = 11
-    at 50k items and P = 1 at 3k, and sorts where the two are about even."""
-    return n_pos * (n_items + 2**14) <= n_items * math.log2(n_items)
 
 
 def _below(sorted_scores, scores):
@@ -108,10 +92,8 @@ def _score_user(emb, split, u, stage):
     positives are distinct and disjoint from its excluded items.
 
     Each positive's rank and AUC term come from its counts of negatives
-    below and at or below it. With few positives for the catalog
-    (``_counts``) these are counts over every score less those over the
-    excluded items and the positives; otherwise each is a binary search in
-    the sorted negatives. Both are exact, so both give the same bits.
+    below and at or below it: counts over every score less those over the
+    excluded items and the positives.
     """
     excluded, positives = _stage_lists(split, stage)
     # only counted, masked or compared with, so their order does not matter
@@ -123,26 +105,16 @@ def _score_user(emb, split, u, stage):
         scores = emb.item @ emb.user[u]
     pos = scores[positives]
     n_neg = I - len(excluded) - P
+    # a maximum is NaN when any score is; only a candidate's NaN counts
+    if np.isnan(scores.max()):
+        _check_nan(scores, excluded, u)
+    # counted over every score, then less the excluded ones and the
+    # positives: a +inf mask on them would count them at or below a +inf
+    # positive
     pos_lo, pos_hi = _below(np.sort(pos), pos)
-    if _counts(P, I):
-        # a maximum is NaN when any score is; only a candidate's NaN counts
-        if np.isnan(scores.max()):
-            _check_nan(scores, excluded, u)
-        # counted over every score, then less the excluded ones: a +inf
-        # mask on them would count them at or below a +inf positive
-        all_lo, all_hi = _count_below(scores, pos)
-        exc_lo, exc_hi = _below(np.sort(scores[excluded]), pos)
-        neg_lo, neg_hi = all_lo - exc_lo - pos_lo, all_hi - exc_hi - pos_hi
-    else:
-        is_neg = np.ones(I, dtype=bool)
-        is_neg[excluded] = False
-        is_neg[positives] = False
-        neg = scores[is_neg]
-        neg.sort()
-        # sorting puts NaN last, where a rank would read it as the best score
-        if np.isnan(pos).any() or (n_neg and np.isnan(neg[-1])):
-            _check_nan(scores, excluded, u)
-        neg_lo, neg_hi = _below(neg, pos)
+    all_lo, all_hi = _count_below(scores, pos)
+    exc_lo, exc_hi = _below(np.sort(scores[excluded]), pos)
+    neg_lo, neg_hi = all_lo - exc_lo - pos_lo, all_hi - exc_hi - pos_hi
     auc = float(_auc(neg_lo, neg_hi, n_neg)) if n_neg else None
     ranks = 1 + n_neg + P - neg_hi - pos_hi
     # a positive that ties another candidate also trails its lower-id ties

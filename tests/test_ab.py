@@ -37,6 +37,7 @@ def test_medians_quartiles_and_counts(ab):
     assert (row["change_higher"], row["change_lower"], row["equal"]) == (9, 1, 0)
     assert row["change_wins"] == 9
     assert row["median_gap_exceeds_parent_iqr"] is False
+    assert row["resolved"] is False  # 9/10 wins, but within the parent's IQR
     assert row["parent"] == PARENT and row["change"] == CHANGE
 
 
@@ -48,6 +49,26 @@ def test_lower_is_better_and_gap_beyond_iqr(ab):
     assert row["change_median"] == pytest.approx(2.15)
     assert (row["change_lower"], row["equal"], row["change_wins"]) == (3, 1, 3)
     assert row["median_gap_exceeds_parent_iqr"] is True
+    assert row["resolved"] is False  # beyond the IQR, but 3/4 wins
+    # every pair won, beyond the IQR, but fewer than 10 pairs
+    row = ab.summarize(pairs(parent, [2.0] * 4, "wall_s"), {"wall_s": "lower"})["wall_s"]
+    assert (row["change_wins"], row["median_gap_exceeds_parent_iqr"]) == (4, True)
+    assert row["resolved"] is False
+
+
+def test_a_failed_pair_is_not_won(ab):
+    # 9 complete pairs, each won by 10 (parent IQR 2), and one whose change failed
+    runs = pairs(PARENT[:9], [p + 10 for p in PARENT[:9]])
+    runs.append(dict(parent={"users_per_s": 10.0}, change=None))
+    row = ab.summarize(runs, {"users_per_s": "higher"})["users_per_s"]
+    assert row["parent"] == PARENT[:9] and len(row["change"]) == 9
+    assert (row["parent_median"], row["change_median"], row["parent_iqr"]) == (11, 21, 2)
+    assert (row["change_wins"], row["resolved"]) == (9, True)  # 9/10
+    # a second failed pair, on the parent's side: 9/11
+    runs.append(dict(parent=None, change={"users_per_s": 30.0}))
+    row = ab.summarize(runs, {"users_per_s": "higher"})["users_per_s"]
+    assert (row["change_wins"], row["resolved"]) == (9, False)
+    assert ab.summarize(runs[9:], {"users_per_s": "higher"}) == {}
 
 
 def test_metric_without_direction_or_in_some_pairs(ab):

@@ -1,10 +1,9 @@
 """``benchmarks/bench_kernels.py`` still runs against the library.
 
-The evaluation cases read private names of ``adaptreg.evaluate``
-(``_score_user`` to count fallbacks, ``_counts`` to force each placement),
-and the ingest case replaces ``adaptreg.data._plain_columns`` to force the row
-reader, so a rename there must fail here rather than in the script behind a
-claim.
+The evaluation case reads ``adaptreg.evaluate._score_user`` to count
+fallbacks, and the ingest case replaces ``adaptreg.data._plain_columns`` to
+force the row reader, so a rename there must fail here rather than in the
+script behind a claim.
 """
 
 import importlib.util
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptreg import data, evaluate
+from adaptreg import data
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
@@ -30,15 +29,6 @@ def test_eval_case_on_a_tiny_catalog(bench):
     for key in ("user_auc_ms", "corpus_auc_ms", "corpus_metrics_ms"):
         assert len(row[key]["repeats"]) == 1 and row[key]["min"] > 0
     assert 0 <= row["corpus_auc_fallback_users"] <= 8
-
-
-def test_positives_sweep_on_a_tiny_catalog(bench):
-    real = evaluate._counts
-    row = bench.positives_sweep(60, 2, users=4, excluded=3, dim=4, repeats=1)
-    assert evaluate._counts is real
-    assert row["positives"] == 2 and row["counts"] == bool(real(2, 60))
-    for key in ("user_auc_count_ms", "user_auc_sort_ms", "corpus_auc_ms"):
-        assert len(row[key]["repeats"]) == 1
 
 
 def test_ingest_case_on_a_small_file(bench):

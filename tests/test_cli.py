@@ -226,6 +226,12 @@ class TestTrain:
         "training=5", "regularization=x", "training.epochs.real=1", "data.__class__=x",
         "training.__init__=x", "training:\n  __init__: x\n", "5\n", "training:\n  1: 3\n",
         "[]\n", "training.epochs: 3\n", "training:\n  epochs: [\n", "? [a, b]\n: 1\n",
+        # numbers that numpy cannot hold as their field's type
+        pytest.param(f"groups.user_boundaries=[1.5,1{'0' * 400}]", id="boundary 1e400 flag"),
+        pytest.param(f"groups:\n  user_boundaries: [1.5, 1{'0' * 400}]\n",
+                     id="boundary 1e400 yaml"),
+        pytest.param(f"training.batch_size=1{'0' * 30}", id="batch_size 1e30 flag"),
+        pytest.param(f"training:\n  epochs: 1{'0' * 5000}\n", id="epochs of 5001 digits yaml"),
     ], ids=lambda case: " ".join(case.split()))
     def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
         manifest = str(corpus / "data" / "manifest.csv")

@@ -358,11 +358,10 @@ def tiny_norms_instance():
 
 
 def wide_instance(seed=26, U=12, I=8192, dim=8):
-    """Random factors on a catalog wide enough that the default placement
-    counts: per user 20 train items and 1 to 3 validation and 1 to 3 test
-    positives, drawn from items 10 to I - 2. User 0's first positive of each
-    stage shares its item row with a negative: item 0, of lower id, and item
-    I - 1, of higher id."""
+    """Random factors on a wide catalog: per user 20 train items and 1 to 3
+    validation and 1 to 3 test positives, drawn from items 10 to I - 2.
+    User 0's first positive of each stage shares its item row with a
+    negative: item 0, of lower id, and item I - 1, of higher id."""
     rng = np.random.default_rng(seed)
     n = rng.integers(1, 4, (U, 2))
     drawn = [10 + rng.choice(I - 11, 28, replace=False) for _ in range(U)]
@@ -400,6 +399,30 @@ def wide_float32_instance():
                       item=emb.item.astype(np.float32)), split
 
 
+def wide_heavy_instance(seed=28, U=12, I=8192, dim=8):
+    """The wide instance's users, with heavy ones among them. User 0 holds
+    16 validation and 16 test positives; the first of each stage shares its
+    item row with a negative of lower id (items 1 and 2), the second with
+    one of higher id (items I - 2 and I - 3). User 2's validation positives
+    are every validation candidate but its one test item, and user 3's test
+    positives every test candidate but item I - 1."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 4, (U, 2))
+    n[0] = 16
+    drawn = [10 + rng.choice(I - 20, 52, replace=False) for _ in range(U)]
+    train = [np.sort(d[:20]) for d in drawn]
+    val = [d[20:20 + n[u, 0]] for u, d in enumerate(drawn)]
+    test = [d[36:36 + n[u, 1]] for u, d in enumerate(drawn)]
+    rest = lambda *taken: rng.permutation(np.setdiff1d(np.arange(I), np.concatenate(taken)))
+    test[2] = test[2][:1]
+    val[2] = rest(train[2], test[2])
+    test[3] = rest(train[3], val[3], [I - 1])
+    emb, _ = random_instance(seed, U, I, dim)
+    for pos, neg in zip((val[0][0], val[0][1], test[0][0], test[0][1]), (1, I - 2, 2, I - 3)):
+        emb.item[neg] = emb.item[pos]
+    return emb, make_split(I, train, val, test)
+
+
 TIE_INSTANCES = {"zero-rows": zero_rows_instance,
                  "duplicate-negative": duplicate_negative_instance,
                  "duplicate-positives": duplicate_positives_instance,
@@ -412,9 +435,9 @@ INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
              "seed3": seed3_instance, "subnormal": subnormal_instance,
              **TIE_INSTANCES}
 
-# catalogs on which _score_user places every user's positives by counting
+# 8192-item catalogs, one with heavy users
 WIDE_INSTANCES = {"wide": wide_instance, "wide-infinite": wide_infinite_instance,
-                  "wide-float32": wide_float32_instance}
+                  "wide-float32": wide_float32_instance, "wide-heavy": wide_heavy_instance}
 INSTANCES.update(WIDE_INSTANCES)
 
 
@@ -741,21 +764,15 @@ def test_wide_instances_hold_ties_and_non_finite_scores():
     assert (scores[[5, 8]] == np.inf).all() and (scores[[6, 9]] == -np.inf).all()
     assert np.isnan(scores[7]).all() and np.isfinite(np.delete(scores, [5, 6, 7, 8, 9], 0)).all()
     assert all(7 in split.train[u] for u in range(split.num_users))
-
-
-@pytest.fixture(params=["count", "sort"])
-def placement(request, monkeypatch):
-    """``_score_user``, and so every user the block scorer falls back on,
-    places its positives by comparison passes, or by sorting, whatever the
-    default predicate would pick."""
-    counts = request.param == "count"
-    monkeypatch.setattr(evaluate, "_counts", lambda n_pos, n_items: counts)
-    return request.param
-
-
-@pytest.mark.usefixtures("placement")
-class TestMatchesOracleEachPlacement(TestMatchesOracle):
-    pass
+    emb, split = wide_heavy_instance()
+    I, scores = split.num_items, emb.item @ emb.user[0]
+    assert len(split.val[0]) == len(split.test[0]) == 16
+    assert (scores[split.val[0][:2]] == scores[[1, I - 2]]).all()
+    assert (scores[split.test[0][:2]] == scores[[2, I - 3]]).all()
+    taken = np.concatenate([split.train[0], split.val[0], split.test[0]])
+    assert not np.isin([1, 2, I - 3, I - 2], taken).any()
+    assert len(split.train[2]) + len(split.val[2]) == I - 1
+    assert sum(len(p[3]) for p in (split.train, split.val, split.test)) == I - 1
 
 
 class TestExcludedOrder:
@@ -784,28 +801,13 @@ class TestExcludedOrder:
                            corpus_metrics(emb, permuted, ks=(1, 3, 10), stage=stage))
 
 
-@pytest.mark.usefixtures("placement")
-class TestExcludedOrderEachPlacement(TestExcludedOrder):
-    pass
-
-
-@pytest.mark.usefixtures("placement")
-class TestCertifiedBlocksEachPlacement(TestCertifiedBlocks):
-    pass
-
-
-@pytest.mark.usefixtures("placement")
-class TestNaNScoresEachPlacement(TestNaNScores):
-    pass
-
-
 @pytest.mark.parametrize("stage", ["validation", "test"])
 @pytest.mark.parametrize("name", sorted(WIDE_INSTANCES))
 def test_wide_users_are_counted(monkeypatch, name, stage):
     emb, split = WIDE_INSTANCES[name]()
     U, I = split.num_users, split.num_items
     _, positives = evaluate._stage_lists(split, stage)
-    assert all(1 <= len(p) <= 4 and evaluate._counts(len(p), I) for p in positives)
+    assert all(len(p) for p in positives)
     calls = []
     real = evaluate._count_below
     monkeypatch.setattr(evaluate, "_count_below",
