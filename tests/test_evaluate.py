@@ -775,6 +775,40 @@ def test_wide_instances_hold_ties_and_non_finite_scores():
     assert sum(len(p[3]) for p in (split.train, split.val, split.test)) == I - 1
 
 
+@pytest.fixture(params=["one-user-blocks", "per-user"])
+def corpus_path(request, monkeypatch):
+    """``_score_corpus`` with one user per block, or with every band
+    infinite (as where ``4·‖x‖·M`` overflows), so that it certifies no user
+    and ``_score_user`` scores every user with positives."""
+    if request.param == "one-user-blocks":
+        monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", 1)
+    else:
+        monkeypatch.setattr(evaluate, "_bands", lambda emb: np.full(emb.num_users, np.inf))
+    return request.param
+
+
+@pytest.mark.usefixtures("corpus_path")
+class TestMatchesOracleEachPath(TestMatchesOracle):
+    pass
+
+
+@pytest.mark.usefixtures("corpus_path")
+class TestNaNScoresEachPath(TestNaNScores):
+    pass
+
+
+@pytest.mark.usefixtures("corpus_path")
+class TestCertifiedBlocksEachPath(TestCertifiedBlocks):
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("name", ["synthetic", "popular", "seed3"])
+    def test_float_factors_certify_every_user(self, monkeypatch, corpus_path, name, stage):
+        emb, split = INSTANCES[name]()
+        _, positives = evaluate._stage_lists(split, stage)
+        want = ([] if corpus_path == "one-user-blocks" else
+                [u for u in range(split.num_users) if len(positives[u])])
+        assert fallback_users(monkeypatch, emb, split, stage) == want
+
+
 class TestExcludedOrder:
     """A stage's excluded items are only counted, masked and compared with,
     so the order of a user's train and validation rows cannot change a
@@ -799,6 +833,11 @@ class TestExcludedOrder:
         assert same_bytes(corpus_auc(emb, ordered, stage), corpus_auc(emb, permuted, stage))
         assert_same_report(corpus_metrics(emb, ordered, ks=(1, 3, 10), stage=stage),
                            corpus_metrics(emb, permuted, ks=(1, 3, 10), stage=stage))
+
+
+@pytest.mark.usefixtures("corpus_path")
+class TestExcludedOrderEachPath(TestExcludedOrder):
+    pass
 
 
 @pytest.mark.parametrize("stage", ["validation", "test"])
