@@ -1,28 +1,21 @@
-"""Kernel timings, plus the cost of one coefficient (lambda) step.
+"""Phase costs of training steps, and timings of the parts around them.
 
-Run with ``python3 benchmarks/bench_kernels.py``. The kernel table times each
-kernel of ``adaptreg._kernels`` at the ``--size`` triplet batch and again at a
-training batch of 8192 triplets. The ``bpr_grad`` row is the one scoring pass
-of a batch: it returns the batch loss with freshly built gradient blocks, so
-its repeats share no output buffer. There is no loss-only kernel to time
-(``mf.bpr_loss`` reads the loss of that pass). Pass ``--repeats`` for more
-stable timings.
-
-The lambda-step case times ``adaptive.lambda_step`` (Adam, K=32, ``full``
-granularity, 1024-triplet train and validation batches drawn uniformly at
-random) on a small and a large catalog, and prints the large/small ratio: the
-step should cost O(batch), not O(|U|+|I|). Building the large catalog takes
-about 1 GB of memory.
+Run with ``python3 benchmarks/bench_kernels.py``. The train-step case makes
+short ``adaptive.train_model`` runs, evaluation stubbed, and reads each
+step's phase seconds and counts from ``TrainResult.phases``: per phase the
+milliseconds per step (median of ``--repeats`` runs), the counts, each run's
+CPU seconds, and the cost factor, milliseconds per step over ``fix``'s. It
+runs ``tests/_synth.make_split(seed=3)`` at 4k x 3k and 20k x 5k with
+``fix``, ``opt/full``, ``opt/user`` and ``opt/full`` + ``adam_on_lambda``
+(Adam, K=32, batch and lambda batch 1024, 2 epochs), and perfbench's seed-7
+wide corpus under the ``fixed-wide`` and ``adaptive-wide`` training
+overrides of ``perfbench/workloads.json``. Its phase seconds are wall time
+(``time.perf_counter`` in the step).
 
 The hypergradient case times one ``adaptive.sparse_hypergradient`` call (Adam,
-K=32, 1024-triplet train and validation batches drawn by
-``data.sample_triplets``) on ``tests/_synth.make_split(seed=3)`` at 4k x 3k and
-20k x 5k, for ``full`` and ``user`` granularity, and records how many rows the
+K=32, 1024-triplet batches drawn by ``data.sample_triplets``) on the same
+splits, for ``full`` and ``user`` granularity, and records how many rows the
 train batch touches and how many of them the validation batch also reads.
-
-The wide Adam case times one ``_kernels.adam_step`` pair shaped like a training
-step on the wide perfbench corpora: 8192 user draws on 100k rows plus 16384
-item draws on 50k rows, K=32, updated in place.
 
 The evaluation case times full-catalog evaluation in milliseconds per user:
 ``evaluate.user_auc`` over every user and ``evaluate.corpus_auc`` (both at the
@@ -44,16 +37,16 @@ pipeline-small corpus (``tests/_synth.write_plain_log``: about 190k rows over
 through the row reader, and ``data.filter_min_count`` (20/20) on the loaded
 log. Each row also records its ``tracemalloc`` peak per input byte.
 
-Every timing is CPU time of this process (``time.process_time``), not wall
-time, so that a figure moves less with the load other processes put on the
-host. The BLAS is pinned to one thread before numpy is imported, as in
+Every other timing is CPU time of this process (``time.process_time``), so
+that a figure moves less with the load other processes put on the host. The
+BLAS is pinned to one thread before numpy is imported, as in
 ``perfbench/run.py``, so that CPU time does not sum BLAS threads.
 
 Every table printed is also written to ``--out`` (``BENCH_kernels.json`` at
 the repository root by default), with the numpy version, the BLAS build and
-the CPU model the timings were taken on. The tables print the best repeat;
-the file records each timing as the min, median and max over its repeats
-plus every repeat in run order, so that it carries its own noise band.
+the CPU model the timings were taken on. The other tables print the best
+repeat; the file records each of their timings as the min, median and max
+over its repeats plus every repeat in run order, its own noise band.
 """
 
 import argparse
@@ -71,36 +64,33 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from adaptreg import _kernels, data, evaluate
-from adaptreg.adaptive import RegCoefficients, lambda_step, sparse_hypergradient
+from adaptreg import data, evaluate
+from adaptreg.adaptive import (PHASE_COUNTS, PHASE_SECONDS, RegCoefficients,
+                               sparse_hypergradient, train_model)
+from adaptreg.config import load_config
 from adaptreg.data import InteractionLog, chronological_split, sample_triplets
-from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient
+from adaptreg.mf import Embeddings, bpr_gradient
 from adaptreg.optim import make_optimizer
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+import corpus  # noqa: E402  perfbench's corpus generators
 from _synth import make_split, write_plain_log  # noqa: E402
 
-LAMBDA_SIZES = ((5_000, 5_000), (500_000, 100_000))  # users x items
-HYPERGRADIENT_SIZES = ((4_000, 3_000), (20_000, 5_000))  # users x items
-WIDE_ADAM = dict(user_draws=8192, user_rows=100_000, item_draws=16_384,
-                 item_rows=50_000, dim=32)
+SYNTH_SIZES = ((4_000, 3_000), (20_000, 5_000))  # users x items
+TRAIN_CONFIGS = {  # --set overrides of each train-step config on the synthetic splits
+    "fix": ["regularization.mode=fix", "regularization.fixed_value=0.01"],
+    "opt/full": [],
+    "opt/user": ["regularization.granularity=user"],
+    "opt/full+adam_on_lambda": ["regularization.adam_on_lambda=true"],
+}
+TRAIN_BASE = ["optimizer.kind=adam", "model.dim=32", "training.epochs=2",
+              "training.batch_size=1024", "training.lambda_batch_size=1024"]
+WIDE_SEED, WIDE_WORKLOADS = 7, ("fixed-wide", "adaptive-wide")
+STEP_PHASES = tuple(k for k in PHASE_SECONDS if k != "eval")  # eval is stubbed
 EVAL_ITEMS = (3_000, 50_000)
 SPLIT_USERS, SPLIT_ITEMS = 100_000, 50_000
 INGEST_ROWS = 190_000
-TRAIN_BATCH = 8192
-
-
-def triplet_case(rng, size, U, I, K):
-    uf = rng.normal(0, 0.3, (U, K))
-    itf = rng.normal(0, 0.3, (I, K))
-    users = rng.integers(0, U, size)
-    pos = rng.integers(0, I, size)
-    neg = rng.integers(0, I, size)
-    urows, u_inv = np.unique(users, return_inverse=True)
-    irows, inv = np.unique(np.concatenate([pos, neg]), return_inverse=True)
-    return dict(uf=uf, itf=itf, users=users, pos=pos, neg=neg,
-                urows=urows, irows=irows, u_inv=u_inv,
-                p_inv=inv[:size], n_inv=inv[size:])
 
 
 def time_call(fn, repeats, scale=1e3):
@@ -114,28 +104,6 @@ def time_call(fn, repeats, scale=1e3):
         times.append((time.process_time() - t0) * scale)
     return dict(min=min(times), median=float(np.median(times)), max=max(times),
                 repeats=times)
-
-
-def lambda_step_ms(users, items, dim=32, batch=1024, steps=20, repeats=5):
-    """Mean milliseconds per lambda step over ``steps`` pre-drawn batch pairs,
-    per repeat, after one warm-up pass."""
-    rng = np.random.default_rng(0)
-
-    def draw():
-        return TripletBatch(rng.integers(0, users, batch), rng.integers(0, items, batch),
-                            rng.integers(0, items, batch))
-
-    emb = Embeddings.init(users, items, dim, 0.1, rng)
-    opt = make_optimizer("adam")
-    opt.step(emb, bpr_gradient(emb, draw()))  # allocates the moments
-    lam = RegCoefficients.create("full", users, items, dim, init=0.01)
-    pairs = [(draw(), draw()) for _ in range(steps)]
-
-    def run():
-        for tb, vb in pairs:
-            lambda_step(lam, emb, opt, tb, vb, 1e-3, 1.0)
-
-    return time_call(run, repeats, 1e3 / steps)
 
 
 def hypergradient_ms(split, granularity, dim=32, batch=1024, calls=20, repeats=10):
@@ -167,21 +135,40 @@ def hypergradient_ms(split, granularity, dim=32, batch=1024, calls=20, repeats=1
                          "shared_item_rows"), rows.tolist()))
 
 
-def wide_adam_ms(repeats):
-    """Milliseconds per repeat for the user and the item side of one
-    ``adam_step`` shaped like a wide-corpus training step."""
-    rng = np.random.default_rng(0)
-    K = WIDE_ADAM["dim"]
-    ms = {}
-    for side in ("user", "item"):
-        n = WIDE_ADAM[f"{side}_rows"]
-        rows = np.unique(rng.integers(0, n, WIDE_ADAM[f"{side}_draws"]))
-        param = rng.normal(0, 0.1, (n, K))
-        s, r = np.zeros((n, K)), np.zeros((n, K))
-        g = rng.normal(0, 1, (len(rows), K))
-        ms[side] = time_call(lambda: _kernels.adam_step(
-            param, s, r, rows, g, 0.01, 0.3162, 0.9, 0.999, 1e-8), repeats)
-    return ms
+def train_step_case(split, overrides, repeats):
+    """``repeats`` runs of the config ``overrides`` give, evaluation stubbed:
+    median ms per step of each phase and of their sum (``step_ms``), the
+    phase counts, and each run's CPU seconds."""
+    cfg = load_config(None, overrides)
+    runs, cpu_s = [], []
+    for _ in range(repeats):
+        t0 = time.process_time()
+        runs.append(train_model(split, cfg, eval_fn=lambda emb: 0.5).phases)
+        cpu_s.append(time.process_time() - t0)
+    per_step = 1e3 / runs[0]["steps"]
+    median = lambda fn: float(np.median([fn(p) for p in runs])) * per_step
+    return dict(overrides=overrides,
+                ms_per_step={k: median(lambda p: p[k]) for k in PHASE_SECONDS},
+                step_ms=median(lambda p: sum(p[k] for k in STEP_PHASES)),
+                counts={k: runs[0][k] for k in PHASE_COUNTS}, cpu_s=cpu_s)
+
+
+def train_step_table(title, rows, base):
+    """Print ``train_step_case`` rows by name, each with its cost factor over row ``base``."""
+    print(f"{title}: ms per step")
+    print(f"{'config':<24}" + "".join(f"{k:>10}" for k in STEP_PHASES) + f"{'step':>10}  factor")
+    for name, row in rows.items():
+        row["cost_factor"] = row["step_ms"] / rows[base]["step_ms"]
+        print(f"{name:<24}" + "".join(f"{row['ms_per_step'][k]:>10.2f}" for k in STEP_PHASES)
+              + f"{row['step_ms']:>10.2f}  {row['cost_factor']:.2f}x")
+
+
+def wide_split(generator):
+    """The split of perfbench's seed-7 ``wide_log`` corpus of a workload's generator."""
+    gen = {k: v for k, v in generator.items() if k != "kind"}
+    users, items, times = corpus.wide_log(WIDE_SEED, **gen)
+    return chronological_split(InteractionLog(users, items, times,
+                                              gen["num_users"], gen["num_items"]))
 
 
 def fallback_users(emb, split, stage):
@@ -275,37 +262,6 @@ def ingest_case(rows=INGEST_ROWS, repeats=5, **catalog):
     return out
 
 
-def kernel_table(size, args):
-    rng = np.random.default_rng(0)
-    c = triplet_case(rng, size, args.users, args.items, args.dim)
-    K = args.dim
-    lr, corr, b1, b2, eps = 0.01, 0.3162, 0.9, 0.999, 1e-8
-    g_user = rng.normal(0, 1, (len(c["urows"]), K))
-    s = np.zeros((args.users, K))
-    r = np.zeros((args.users, K))
-    scatter_idx = rng.integers(0, args.users * K, size)
-    scatter_vals = rng.normal(0, 1, size)
-    cases = {
-        "bpr_grad": lambda: _kernels.bpr_grad_batch(
-            c["uf"], c["itf"], c["users"], c["pos"], c["neg"],
-            c["u_inv"], c["p_inv"], c["n_inv"], len(c["urows"]), len(c["irows"])),
-        "adam_step": lambda: _kernels.adam_step(
-            c["uf"].copy(), s.copy(), r.copy(), c["urows"], g_user,
-            lr, corr, b1, b2, eps),
-        "scatter_add": lambda: _kernels.scatter_add(
-            np.zeros(args.users * K), scatter_idx, scatter_vals),
-    }
-
-    print()
-    print(f"batch={size} users={args.users} items={args.items} dim={args.dim}")
-    print(f"{'kernel':<12} {'ms':>11}")
-    ms = {}
-    for name, fn in cases.items():
-        ms[name] = time_call(fn, args.repeats)
-        print(f"{name:<12} {ms[name]['min']:>11.3f}")
-    return dict(batch=size, users=args.users, items=args.items, dim=args.dim, ms=ms)
-
-
 def environment():
     """The numeric stack and CPU the timings were taken on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -322,31 +278,34 @@ def environment():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--size", type=int, default=100_000)
-    ap.add_argument("--users", type=int, default=5_000)
-    ap.add_argument("--items", type=int, default=20_000)
-    ap.add_argument("--dim", type=int, default=32)
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
-                                         / "BENCH_kernels.json"))
+    ap.add_argument("--repeats", type=int, default=3, help="runs per train-step config")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
     args = ap.parse_args()
     result = {"environment": environment()}
+    splits = {size: make_split(num_users=size[0], num_items=size[1], seed=3)
+              for size in SYNTH_SIZES}
 
-    result["kernels"] = [kernel_table(size, args) for size in (args.size, TRAIN_BATCH)]
-
+    sizes = []
+    for (users, items), split in splits.items():
+        print()
+        rows = {name: train_step_case(split, TRAIN_BASE + overrides, args.repeats)
+                for name, overrides in TRAIN_CONFIGS.items()}
+        train_step_table(f"train_step, make_split({users} x {items}, seed=3)", rows, "fix")
+        sizes.append(dict(users=users, items=items, configs=rows))
     print()
-    print(f"adam_step, wide step shape: {WIDE_ADAM['user_draws']} user draws on "
-          f"{WIDE_ADAM['user_rows']} rows + {WIDE_ADAM['item_draws']} item draws on "
-          f"{WIDE_ADAM['item_rows']} rows, dim={WIDE_ADAM['dim']}")
-    wide = wide_adam_ms(args.repeats)
-    print(f"user {wide['user']['min']:.3f} ms  item {wide['item']['min']:.3f} ms")
-    result["adam_step_wide"] = dict(WIDE_ADAM, ms=wide)
+    specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    wide = {name: train_step_case(wide_split(specs[name]["generator"]),
+                                  specs[name]["train"] + [f"training.seed={WIDE_SEED}"],
+                                  args.repeats)
+            for name in WIDE_WORKLOADS}
+    train_step_table(f"train_step, perfbench wide corpus (seed {WIDE_SEED})", wide, "fixed-wide")
+    result["train_step"] = dict(eval="stubbed", repeats=args.repeats, synth_seed=3, synth=sizes,
+                                wide_seed=WIDE_SEED, wide=wide)
 
     print()
     print("sparse_hypergradient: adam, dim=32, batch=1024, make_split(seed=3)")
     rows = []
-    for users, items in HYPERGRADIENT_SIZES:
-        split = make_split(num_users=users, num_items=items, seed=3)
+    for (users, items), split in splits.items():
         for granularity in ("full", "user"):
             ms, touched = hypergradient_ms(split, granularity)
             rows.append(dict(users=users, items=items, granularity=granularity,
@@ -356,18 +315,6 @@ def main():
                   f"  item rows {touched['shared_item_rows']:.0f}/{touched['item_rows']:.0f}"
                   " shared/touched")
     result["hypergradient"] = dict(optimizer="adam", dim=32, batch=1024, seed=3, sizes=rows)
-
-    print()
-    print("lambda step: adam, dim=32, batch=1024, granularity=full")
-    rows = []
-    for users, items in LAMBDA_SIZES:
-        rows.append(dict(users=users, items=items, ms_per_step=lambda_step_ms(users, items)))
-        ms = rows[-1]["ms_per_step"]["min"]
-        print(f"{users:>7} users x {items:>7} items {ms:>8.2f} ms/step")
-    ratio = rows[-1]["ms_per_step"]["median"] / rows[0]["ms_per_step"]["median"]
-    print(f"large/small ratio of the medians {ratio:.2f}")
-    result["lambda_step"] = dict(optimizer="adam", dim=32, batch=1024, granularity="full",
-                                 sizes=rows, large_small_ratio=ratio)
 
     print()
     print("evaluation: dim=32, 200 users, ms per user")

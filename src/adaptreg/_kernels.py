@@ -9,8 +9,8 @@ of a set of rows without writing them; the real step, ``adam_step``, writes
 back what it returns in blocks of rows small enough to stay in cache, and the
 optimizer's assumed step returns it as is, so the two steps share one
 arithmetic. ``bpr_grad_batch`` and ``adam_step`` give the same bits as the
-plain ``np.add.at`` and fancy-index forms. ``benchmarks/bench_kernels.py``
-times each kernel.
+plain ``np.add.at`` and fancy-index forms. ``adaptive.train_step`` times the
+step phases that run them (``gradient`` and ``optimizer``).
 """
 
 import math

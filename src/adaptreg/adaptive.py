@@ -4,7 +4,8 @@ optimizer step, the clip-then-clamp projection, the alternating training loop,
 and trajectory recording."""
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -294,6 +295,11 @@ def record_trajectory(lam, step, user_groups, item_groups):
 # Alternating training loop
 # ---------------------------------------------------------------------------
 
+# phase keys (seconds, then counts); kept out of history, trajectory and checkpoint
+PHASE_SECONDS = ("sample", "gradient", "compose", "optimizer", "lambda", "eval")
+PHASE_COUNTS = ("steps", "lambda_steps", "triplets", "lambda_triplets", "rows")
+
+
 @dataclass
 class TrainResult:
     emb: Embeddings
@@ -306,6 +312,7 @@ class TrainResult:
     item_groups: tuple       # which the trajectory's group statistics read
     aborted: bool = False
     abort_reason: str = ""
+    phases: dict = field(default_factory=dict)  # PHASE_SECONDS and PHASE_COUNTS
 
 
 def _seeded_start(split, cfg, adaptive):
@@ -326,6 +333,45 @@ def _seeded_start(split, cfg, adaptive):
     return rng, emb, lam, optimizer
 
 
+def train_step(split, cfg, rng, emb, lam, optimizer, step, phases, lam_step):
+    """Step ``step`` (from 0): a θ step on a fresh train batch, then, every
+    ``regularization.every`` steps unless ``lam_step`` is None (``fix``),
+    ``lam_step(lam, emb, optimizer, tb, vb)`` on fresh train and validation
+    batches. Mutates emb and the optimizer; returns the θ batch's summed loss
+    and the coefficients after the step.
+
+    Adds the step's ``time.perf_counter`` seconds and counts to ``phases``:
+    ``sample`` holds every batch draw; ``lambda`` times the λ step as one call,
+    whose signature the oracle tests pin; ``rows`` counts the θ rows written.
+    """
+    tr = cfg.training
+    clock = time.perf_counter
+    t0 = clock()
+    batch = sample_triplets(split, rng, tr.batch_size, "train")
+    t1 = clock()
+    grad = bpr_gradient(emb, batch)
+    t2 = clock()
+    composed = compose_gradient(grad, emb, lam)
+    t3 = clock()
+    optimizer.step(emb, composed, step_index=step)
+    t4 = t5 = t6 = clock()
+    if lam_step is not None and step % cfg.regularization.every == 0:
+        tb = sample_triplets(split, rng, tr.lambda_batch_size, "train")
+        vb = sample_triplets(split, rng, tr.lambda_batch_size, "validation")
+        t5 = clock()
+        lam = lam_step(lam, emb, optimizer, tb, vb)
+        t6 = clock()
+        phases["lambda_steps"] += 1
+        phases["lambda_triplets"] += len(tb) + len(vb)
+    for key, seconds in (("sample", t1 - t0 + t5 - t4), ("gradient", t2 - t1),
+                         ("compose", t3 - t2), ("optimizer", t4 - t3), ("lambda", t6 - t5)):
+        phases[key] += seconds
+    phases["steps"] += 1
+    phases["triplets"] += len(batch)
+    phases["rows"] += len(composed.user_rows) + len(composed.item_rows)
+    return grad.loss, lam
+
+
 def train_model(split, cfg, eval_fn=None):
     """Alternating theta/lambda optimization per the run config.
 
@@ -333,13 +379,17 @@ def train_model(split, cfg, eval_fn=None):
     (defaults to full validation AUC); evaluation runs every
     ``training.eval_every`` epochs with early stopping on it. A run returns
     the state of its best evaluation; one that aborts before any evaluation
-    improved returns its seeded start.
+    improved returns its seeded start. The result's ``phases`` sums what each
+    ``train_step`` adds, and the seconds spent in ``eval_fn``.
     """
     tr = cfg.training
     reg = cfg.regularization
     adaptive = reg.mode in ("opt", "sgda")
     rng, emb, lam, optimizer = _seeded_start(split, cfg, adaptive)
     lam_opt = LambdaAdam(lam.num_entries) if (adaptive and reg.adam_on_lambda) else None
+    # looks ``lambda_step`` up at each call, so a replaced module attribute takes the step
+    lam_step = ((lambda *state: lambda_step(*state, reg.step_size, reg.clip, lam_opt))
+                if adaptive else None)
 
     user_groups = group_by(frequency_groups(split.user_frequency, cfg.groups.user_boundaries))
     item_groups = group_by(frequency_groups(split.item_frequency, cfg.groups.item_boundaries))
@@ -349,6 +399,7 @@ def train_model(split, cfg, eval_fn=None):
 
     steps_per_epoch = max(1, math.ceil(split.num_train_events / tr.batch_size))
     history, trajectory = [], []
+    phases = {**dict.fromkeys(PHASE_SECONDS, 0.0), **dict.fromkeys(PHASE_COUNTS, 0)}
     best, best_auc, best_epoch, bad_evals = None, -np.inf, 0, 0
     global_step = 0
     aborted, abort_reason = False, ""
@@ -357,16 +408,9 @@ def train_model(split, cfg, eval_fn=None):
         loss_sum = 0.0
         try:
             for _ in range(steps_per_epoch):
-                batch = sample_triplets(split, rng, tr.batch_size, "train")
-                grad = bpr_gradient(emb, batch)
-                loss_sum += grad.loss
-                optimizer.step(emb, compose_gradient(grad, emb, lam),
-                               step_index=global_step)
-                if adaptive and global_step % reg.every == 0:
-                    tb = sample_triplets(split, rng, tr.lambda_batch_size, "train")
-                    vb = sample_triplets(split, rng, tr.lambda_batch_size, "validation")
-                    lam = lambda_step(lam, emb, optimizer, tb, vb, reg.step_size,
-                                      reg.clip, lam_opt)
+                loss, lam = train_step(split, cfg, rng, emb, lam, optimizer, global_step,
+                                       phases, lam_step)
+                loss_sum += loss
                 global_step += 1
         except AdaptRegError as exc:
             aborted, abort_reason = True, str(exc)
@@ -380,7 +424,9 @@ def train_model(split, cfg, eval_fn=None):
             aborted, abort_reason = True, f"non-finite training loss at epoch {epoch}"
             break
         if epoch % tr.eval_every == 0 or epoch == tr.epochs:
+            t0 = time.perf_counter()
             val_auc = eval_fn(emb)
+            phases["eval"] += time.perf_counter() - t0
             row["val_auc"] = val_auc
             if val_auc > best_auc:
                 best_auc = val_auc
@@ -402,4 +448,4 @@ def train_model(split, cfg, eval_fn=None):
     return TrainResult(emb=emb, lam=lam, optimizer=optimizer, history=history,
                        trajectory=trajectory, best_epoch=best_epoch,
                        user_groups=user_groups, item_groups=item_groups,
-                       aborted=aborted, abort_reason=abort_reason)
+                       aborted=aborted, abort_reason=abort_reason, phases=phases)

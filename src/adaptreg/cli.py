@@ -218,6 +218,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"ERROR:IO: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"ERROR:MEMORY: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from adaptreg.adaptive import (
-    GRANULARITIES, LambdaAdam, RegCoefficients, canonical_granularity, compose_gradient,
-    hypergradient, project_and_step, record_trajectory, train_model,
+    GRANULARITIES, PHASE_COUNTS, PHASE_SECONDS, LambdaAdam, RegCoefficients,
+    canonical_granularity, compose_gradient, hypergradient, project_and_step,
+    record_trajectory, train_model,
 )
 from adaptreg.config import RunConfig
 from adaptreg.data import frequency_groups, group_by
@@ -14,6 +15,7 @@ from adaptreg.errors import ConfigError
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient, bpr_loss, penalty
 from adaptreg.optim import make_optimizer
 
+from _synth import make_split
 from conftest import (
     oracle_index_maps, oracle_record_trajectory, random_batch, random_instance,
 )
@@ -546,3 +548,59 @@ class TestTrainLoop:
         res = train_model(small_split, cfg, eval_fn=lambda e: 0.5)
         assert [r["step"] for r in res.history] == [4, 8, 12]
         assert steps == [0, 3, 6, 9]
+
+
+class TestStepCost:
+    """The paper's cost claim, that learning λ costs a constant factor over a
+    fixed-λ run, as arithmetic on ``TrainResult.phases``, with no clock. An
+    ``opt`` step scores its θ batch plus a train and a validation λ batch:
+    ``1 + 2·lambda_batch_size/batch_size`` triplets per ``fix`` triplet, 3 at
+    the default batch sizes. A λ step that reuses the θ step's BPR pass
+    (ROADMAP item 11) changes the expected 3 to 2."""
+
+    @pytest.fixture(scope="class", params=[(120, 200), (600, 400)], ids=["120x200", "600x400"])
+    def split(self, request):
+        users, items = request.param
+        return make_split(num_users=users, num_items=items, seed=3)
+
+    @pytest.mark.parametrize("mode,granularity,every,lambda_batch,ratio", [
+        ("fix", "full", 1, 1024, 1.0), ("opt", "full", 1, 1024, 3.0),
+        ("opt", "user", 1, 1024, 3.0), ("opt", "full", 3, 1024, None),
+        ("opt", "user", 1, 256, 1.5),
+    ])
+    def test_scored_triplets_and_written_rows(self, split, monkeypatch, mode, granularity,
+                                               every, lambda_batch, ratio):
+        from adaptreg import adaptive
+        draws, real = [], adaptive.sample_triplets
+
+        def recorded(split, rng, size, partition):
+            draws.append((partition, real(split, rng, size, partition)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(adaptive, "sample_triplets", recorded)
+        cfg = quick_cfg(mode=mode, granularity=granularity, epochs=2)
+        cfg.training.batch_size = 1024
+        cfg.training.lambda_batch_size = lambda_batch
+        cfg.regularization.every = every
+        res = train_model(split, cfg, eval_fn=lambda e: 0.5)
+        ph = res.phases
+
+        assert set(ph) == set(PHASE_SECONDS + PHASE_COUNTS)
+        assert all(math.isfinite(v) and v >= 0 for v in ph.values())
+        assert all(set(row) <= {"epoch", "step", "train_loss", "val_auc"} for row in res.history)
+        steps = res.history[-1]["step"]
+        assert ph["steps"] == steps and ph["triplets"] == steps * 1024
+        lambda_steps = 0 if mode == "fix" else len(range(0, steps, every))
+        assert ph["lambda_steps"] == lambda_steps
+        assert ph["lambda_triplets"] == lambda_steps * 2 * lambda_batch
+        if ratio is not None:
+            assert (ph["triplets"] + ph["lambda_triplets"]) / ph["triplets"] == ratio
+        if mode == "fix":
+            assert ph["lambda"] == 0.0
+        # a θ batch is a train draw that no validation draw follows
+        theta = [b for n, (partition, b) in enumerate(draws) if partition == "train"
+                 and (n + 1 == len(draws) or draws[n + 1][0] != "validation")]
+        assert len(theta) == steps
+        touched = sum(len(np.unique(b.users)) + len(np.unique(np.concatenate([b.pos, b.neg])))
+                      for b in theta)
+        assert 0 < ph["rows"] <= touched

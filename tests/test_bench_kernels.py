@@ -1,9 +1,9 @@
 """``benchmarks/bench_kernels.py`` still runs against the library.
 
-The evaluation case reads ``adaptreg.evaluate._score_user`` to count
-fallbacks, and the ingest case replaces ``adaptreg.data._plain_columns`` to
-force the row reader, so a rename there must fail here rather than in the
-script behind a claim.
+The train-step case reads ``TrainResult.phases``, the evaluation case reads
+``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
+replaces ``adaptreg.data._plain_columns`` to force the row reader, so a
+rename there must fail here rather than in the script behind a claim.
 """
 
 import importlib.util
@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from adaptreg import data
+from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS
+
+from _synth import SMALL_SPLIT, make_split
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
@@ -38,3 +41,21 @@ def test_ingest_case_on_a_small_file(bench):
     assert 0 < row["rows"] <= 2_000 * 1.02 and row["bytes"] > 0
     for key in ("load_plain", "load_rows", "filter_min_count"):
         assert len(row[key]["ms"]["repeats"]) == 1 and row[key]["peak_per_byte"] > 0
+
+
+def test_train_step_case_on_a_tiny_split(bench, capsys):
+    split = make_split(**SMALL_SPLIT)
+    base = ["model.dim=4", "training.epochs=1", "training.batch_size=64",
+            "training.lambda_batch_size=32"]
+    rows = {name: bench.train_step_case(split, base + overrides, repeats=2)
+            for name, overrides in bench.TRAIN_CONFIGS.items()}
+    bench.train_step_table("tiny", rows, "fix")
+    assert "opt/full+adam_on_lambda" in capsys.readouterr().out
+    for name, row in rows.items():
+        assert set(row["ms_per_step"]) == set(PHASE_SECONDS)
+        assert set(row["counts"]) == set(PHASE_COUNTS) and len(row["cpu_s"]) == 2
+        steps = row["counts"]["steps"]
+        assert steps > 0 and row["counts"]["triplets"] == 64 * steps
+        assert row["counts"]["lambda_triplets"] == (0 if name == "fix" else 64 * steps)
+        assert row["step_ms"] > 0 and row["cost_factor"] > 0
+    assert rows["fix"]["cost_factor"] == 1.0 and rows["fix"]["ms_per_step"]["lambda"] == 0.0

@@ -232,6 +232,9 @@ class TestTrain:
                      id="boundary 1e400 yaml"),
         pytest.param(f"training.batch_size=1{'0' * 30}", id="batch_size 1e30 flag"),
         pytest.param(f"training:\n  epochs: 1{'0' * 5000}\n", id="epochs of 5001 digits yaml"),
+        # batch sizes within int64 that no host can allocate
+        *(case for key in ("batch_size", "lambda_batch_size") for n in (2**31, 2**63 - 1)
+          for case in (f"training.{key}={n}", f"training:\n  {key}: {n}\n")),
     ], ids=lambda case: " ".join(case.split()))
     def test_bad_config_value_rejected(self, corpus, tmp_path, capsys, case):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -241,10 +244,25 @@ class TestTrain:
             extra = ["--config", str(path)]
         else:
             extra = ["--set", case]
-        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST + extra)
+        # flags win over the file: leave out the FAST flags of fields the file sets
+        fast = [arg for flag in zip(FAST[::2], FAST[1::2])
+                if f"\n  {flag[1].split('=')[0].split('.')[1]}:" not in case for arg in flag]
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + fast + extra)
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_memory_error_is_reported(self, corpus, tmp_path, capsys, monkeypatch):
+        import adaptreg.adaptive
+
+        def sample_triplets(*args):
+            raise MemoryError("Unable to allocate 48.0 GiB")
+
+        monkeypatch.setattr(adaptreg.adaptive, "sample_triplets", sample_triplets)
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == "ERROR:MEMORY: Unable to allocate 48.0 GiB\n"
 
     def test_undecodable_config_file_rejected(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
