@@ -10,12 +10,10 @@ runs ``tests/_synth.make_split(seed=3)`` at 4k x 3k and 20k x 5k with
 (Adam, K=32, batch and lambda batch 1024, 2 epochs), and perfbench's seed-7
 wide corpus under the ``fixed-wide`` and ``adaptive-wide`` training
 overrides of ``perfbench/workloads.json``. Its phase seconds are wall time
-(``time.perf_counter`` in the step).
-
-The hypergradient case times one ``adaptive.sparse_hypergradient`` call (Adam,
-K=32, 1024-triplet batches drawn by ``data.sample_triplets``) on the same
-splits, for ``full`` and ``user`` granularity, and records how many rows the
-train batch touches and how many of them the validation batch also reads.
+(``time.perf_counter`` in the step). For each ``opt`` config it also records
+the hypergradient's coverage: the share of the coefficient entries that one
+``adaptive.sparse_hypergradient`` call reaches, ``len(entries) /
+lam.num_entries``, averaged over the runs' λ steps.
 
 The evaluation case times full-catalog evaluation in milliseconds per user:
 ``evaluate.user_auc`` over every user and ``evaluate.corpus_auc`` (both at the
@@ -23,12 +21,6 @@ validation stage), and ``evaluate.corpus_metrics`` (test stage, HR/NDCG at 50
 and 100), on 200 users with 40 random events each, K=32, over a 3k and a 50k
 item catalog. It also records how many users ``corpus_auc`` could not
 certify from its block product and scored one at a time instead.
-
-The split case times ``data.chronological_split`` (ratios 0.6/0.2/0.2) on a
-numpy-generated log of 100k users with 1 to 20 events each, about 1M events
-over 50k items in random order, with timestamps drawn from a small range so
-that ties occur. It also records, with ``tracemalloc``, the bytes that the
-built split keeps allocated and the peak while building it.
 
 The ingest case writes a ``u<id>,i<id>,<time>`` file shaped like the
 pipeline-small corpus (``tests/_synth.write_plain_log``: about 190k rows over
@@ -64,13 +56,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from adaptreg import data, evaluate
-from adaptreg.adaptive import (PHASE_COUNTS, PHASE_SECONDS, RegCoefficients,
-                               sparse_hypergradient, train_model)
+from adaptreg import adaptive, data, evaluate
+from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS, train_model
 from adaptreg.config import load_config
-from adaptreg.data import InteractionLog, chronological_split, sample_triplets
-from adaptreg.mf import Embeddings, bpr_gradient
-from adaptreg.optim import make_optimizer
+from adaptreg.data import InteractionLog, chronological_split
+from adaptreg.mf import Embeddings
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -89,7 +79,6 @@ TRAIN_BASE = ["optimizer.kind=adam", "model.dim=32", "training.epochs=2",
 WIDE_SEED, WIDE_WORKLOADS = 7, ("fixed-wide", "adaptive-wide")
 STEP_PHASES = tuple(k for k in PHASE_SECONDS if k != "eval")  # eval is stubbed
 EVAL_ITEMS = (3_000, 50_000)
-SPLIT_USERS, SPLIT_ITEMS = 100_000, 50_000
 INGEST_ROWS = 190_000
 
 
@@ -106,61 +95,50 @@ def time_call(fn, repeats, scale=1e3):
                 repeats=times)
 
 
-def hypergradient_ms(split, granularity, dim=32, batch=1024, calls=20, repeats=10):
-    """Mean milliseconds per ``sparse_hypergradient`` call over ``calls``
-    pre-drawn train/validation batch pairs, per repeat, and the mean number
-    of user and item rows the train batch touches and the validation batch
-    also reads."""
-    rng = np.random.default_rng(3)
-    emb = Embeddings.init(split.num_users, split.num_items, dim, 0.1, rng)
-    opt = make_optimizer("adam")
-    opt.step(emb, bpr_gradient(emb, sample_triplets(split, rng, batch)))
-    lam = RegCoefficients.create(granularity, split.num_users, split.num_items,
-                                 dim, init=0.01)
-    pairs = [(sample_triplets(split, rng, batch, "train"),
-              sample_triplets(split, rng, batch, "validation")) for _ in range(calls)]
-    rows = np.zeros(4)
-    for tb, vb in pairs:
-        t_users, t_items = np.unique(tb.users), np.unique(np.concatenate([tb.pos, tb.neg]))
-        rows += (len(t_users), np.isin(t_users, vb.users).sum(), len(t_items),
-                 np.isin(t_items, np.concatenate([vb.pos, vb.neg])).sum())
-    rows /= calls
-
-    def run():
-        for tb, vb in pairs:
-            sparse_hypergradient(lam, emb, opt, tb, vb)
-
-    ms = time_call(run, repeats, 1e3 / calls)
-    return ms, dict(zip(("user_rows", "shared_user_rows", "item_rows",
-                         "shared_item_rows"), rows.tolist()))
-
-
 def train_step_case(split, overrides, repeats):
     """``repeats`` runs of the config ``overrides`` give, evaluation stubbed:
     median ms per step of each phase and of their sum (``step_ms``), the
-    phase counts, and each run's CPU seconds."""
+    phase counts, each run's CPU seconds and, when the runs take λ steps,
+    ``coverage``: the mean share of the coefficient entries that one
+    ``adaptive.sparse_hypergradient`` call reaches."""
     cfg = load_config(None, overrides)
+    real, shares = adaptive.sparse_hypergradient, []
+
+    def counted(lam, *args):
+        entries, values = real(lam, *args)
+        shares.append(len(entries) / lam.num_entries)
+        return entries, values
+
     runs, cpu_s = [], []
-    for _ in range(repeats):
-        t0 = time.process_time()
-        runs.append(train_model(split, cfg, eval_fn=lambda emb: 0.5).phases)
-        cpu_s.append(time.process_time() - t0)
+    adaptive.sparse_hypergradient = counted
+    try:
+        for _ in range(repeats):
+            t0 = time.process_time()
+            runs.append(train_model(split, cfg, eval_fn=lambda emb: 0.5).phases)
+            cpu_s.append(time.process_time() - t0)
+    finally:
+        adaptive.sparse_hypergradient = real
     per_step = 1e3 / runs[0]["steps"]
     median = lambda fn: float(np.median([fn(p) for p in runs])) * per_step
-    return dict(overrides=overrides,
-                ms_per_step={k: median(lambda p: p[k]) for k in PHASE_SECONDS},
-                step_ms=median(lambda p: sum(p[k] for k in STEP_PHASES)),
-                counts={k: runs[0][k] for k in PHASE_COUNTS}, cpu_s=cpu_s)
+    row = dict(overrides=overrides,
+               ms_per_step={k: median(lambda p: p[k]) for k in PHASE_SECONDS},
+               step_ms=median(lambda p: sum(p[k] for k in STEP_PHASES)),
+               counts={k: runs[0][k] for k in PHASE_COUNTS}, cpu_s=cpu_s)
+    if shares:
+        row["coverage"] = float(np.mean(shares))
+    return row
 
 
 def train_step_table(title, rows, base):
     """Print ``train_step_case`` rows by name, each with its cost factor over row ``base``."""
     print(f"{title}: ms per step")
-    print(f"{'config':<24}" + "".join(f"{k:>10}" for k in STEP_PHASES) + f"{'step':>10}  factor")
+    print(f"{'config':<24}" + "".join(f"{k:>10}" for k in STEP_PHASES)
+          + f"{'step':>10}  factor  coverage")
     for name, row in rows.items():
         row["cost_factor"] = row["step_ms"] / rows[base]["step_ms"]
+        coverage = f"{row['coverage']:>10.4f}" if "coverage" in row else ""
         print(f"{name:<24}" + "".join(f"{row['ms_per_step'][k]:>10.2f}" for k in STEP_PHASES)
-              + f"{row['step_ms']:>10.2f}  {row['cost_factor']:.2f}x")
+              + f"{row['step_ms']:>10.2f}  {row['cost_factor']:>5.2f}x{coverage}")
 
 
 def wide_split(generator):
@@ -204,28 +182,6 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
         corpus_metrics_ms=time_call(lambda: evaluate.corpus_metrics(emb, split),
                                     repeats, 1e3 / users),
         corpus_auc_fallback_users=fallback_users(emb, split, "validation"))
-
-
-def split_case(users=SPLIT_USERS, items=SPLIT_ITEMS, repeats=3):
-    """Milliseconds per repeat for one ``chronological_split`` call, the
-    number of events in the log, and the traced bytes the built split keeps
-    and peaks at."""
-    rng = np.random.default_rng(0)
-    counts = rng.integers(1, 21, users)
-    n = int(counts.sum())
-    log = InteractionLog(
-        users=rng.permutation(np.repeat(np.arange(users), counts)),
-        items=rng.integers(0, items, n),
-        times=rng.integers(0, 10**5, n),
-        num_users=users, num_items=items)
-    ms = time_call(lambda: chronological_split(log), repeats)
-    tracemalloc.start()
-    before = tracemalloc.get_traced_memory()[0]
-    split = chronological_split(log)  # alive while its memory is read
-    kept, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return dict(users=users, items=items, events=n, ms=ms,
-                kept_bytes=kept - before, peak_bytes=peak - before)
 
 
 def traced_peak(fn):
@@ -303,20 +259,6 @@ def main():
                                 wide_seed=WIDE_SEED, wide=wide)
 
     print()
-    print("sparse_hypergradient: adam, dim=32, batch=1024, make_split(seed=3)")
-    rows = []
-    for (users, items), split in splits.items():
-        for granularity in ("full", "user"):
-            ms, touched = hypergradient_ms(split, granularity)
-            rows.append(dict(users=users, items=items, granularity=granularity,
-                             ms_per_call=ms, **touched))
-            print(f"{users:>7} users x {items:>7} items {granularity:<5} {ms['min']:>8.2f} ms/call"
-                  f"  user rows {touched['shared_user_rows']:.0f}/{touched['user_rows']:.0f}"
-                  f"  item rows {touched['shared_item_rows']:.0f}/{touched['item_rows']:.0f}"
-                  " shared/touched")
-    result["hypergradient"] = dict(optimizer="adam", dim=32, batch=1024, seed=3, sizes=rows)
-
-    print()
     print("evaluation: dim=32, 200 users, ms per user")
     rows = []
     for items in EVAL_ITEMS:
@@ -326,13 +268,6 @@ def main():
               f"corpus_metrics {rows[-1]['corpus_metrics_ms']['min']:>7.3f}  "
               f"fallback users {rows[-1]['corpus_auc_fallback_users']}")
     result["evaluation"] = dict(dim=32, users=200, events_per_user=40, catalogs=rows)
-
-    print()
-    split = split_case()
-    print(f"chronological split: {split['users']} users, {split['events']} events, "
-          f"{split['ms']['min']:.1f} ms, keeps {split['kept_bytes'] / 2**20:.1f} MiB "
-          f"(peak {split['peak_bytes'] / 2**20:.1f} MiB)")
-    result["split"] = split
 
     print()
     ingest = ingest_case()

@@ -64,7 +64,11 @@ def save_trajectory(run_dir, result, split):
 
 def _load_trajectory(path):
     """The arrays of a trajectory archive, by name. A file that is not one is
-    a ConfigError naming the first array it lacks."""
+    a ConfigError naming the first array it lacks, or the array that does
+    not fit: one that holds no real numbers, a per-epoch array not of the
+    length of ``epochs``, steps that are not whole numbers, a ``group_rows``
+    that is not N x 6, or a group id that its side's frequency array has no
+    slot for. So a malformed archive fails before any CSV is written."""
     arrays = {}
     with open(path, "rb") as fh:  # closed even where np.load fails part way
         try:
@@ -74,9 +78,35 @@ def _load_trajectory(path):
                     arrays = {name: loaded[name] for name in loaded.files}
         except (ValueError, EOFError, zipfile.BadZipFile):
             pass  # pickled, empty or broken: no arrays at all
+
+    def refuse(why):
+        raise ConfigError(f"{path} is not a trajectory archive: {why}")
+
     missing = [name for name in _TRAJECTORY_ARRAYS if name not in arrays]
     if missing:
-        raise ConfigError(f"{path} is not a trajectory archive: it has no array {missing[0]!r}")
+        refuse(f"it has no array {missing[0]!r}")
+    for name in _TRAJECTORY_ARRAYS:
+        if arrays[name].dtype.kind not in "iuf":
+            refuse(f"its array {name!r} holds {arrays[name].dtype}, not real numbers")
+    epochs, rows = arrays["epochs"], arrays["group_rows"]
+    for name in _TRAJECTORY_ARRAYS[:5]:  # epochs, then the per-epoch statistics
+        if arrays[name].ndim != 1 or arrays[name].shape != epochs.shape:
+            refuse(f"its array {name!r} has shape {arrays[name].shape}, not one entry "
+                   f"per epoch")
+    if not np.isfinite(epochs).all() or (epochs % 1).any():
+        refuse("its array 'epochs' holds a step that is not a whole number")
+    if rows.ndim != 2 or rows.shape[1] != 6:
+        refuse(f"its array 'group_rows' has shape {rows.shape}, not N x 6")
+    ids = rows[:, :3]  # step, side (0 user, 1 item), group id
+    if not np.isfinite(ids).all() or (ids % 1).any() or not np.isin(ids[:, 1], (0, 1)).all():
+        refuse("its array 'group_rows' holds a step or group id that is not a whole "
+               "number, or a side other than 0 (user) or 1 (item)")
+    for kind, name in enumerate(("user_group_freq", "item_group_freq")):
+        groups = ids[ids[:, 1] == kind, 2]
+        beyond = groups[(groups < 0) | (groups >= len(arrays[name]))]
+        if arrays[name].ndim != 1 or len(beyond):
+            refuse(f"its array 'group_rows' names a group id that its array {name!r} "
+                   f"of shape {arrays[name].shape} has no slot for")
     return arrays
 
 

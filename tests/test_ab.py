@@ -95,6 +95,31 @@ def test_last_json_line(ab):
         assert ab.last_json_metrics(stdout) is None
 
 
+def test_per_layer_metrics_of_a_traced_run(ab):
+    # perfbench/run.py --trace 1 ends in per-layer metrics only; a split claim
+    # reads data.chronological_split.ms through it
+    def traced(split_ms):
+        return "share_of_wall setup=0.100\n" + json.dumps({
+            "correct": True, "attempted": 2, "failed": 0, "metrics": {
+                "data.chronological_split.ms": {"value": split_ms, "unit": "ms"},
+                "adaptive.hypergrad_coverage": {"value": 0.0, "unit": "ratio"},
+                "trace.overhead_frac": {"value": 0.04, "unit": "ratio"}}})
+
+    assert ab.last_json_metrics(traced(86)) == {
+        "data.chronological_split.ms": 86.0, "adaptive.hypergrad_coverage": 0.0,
+        "trace.overhead_frac": 0.04}
+    better = ab.directions()
+    spec = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    assert {m["name"]: better[m["name"]] for m in spec["per_layer"]} == {
+        m["name"]: m["better"] for m in spec["per_layer"]}
+    assert better["data.chronological_split.ms"] == "lower"
+    runs = [dict(parent=ab.last_json_metrics(traced(p)), change=ab.last_json_metrics(traced(c)))
+            for p, c in ((86, 80), (90, 84), (84, 88))]
+    row = ab.summarize(runs, better)["data.chronological_split.ms"]
+    assert (row["better"], row["change_wins"], row["change_higher"]) == ("lower", 2, 1)
+    assert (row["parent_median"], row["change_median"]) == (86, 84)
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
 def test_exports_hold_what_git_would_commit(ab, tmp_path):
     repo = tmp_path / "repo"

@@ -1,9 +1,11 @@
 """``benchmarks/bench_kernels.py`` still runs against the library.
 
-The train-step case reads ``TrainResult.phases``, the evaluation case reads
-``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
-replaces ``adaptreg.data._plain_columns`` to force the row reader, so a
-rename there must fail here rather than in the script behind a claim.
+The train-step case reads ``TrainResult.phases`` and wraps
+``adaptreg.adaptive.sparse_hypergradient`` to measure coverage, the
+evaluation case reads ``adaptreg.evaluate._score_user`` to count fallbacks,
+and the ingest case replaces ``adaptreg.data._plain_columns`` to force the
+row reader, so a rename there must fail here rather than in the script
+behind a claim.
 """
 
 import importlib.util
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptreg import data
+from adaptreg import adaptive, data
 from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS
 
 from _synth import SMALL_SPLIT, make_split
@@ -44,6 +46,7 @@ def test_ingest_case_on_a_small_file(bench):
 
 
 def test_train_step_case_on_a_tiny_split(bench, capsys):
+    real = adaptive.sparse_hypergradient
     split = make_split(**SMALL_SPLIT)
     base = ["model.dim=4", "training.epochs=1", "training.batch_size=64",
             "training.lambda_batch_size=32"]
@@ -51,6 +54,7 @@ def test_train_step_case_on_a_tiny_split(bench, capsys):
             for name, overrides in bench.TRAIN_CONFIGS.items()}
     bench.train_step_table("tiny", rows, "fix")
     assert "opt/full+adam_on_lambda" in capsys.readouterr().out
+    assert adaptive.sparse_hypergradient is real
     for name, row in rows.items():
         assert set(row["ms_per_step"]) == set(PHASE_SECONDS)
         assert set(row["counts"]) == set(PHASE_COUNTS) and len(row["cpu_s"]) == 2
@@ -58,4 +62,7 @@ def test_train_step_case_on_a_tiny_split(bench, capsys):
         assert steps > 0 and row["counts"]["triplets"] == 64 * steps
         assert row["counts"]["lambda_triplets"] == (0 if name == "fix" else 64 * steps)
         assert row["step_ms"] > 0 and row["cost_factor"] > 0
+        # the share of the coefficient entries a λ step's hypergradient reaches
+        assert ("coverage" in row) == (name != "fix")
+        assert name == "fix" or 0 < row["coverage"] <= 1
     assert rows["fix"]["cost_factor"] == 1.0 and rows["fix"]["ms_per_step"]["lambda"] == 0.0

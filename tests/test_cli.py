@@ -631,6 +631,34 @@ class TestExportTrajectory:
         assert f"no array {missing!r}" in err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("forged,name", [
+        ({"user_mean": np.array(["a", "b"])}, "user_mean"),
+        ({"user_mean": np.array([0.1])}, "user_mean"),
+        ({"group_rows": np.array([[1, 0, 0, 5, 0.1, 0.0], [1, 0, 2, 5, 0.1, 0.0]])},
+         "group_rows"),
+        ({"epochs": np.array([1.5, 2.0])}, "epochs"),
+        ({"group_rows": np.zeros((2, 5))}, "group_rows"),
+        ({"group_rows": np.array([[1, 2, 0, 5, 0.1, 0.0]])}, "group_rows"),
+    ], ids=["strings", "short", "group-beyond-frequencies", "fractional-epoch",
+            "five-columns", "side-2"])
+    def test_malformed_archive_rejected(self, tmp_path, capsys, forged, name):
+        # two epochs, one user and one item frequency group
+        arrays = dict(epochs=np.array([1, 2]), user_mean=np.array([0.1, 0.2]),
+                      item_mean=np.array([0.1, 0.2]), user_var=np.zeros(2),
+                      item_var=np.zeros(2), group_rows=np.zeros((0, 6)),
+                      user_group_freq=np.array([3.0]), item_group_freq=np.array([4.0]))
+        path = tmp_path / "trajectory.npz"
+        path.write_bytes(_saved(np.savez, **{**arrays, **forged}))
+        rc = main(["export-trajectory", "--run", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:CONFIG: {path} is not a trajectory archive")
+        assert f"array {name!r}" in err
+        assert not list(tmp_path.glob("*.csv"))
+        # the unforged archive exports
+        path.write_bytes(_saved(np.savez, **arrays))
+        assert main(["export-trajectory", "--run", str(tmp_path)]) == 0
+
 
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
