@@ -149,6 +149,15 @@ def wide_split(generator):
                                               gen["num_users"], gen["num_items"]))
 
 
+def wide_case(name, repeats, **generator):
+    """``train_step_case`` on the seed-7 corpus of the perfbench workload
+    ``name`` under its training overrides, both read from
+    ``perfbench/workloads.json``; ``generator`` replaces generator fields."""
+    spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"][name]
+    return train_step_case(wide_split({**spec["generator"], **generator}),
+                           spec["train"] + [f"training.seed={WIDE_SEED}"], repeats)
+
+
 def fallback_users(emb, split, stage):
     """How many users one ``corpus_auc`` call scores through the per-user
     ``_score_user``."""
@@ -249,11 +258,7 @@ def main():
         train_step_table(f"train_step, make_split({users} x {items}, seed=3)", rows, "fix")
         sizes.append(dict(users=users, items=items, configs=rows))
     print()
-    specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
-    wide = {name: train_step_case(wide_split(specs[name]["generator"]),
-                                  specs[name]["train"] + [f"training.seed={WIDE_SEED}"],
-                                  args.repeats)
-            for name in WIDE_WORKLOADS}
+    wide = {name: wide_case(name, args.repeats) for name in WIDE_WORKLOADS}
     train_step_table(f"train_step, perfbench wide corpus (seed {WIDE_SEED})", wide, "fixed-wide")
     result["train_step"] = dict(eval="stubbed", repeats=args.repeats, synth_seed=3, synth=sizes,
                                 wide_seed=WIDE_SEED, wide=wide)

@@ -315,36 +315,40 @@ class TrainResult:
     phases: dict = field(default_factory=dict)  # PHASE_SECONDS and PHASE_COUNTS
 
 
-def _seeded_start(split, cfg, adaptive):
-    """``(rng, emb, lam, optimizer)`` before the first step. The embeddings
-    make the rng's first draws, so the start is a pure function of the split's
-    sizes and the config, and building it again gives the same bits."""
+def _seeded_start(split, cfg):
+    """``(rng, emb, lam, optimizer, lam_opt)`` before the first step; ``lam_opt``
+    is the λ-Adam state when λ is learned with ``adam_on_lambda``, else None.
+    The embeddings make the rng's first draws, so the start is a pure function
+    of the split's sizes and the config, and building it again gives the same bits."""
     reg = cfg.regularization
+    learned = reg.mode != "fix"
     rng = np.random.default_rng(cfg.training.seed)
     emb = Embeddings.init(split.num_users, split.num_items, cfg.model.dim,
                           cfg.model.init_scale, rng)
-    granularity = reg.granularity if adaptive else "global"
-    init = reg.init if adaptive else reg.fixed_value
+    granularity = reg.granularity if learned else "global"
+    init = reg.init if learned else reg.fixed_value
     lam = RegCoefficients.create(granularity, split.num_users, split.num_items,
                                  cfg.model.dim, init=init)
     optimizer = make_optimizer(cfg.optimizer.kind, lr=cfg.optimizer.lr,
                                beta1=cfg.optimizer.beta1, beta2=cfg.optimizer.beta2,
                                eps=cfg.optimizer.eps, r_decay=cfg.optimizer.r_decay)
-    return rng, emb, lam, optimizer
+    lam_opt = LambdaAdam(lam.num_entries) if learned and reg.adam_on_lambda else None
+    return rng, emb, lam, optimizer, lam_opt
 
 
-def train_step(split, cfg, rng, emb, lam, optimizer, step, phases, lam_step):
+def train_step(split, cfg, rng, emb, lam, optimizer, lam_opt, step, phases):
     """Step ``step`` (from 0): a θ step on a fresh train batch, then, every
-    ``regularization.every`` steps unless ``lam_step`` is None (``fix``),
-    ``lam_step(lam, emb, optimizer, tb, vb)`` on fresh train and validation
-    batches. Mutates emb and the optimizer; returns the θ batch's summed loss
-    and the coefficients after the step.
+    ``regularization.every`` steps unless the mode is ``fix``, ``lambda_step``
+    with ``lam_opt`` on fresh train and validation batches. Mutates emb, the
+    optimizer and lam_opt; returns the θ batch's summed loss and the
+    coefficients after the step.
 
     Adds the step's ``time.perf_counter`` seconds and counts to ``phases``:
     ``sample`` holds every batch draw; ``lambda`` times the λ step as one call,
     whose signature the oracle tests pin; ``rows`` counts the θ rows written.
     """
     tr = cfg.training
+    reg = cfg.regularization
     clock = time.perf_counter
     t0 = clock()
     batch = sample_triplets(split, rng, tr.batch_size, "train")
@@ -355,11 +359,11 @@ def train_step(split, cfg, rng, emb, lam, optimizer, step, phases, lam_step):
     t3 = clock()
     optimizer.step(emb, composed, step_index=step)
     t4 = t5 = t6 = clock()
-    if lam_step is not None and step % cfg.regularization.every == 0:
+    if reg.mode != "fix" and step % reg.every == 0:
         tb = sample_triplets(split, rng, tr.lambda_batch_size, "train")
         vb = sample_triplets(split, rng, tr.lambda_batch_size, "validation")
         t5 = clock()
-        lam = lam_step(lam, emb, optimizer, tb, vb)
+        lam = lambda_step(lam, emb, optimizer, tb, vb, reg.step_size, reg.clip, lam_opt)
         t6 = clock()
         phases["lambda_steps"] += 1
         phases["lambda_triplets"] += len(tb) + len(vb)
@@ -383,13 +387,7 @@ def train_model(split, cfg, eval_fn=None):
     ``train_step`` adds, and the seconds spent in ``eval_fn``.
     """
     tr = cfg.training
-    reg = cfg.regularization
-    adaptive = reg.mode in ("opt", "sgda")
-    rng, emb, lam, optimizer = _seeded_start(split, cfg, adaptive)
-    lam_opt = LambdaAdam(lam.num_entries) if (adaptive and reg.adam_on_lambda) else None
-    # looks ``lambda_step`` up at each call, so a replaced module attribute takes the step
-    lam_step = ((lambda *state: lambda_step(*state, reg.step_size, reg.clip, lam_opt))
-                if adaptive else None)
+    rng, emb, lam, optimizer, lam_opt = _seeded_start(split, cfg)
 
     user_groups = group_by(frequency_groups(split.user_frequency, cfg.groups.user_boundaries))
     item_groups = group_by(frequency_groups(split.item_frequency, cfg.groups.item_boundaries))
@@ -408,8 +406,8 @@ def train_model(split, cfg, eval_fn=None):
         loss_sum = 0.0
         try:
             for _ in range(steps_per_epoch):
-                loss, lam = train_step(split, cfg, rng, emb, lam, optimizer, global_step,
-                                       phases, lam_step)
+                loss, lam = train_step(split, cfg, rng, emb, lam, optimizer, lam_opt,
+                                       global_step, phases)
                 loss_sum += loss
                 global_step += 1
         except AdaptRegError as exc:
@@ -444,7 +442,7 @@ def train_model(split, cfg, eval_fn=None):
     if best is not None:
         emb, lam, optimizer = best
     elif aborted:
-        _, emb, lam, optimizer = _seeded_start(split, cfg, adaptive)
+        _, emb, lam, optimizer, _ = _seeded_start(split, cfg)
     return TrainResult(emb=emb, lam=lam, optimizer=optimizer, history=history,
                        trajectory=trajectory, best_epoch=best_epoch,
                        user_groups=user_groups, item_groups=item_groups,

@@ -105,16 +105,23 @@ def cmd_grid_search(args):
     cfg = _load(args)
     if not cfg.regularization.grid:
         raise ConfigError("grid search requires regularization.grid candidates")
+    candidates = {}  # run directory name -> candidate
+    for cand in cfg.regularization.grid:
+        name = f"lambda_{cand:g}"
+        if name in candidates:
+            raise ConfigError(f"grid candidates {candidates[name]!r} and {cand!r} "
+                              f"share the run directory {name}")
+        candidates[name] = cand
     split = _manifest_split(cfg, args.manifest)
     base_dir = os.path.join(cfg.output, run_dir_name(cfg) + "-grid")
     os.makedirs(base_dir, exist_ok=True)
     rows = []
     best = None
-    for cand in cfg.regularization.grid:
+    for name, cand in candidates.items():
         sub = copy.deepcopy(cfg)
         sub.regularization.mode = "fix"
         sub.regularization.fixed_value = float(cand)
-        run_dir = os.path.join(base_dir, f"lambda_{cand:g}")
+        run_dir = os.path.join(base_dir, name)
         try:
             result = _train_one(sub, split, run_dir)
             if result.aborted:

@@ -30,11 +30,16 @@ class InteractionLog:
 
 def _parse_time(text):
     # integer text exactly (a float holds 53 bits), other numbers such as
-    # 1e9 or 12.0 through float; out of int64 range is an overflow
+    # 1e9 or 12.0 through float
     try:
         ts = int(text)
     except ValueError:
         ts = int(float(text))
+    return _in_int64(ts, text)
+
+
+def _in_int64(ts, text):
+    """The time ``ts`` that ``text`` reads; out of int64 range is an overflow."""
     if not -2**63 <= ts < 2**63:
         raise OverflowError(f"timestamp {text.strip()} is out of int64 range")
     return ts
@@ -650,6 +655,9 @@ def save_manifest(path, split):
 
 
 _PARTITION_CODE = {"train": 0, "validation": 1, "test": 2}
+# manifest ids lie below this, as batch sizes do: every key u*I + i then stays
+# below 2**62 and every per-user and per-item table can be sized
+_ID_LIMIT = 2**31
 
 
 def load_manifest(path):
@@ -670,14 +678,16 @@ def load_manifest(path):
             u = int(row[0])
             part = row[1]
             it = int(row[2])
-            ts = int(row[3])
-        except (IndexError, ValueError) as exc:
+            ts = _in_int64(int(row[3]), row[3])
+        except (IndexError, ValueError, OverflowError) as exc:
             raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
         code = _PARTITION_CODE.get(part)
         if code is None:
             raise ParseError(path, line_no, f"unknown partition {part!r}")
         if u < 0 or it < 0:
             raise ParseError(path, line_no, f"negative id in {row!r}")
+        if u >= _ID_LIMIT or it >= _ID_LIMIT:
+            raise ParseError(path, line_no, f"id at or above 2**31 in {row!r}")
         # a repeated pair would be both a positive and an excluded item
         if (u, it) in seen:
             raise ParseError(path, line_no, f"user {u} item {it} is listed twice")

@@ -443,12 +443,16 @@ def oracle_load_manifest(path):
                 part = row[1]
                 it = int(row[2])
                 ts = int(row[3])
-            except (IndexError, ValueError) as exc:
+                if not -2**63 <= ts < 2**63:
+                    raise OverflowError(f"timestamp {row[3].strip()} is out of int64 range")
+            except (IndexError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"malformed manifest row: {exc}") from None
             if part not in ("train", "validation", "test"):
                 raise ParseError(path, line_no, f"unknown partition {part!r}")
             if u < 0 or it < 0:
                 raise ParseError(path, line_no, f"negative id in {row!r}")
+            if max(u, it) >= 2**31:
+                raise ParseError(path, line_no, f"id at or above 2**31 in {row!r}")
             if (u, it) in seen:
                 raise ParseError(path, line_no, f"user {u} item {it} is listed twice")
             seen.add((u, it))

@@ -1,11 +1,12 @@
 """``benchmarks/bench_kernels.py`` still runs against the library.
 
 The train-step case reads ``TrainResult.phases`` and wraps
-``adaptreg.adaptive.sparse_hypergradient`` to measure coverage, the
-evaluation case reads ``adaptreg.evaluate._score_user`` to count fallbacks,
-and the ingest case replaces ``adaptreg.data._plain_columns`` to force the
-row reader, so a rename there must fail here rather than in the script
-behind a claim.
+``adaptreg.adaptive.sparse_hypergradient`` to measure coverage, and its wide
+rows read each workload's generator and training overrides from
+``perfbench/workloads.json``; the evaluation case reads
+``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
+replaces ``adaptreg.data._plain_columns`` to force the row reader. So a
+rename there must fail here rather than in the script behind a claim.
 """
 
 import importlib.util
@@ -66,3 +67,15 @@ def test_train_step_case_on_a_tiny_split(bench, capsys):
         assert ("coverage" in row) == (name != "fix")
         assert name == "fix" or 0 < row["coverage"] <= 1
     assert rows["fix"]["cost_factor"] == 1.0 and rows["fix"]["ms_per_step"]["lambda"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["fixed-wide", "adaptive-wide"])
+def test_wide_case_on_a_shrunk_corpus(bench, name):
+    # the workload's own generator, on 300 users and 200 items, and its
+    # training overrides: one epoch of 8192-triplet batches, λ batches of 1024
+    row = bench.wide_case(name, repeats=1, num_users=300, num_items=200)
+    steps = row["counts"]["steps"]
+    assert steps > 0 and row["counts"]["triplets"] == 8192 * steps
+    learned = name == "adaptive-wide"
+    assert row["counts"]["lambda_triplets"] == (2 * 1024 * steps if learned else 0)
+    assert ("coverage" in row) == learned

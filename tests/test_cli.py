@@ -165,15 +165,19 @@ class TestTrain:
         assert rc == 0
         assert "-seed9" in out
 
-    @pytest.mark.parametrize("bad", [b"te\xffst", b"9" * 200_000],
-                             ids=["undecodable", "over-field-limit"])
+    @pytest.mark.parametrize("bad", [
+        b"0,te\xffst,2,6", b"0," + b"9" * 200_000 + b",2,6",
+        b"4611686018427387904,test,1,1", b"0,test,99999999999999999999,1",
+        b"0,test,4,99999999999999999999", b"1,test,4611686018427387904,1"],
+        ids=["undecodable", "over-field-limit", "user-at-2^62", "item-past-int64",
+             "time-past-int64", "item-at-2^62"])
     def test_manifest_input_fault_is_a_parse_error(self, tmp_path, capsys, bad):
         manifest = tmp_path / "manifest.csv"
-        manifest.write_bytes(b"user,partition,item,timestamp\n0,train,1,5\n0," + bad
-                             + b",2,6\n")
+        manifest.write_bytes(b"user,partition,item,timestamp\n0,train,1,5\n" + bad + b"\n")
         rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "r")] + FAST)
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"ERROR:PARSE: {manifest}:3:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR:PARSE: {manifest}:3:")
 
     def test_missing_manifest(self, capsys):
         rc = main(["train", "--manifest", "/nonexistent/manifest.csv"])
@@ -519,6 +523,21 @@ class TestGridSearch:
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
         assert not [d for d in tmp_path.iterdir() if d.name.endswith("-grid")]
+
+    @pytest.mark.parametrize("grid,message", [
+        ("[0.1,0.1000001]", "0.1 and 0.1000001 share the run directory lambda_0.1"),
+        ("[1e-5,1.000001e-5]", "1e-05 and 1.000001e-05 share the run directory lambda_1e-05"),
+        ("[0.01,0.0001,0.01]", "0.01 and 0.01 share the run directory lambda_0.01"),
+    ], ids=["close", "close-small", "repeated"])
+    def test_candidates_sharing_a_run_directory_rejected_up_front(self, corpus, tmp_path,
+                                                                  capsys, grid, message):
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["grid-search", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", f"regularization.grid={grid}"] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR:CONFIG: grid candidates {message}"]
+        assert not list(tmp_path.iterdir())
 
     def test_empty_grid_rejected(self, corpus, capsys):
         manifest = str(corpus / "data" / "manifest.csv")

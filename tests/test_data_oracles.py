@@ -468,9 +468,13 @@ def test_load_manifest_matches_oracle_on_unordered_rows(tmp_path, case):
 
 
 @pytest.mark.parametrize("bad", [
-    "5,train,1", "5,holdout,1,1", "-5,test,1,1", "5,test,-1,1", "{u},test,{i},1"],
+    "5,train,1", "5,holdout,1,1", "-5,test,1,1", "5,test,-1,1", "{u},test,{i},1",
+    "2147483648,test,1,1", "5,test,2147483648,1", "4611686018427387904,test,1,1",
+    "5,test,4611686018427387904,1", "5,test,99999999999999999999,1",
+    "5,test,1,99999999999999999999", "5,test,1,-9223372036854775809"],
     ids=["short-row", "unknown-partition", "negative-user", "negative-item",
-         "repeated-pair"])
+         "repeated-pair", "user-at-2^31", "item-at-2^31", "user-at-2^62", "item-at-2^62",
+         "item-past-int64", "time-past-int64", "time-below-int64"])
 def test_load_manifest_names_the_oracles_line(tmp_path, bad):
     rows = manifest_rows(4, num_users=4)
     bad = bad.format(u=rows[0][0], i=rows[0][2])  # may repeat the first row's pair

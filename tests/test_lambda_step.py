@@ -428,10 +428,8 @@ STEP_CONFIGS = {  # --set overrides of each whole-step config
 }
 
 
-@pytest.fixture(scope="module", params=STEP_SIZES, ids=["small", "large"])
-def step_split(request):
+def step_split_of(users, items):
     """The chronological split of a numpy-generated log of 12 events per user."""
-    users, items = request.param
     rng = np.random.default_rng(0)
     n = 12 * users
     return chronological_split(InteractionLog(
@@ -439,22 +437,21 @@ def step_split(request):
         times=rng.integers(0, 10**6, n), num_users=users, num_items=items))
 
 
+@pytest.fixture(scope="module", params=STEP_SIZES, ids=["small", "large"])
+def step_split(request):
+    return step_split_of(*request.param)
+
+
 def whole_step_peak(split, overrides):
     """The traced peak of one ``adaptive.train_step``, after a warm step, from
-    the seeded start of a K=8 config with batch and λ batch 1024, its λ step
-    built as ``train_model`` builds it."""
+    the seeded start of a K=8 config with batch and λ batch 1024."""
     cfg = load_config(None, [f"model.dim={STEP_K}", f"training.batch_size={STEP_BATCH}",
                              f"training.lambda_batch_size={STEP_BATCH}"] + overrides)
-    reg = cfg.regularization
-    learned = reg.mode != "fix"
-    rng, emb, lam, opt = adaptive._seeded_start(split, cfg, learned)
-    lam_opt = LambdaAdam(lam.num_entries) if learned and reg.adam_on_lambda else None
-    lam_step = ((lambda *state: lambda_step(*state, reg.step_size, reg.clip, lam_opt))
-                if learned else None)
+    rng, emb, lam, opt, lam_opt = adaptive._seeded_start(split, cfg)
     phases = dict.fromkeys(PHASE_SECONDS + PHASE_COUNTS, 0)
     steps = iter(range(2))
-    return traced_peak(lambda: adaptive.train_step(split, cfg, rng, emb, lam, opt,
-                                                   next(steps), phases, lam_step))
+    return traced_peak(lambda: adaptive.train_step(split, cfg, rng, emb, lam, opt, lam_opt,
+                                                   next(steps), phases))
 
 
 class TestStepWorkingSet:
@@ -468,6 +465,19 @@ class TestStepWorkingSet:
     @pytest.mark.parametrize("config", list(STEP_CONFIGS))
     def test_step_peak_within_batch_bound(self, step_split, config):
         assert whole_step_peak(step_split, STEP_CONFIGS[config]) < STEP_BOUND
+
+    @pytest.mark.parametrize("config", ["opt/full", "opt/user"])
+    @pytest.mark.parametrize("step_split", STEP_SIZES[1:], indirect=True, ids=["large"])
+    def test_lambda_share_no_larger_than_at_small_size(self, step_split, config):
+        # the λ step's share of a step, its peak less fix's at the same size,
+        # read 10.3 blocks at the small size and 6.4 at the large one; a λ
+        # step that also scatters its hypergradient into one float64 per
+        # entry (200k at user granularity) stays under the bound at 31.9
+        # blocks, but its share reads 13.5
+        def share(split):
+            return (whole_step_peak(split, STEP_CONFIGS[config])
+                    - whole_step_peak(split, STEP_CONFIGS["fix"]))
+        assert share(step_split) <= share(step_split_of(*STEP_SIZES[0]))
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 12 (lazy Adam on lambda): "
                        "Adam on the coefficients moves every entry on every step")
