@@ -21,8 +21,9 @@ order. Each run must end its standard output with one JSON line that holds
 parent commit, a digest of the change tree's paths and contents, every
 pair and, per metric, each side's median and quartiles, the parent's
 interquartile range, how many pairs the change read higher, lower and equal,
-and, for the metrics ``BENCHMARK.json`` gives a direction, how many pairs the
-change won, out of every pair run (a pair with a failed side is not won), and
+and, for the metrics ``BENCHMARK.json`` gives a direction (or, where it names
+none, the run's metrics line does, as ``"better": "lower"``), how many pairs
+the change won, out of every pair run (a pair with a failed side is not won), and
 whether the change resolved a gain there: at least 10 pairs ran, it won at
 least 9 in 10 of them, and its median lies further from the parent's than
 the parent's interquartile range. The script only reports: it reads no bound and changes
@@ -46,15 +47,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# what reading a last line that is not a metrics line raises
+_NOT_METRICS = (IndexError, ValueError, TypeError, KeyError, AttributeError)
+
+
 def last_json_metrics(stdout):
     """``{name: value}`` from the ``metrics`` of the last line of ``stdout``;
     None when that line is not such a JSON object."""
-    lines = stdout.splitlines()
     try:
-        metrics = json.loads(lines[-1])["metrics"]
+        metrics = json.loads(stdout.splitlines()[-1])["metrics"]
         return {name: float(m["value"]) for name, m in metrics.items()}
-    except (IndexError, ValueError, TypeError, KeyError):
+    except _NOT_METRICS:
         return None
+
+
+def last_json_directions(stdout):
+    """``{name: "higher" | "lower"}`` for the metrics of the last line of
+    ``stdout`` that give their own ``better``; empty when that line is not a
+    metrics line."""
+    try:
+        metrics = json.loads(stdout.splitlines()[-1])["metrics"]
+        return {name: m["better"] for name, m in metrics.items()
+                if m.get("better") in ("higher", "lower")}
+    except _NOT_METRICS:
+        return {}
 
 
 def quartiles(values):
@@ -146,17 +162,20 @@ def run(tree, argv):
     metrics = last_json_metrics(proc.stdout) if proc.returncode == 0 else None
     if metrics is None:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
-    return dict(metrics=metrics, seconds=time.perf_counter() - t0, returncode=proc.returncode)
+    return dict(metrics=metrics, better=last_json_directions(proc.stdout),
+                seconds=time.perf_counter() - t0, returncode=proc.returncode)
 
 
-def directions():
-    """``{metric: "higher" | "lower"}`` from ``BENCHMARK.json``'s metric lists."""
+def directions(reported=None):
+    """``{metric: "higher" | "lower"}`` from ``BENCHMARK.json``'s metric lists
+    and, for a metric they do not name, from ``reported``, the directions
+    that the runs' own metrics lines give."""
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
-        return {}
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
-            for m in spec.get(key, []) if "better" in m}
+        spec = {}
+    return {**(reported or {}), **{m["name"]: m["better"] for key in ("end_to_end", "per_layer")
+                                   for m in spec.get(key, []) if "better" in m}}
 
 
 def main():
@@ -171,7 +190,7 @@ def main():
     if not command or args.pairs < 1:
         ap.error("give at least one pair, and the benchmark command after --")
 
-    pairs = []
+    pairs, reported = [], {}
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree, \
             tempfile.TemporaryDirectory(prefix="ab-change-") as change_tree:
         commit = export(args.parent, parent_tree)
@@ -185,6 +204,7 @@ def main():
             for side in sides:
                 pair[f"{side}_run"] = run(trees[side], argv)
                 pair[side] = pair[f"{side}_run"].pop("metrics")
+                reported.update(pair[f"{side}_run"].pop("better"))
             pairs.append(pair)
             print(f"pair {n + 1}/{args.pairs} seed {seed} ({sides[0]} first): " + ", ".join(
                 f"{side} {'failed' if pair[side] is None else 'ok'} "
@@ -195,7 +215,7 @@ def main():
     result = dict(parent_ref=args.parent, parent_commit=commit,
                   change_tree_digest=change_digest, command=command,
                   pairs=pairs, complete_pairs=len(complete),
-                  metrics=summarize(pairs, directions()))
+                  metrics=summarize(pairs, directions(reported)))
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -15,6 +15,16 @@ the hypergradient's coverage: the share of the coefficient entries that one
 ``adaptive.sparse_hypergradient`` call reaches, ``len(entries) /
 lam.num_entries``, averaged over the runs' λ steps.
 
+``--case train_step`` runs only the train-step tables and writes no file. Its
+last stdout line is ``{"metrics": {name: {"value": ms, "unit": "ms",
+"better": "lower"}}}``, one ``step_ms`` per row (for example
+``train_step.4000x3000.opt/full.step_ms`` and
+``train_step.wide.adaptive-wide.step_ms``), so that ``benchmarks/ab.py`` can
+pair and interleave it against a parent commit::
+
+    python3 benchmarks/ab.py HEAD~1 --pairs 10 -- \\
+        python3 benchmarks/bench_kernels.py --case train_step --repeats 1
+
 The evaluation case times full-catalog evaluation in milliseconds per user:
 ``evaluate.user_auc`` over every user and ``evaluate.corpus_auc`` (both at the
 validation stage), and ``evaluate.corpus_metrics`` (test stage, HR/NDCG at 50
@@ -56,14 +66,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from adaptreg import adaptive, data, evaluate
-from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS, train_model
-from adaptreg.config import load_config
-from adaptreg.data import InteractionLog, chronological_split
-from adaptreg.mf import Embeddings
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+# this checkout's library, so that each side of an ab.py pair runs its own
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+from adaptreg import adaptive, data, evaluate  # noqa: E402
+from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS, train_model  # noqa: E402
+from adaptreg.config import load_config  # noqa: E402
+from adaptreg.data import InteractionLog, chronological_split  # noqa: E402
+from adaptreg.mf import Embeddings  # noqa: E402
 import corpus  # noqa: E402  perfbench's corpus generators
 from _synth import make_split, write_plain_log  # noqa: E402
 
@@ -139,6 +149,36 @@ def train_step_table(title, rows, base):
         coverage = f"{row['coverage']:>10.4f}" if "coverage" in row else ""
         print(f"{name:<24}" + "".join(f"{row['ms_per_step'][k]:>10.2f}" for k in STEP_PHASES)
               + f"{row['step_ms']:>10.2f}  {row['cost_factor']:>5.2f}x{coverage}")
+
+
+def train_step_tables(splits, repeats, **generator):
+    """Print and return the train-step tables: ``TRAIN_CONFIGS`` on each of
+    ``splits`` (``{(users, items): split}``), then the wide workloads, whose
+    generator fields ``generator`` replaces."""
+    sizes = []
+    for (users, items), split in splits.items():
+        print()
+        rows = {name: train_step_case(split, TRAIN_BASE + overrides, repeats)
+                for name, overrides in TRAIN_CONFIGS.items()}
+        train_step_table(f"train_step, make_split({users} x {items}, seed=3)", rows, "fix")
+        sizes.append(dict(users=users, items=items, configs=rows))
+    print()
+    wide = {name: wide_case(name, repeats, **generator) for name in WIDE_WORKLOADS}
+    train_step_table(f"train_step, perfbench wide corpus (seed {WIDE_SEED})", wide, "fixed-wide")
+    return dict(eval="stubbed", repeats=repeats, synth_seed=3, synth=sizes,
+                wide_seed=WIDE_SEED, wide=wide)
+
+
+def step_metrics(train_step):
+    """The last stdout line of ``--case train_step``: each row's ``step_ms``,
+    as ``train_step.<users>x<items>.<config>.step_ms`` and
+    ``train_step.wide.<workload>.step_ms``, in the ``{"metrics": ...}`` form
+    that ``benchmarks/ab.py`` reads."""
+    rows = {f"{size['users']}x{size['items']}.{name}": row
+            for size in train_step["synth"] for name, row in size["configs"].items()}
+    rows.update((f"wide.{name}", row) for name, row in train_step["wide"].items())
+    return {"metrics": {f"train_step.{key}.step_ms": dict(
+        value=row["step_ms"], unit="ms", better="lower") for key, row in rows.items()}}
 
 
 def wide_split(generator):
@@ -245,23 +285,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3, help="runs per train-step config")
     ap.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
+    ap.add_argument("--case", choices=["train_step"], default=None,
+                    help="run only this case, write no file, and end with its metrics line")
     args = ap.parse_args()
-    result = {"environment": environment()}
     splits = {size: make_split(num_users=size[0], num_items=size[1], seed=3)
               for size in SYNTH_SIZES}
-
-    sizes = []
-    for (users, items), split in splits.items():
-        print()
-        rows = {name: train_step_case(split, TRAIN_BASE + overrides, args.repeats)
-                for name, overrides in TRAIN_CONFIGS.items()}
-        train_step_table(f"train_step, make_split({users} x {items}, seed=3)", rows, "fix")
-        sizes.append(dict(users=users, items=items, configs=rows))
-    print()
-    wide = {name: wide_case(name, args.repeats) for name in WIDE_WORKLOADS}
-    train_step_table(f"train_step, perfbench wide corpus (seed {WIDE_SEED})", wide, "fixed-wide")
-    result["train_step"] = dict(eval="stubbed", repeats=args.repeats, synth_seed=3, synth=sizes,
-                                wide_seed=WIDE_SEED, wide=wide)
+    train_step = train_step_tables(splits, args.repeats)
+    if args.case == "train_step":
+        print(json.dumps(step_metrics(train_step)))
+        return
+    result = {"environment": environment(), "train_step": train_step}
 
     print()
     print("evaluation: dim=32, 200 users, ms per user")

@@ -72,7 +72,7 @@ def _train_one(cfg, split, run_dir):
     result = train_model(split, cfg)
     runs_mod.write_resolved_config(run_dir, cfg)
     runs_mod.write_history(run_dir, result.history)
-    runs_mod.save_trajectory(run_dir, result, split)
+    runs_mod.write_metrics(run_dir, result, split)
     save_checkpoint(os.path.join(run_dir, "checkpoint.npz"), result.emb,
                     result.lam, result.optimizer,
                     meta={"best_epoch": result.best_epoch,
@@ -170,10 +170,9 @@ def cmd_evaluate(args):
 
 
 def cmd_export_trajectory(args):
-    run_dir = args.run
-    if not os.path.exists(os.path.join(run_dir, "trajectory.npz")):
-        raise ConfigError(f"no trajectory snapshots under {run_dir}")
-    tpath, fpath = runs_mod.export_trajectory_csv(run_dir, args.out)
+    if not os.path.exists(os.path.join(args.run, "metrics.jsonl")):
+        raise ConfigError(f"no metrics.jsonl under {args.run}")
+    tpath, fpath = runs_mod.export_trajectory_csv(args.run, args.out)
     print(f"trajectory_csv {tpath}")
     print(f"frequency_csv {fpath}")
     return 0

@@ -217,7 +217,7 @@ def resolve(cfg):
             ("at least 1", lambda v: v >= 1, "training.epochs training.patience "
              "training.eval_every regularization.every model.dim"),
             ("in (0, 1)", lambda v: 0 < v < 1, "optimizer.beta1 optimizer.beta2"),
-            ("nonnegative", lambda v: v >= 0, "regularization.init"),
+            ("nonnegative", lambda v: v >= 0, "regularization.init training.seed"),
             # a batch of 2^31 triplets is 48 GiB of int64 ids
             ("at most 2147483647", lambda v: v < 2**31,
              "training.batch_size training.lambda_batch_size")):

@@ -1,19 +1,17 @@
-"""Run-directory artifacts: history, trajectory snapshots, and their CSV exports."""
+"""Run-directory artifacts: the resolved config, history, the per-epoch λ
+record ``metrics.jsonl``, and its CSV exports."""
 
 import csv
+import json
 import os
-import zipfile
 from dataclasses import asdict
 
-import numpy as np
 import yaml
 
 from .data import group_reduce
 from .errors import ConfigError
 
-# the arrays of trajectory.npz, as save_trajectory writes them
-_TRAJECTORY_ARRAYS = ("epochs", "user_mean", "item_mean", "user_var", "item_var",
-                     "group_rows", "user_group_freq", "item_group_freq")
+SIDES = ("user", "item")
 
 
 def write_resolved_config(run_dir, cfg):
@@ -32,115 +30,109 @@ def write_history(run_dir, history):
     return path
 
 
-def save_trajectory(run_dir, result, split):
-    """Raw snapshots plus static group frequency context, as npz. The
-    snapshots and both sides' frequency groups are ``result``'s, as
-    ``train_model`` built them; ``split`` gives only the frequencies whose
-    mean per group the archive holds."""
-    trajectory = result.trajectory
-    rows = []
-    for tr in trajectory:
-        for kind, stats in ((0, tr.user_group_stats), (1, tr.item_group_stats)):
-            for g, size, mean, var in stats:
-                rows.append([tr.step, kind, g, size, mean, var])
-    def group_mean_freq(freqs, groups):
-        # one slot per group up to the largest, 0.0 for an empty one
-        ids, order, starts, counts = groups
-        out = np.zeros(int(ids[-1]) + 1 if len(ids) else 0)
-        out[ids] = group_reduce(freqs[order], starts, counts)
-        return out
-    np.savez(
-        os.path.join(run_dir, "trajectory.npz"),
-        epochs=np.asarray([tr.step for tr in trajectory], dtype=np.int64),
-        user_mean=np.asarray([tr.user_mean for tr in trajectory]),
-        item_mean=np.asarray([tr.item_mean for tr in trajectory]),
-        user_var=np.asarray([tr.user_var for tr in trajectory]),
-        item_var=np.asarray([tr.item_var for tr in trajectory]),
-        group_rows=np.asarray(rows, dtype=np.float64).reshape(-1, 6),
-        user_group_freq=group_mean_freq(split.user_frequency.astype(float), result.user_groups),
-        item_group_freq=group_mean_freq(split.item_frequency.astype(float), result.item_groups),
-    )
+def write_metrics(run_dir, result, split):
+    """``metrics.jsonl``, the run's per-epoch λ record. Line 1 is ``{"groups":
+    {side: [[id, size, mean train frequency], ...]}}`` over each side's
+    frequency groups in ``result``, as ``train_model`` built them. Then each
+    ``TrajectoryRow`` is one line ``{"epoch": step, "lambda": {side: {"mean",
+    "var", "groups": [[id, mean, var], ...]}}}``. JSON floats round-trip
+    exactly, so the exports read the statistics bit for bit."""
+    groups = {}
+    for side, (ids, order, starts, counts) in zip(SIDES, (result.user_groups,
+                                                           result.item_groups)):
+        freqs = getattr(split, f"{side}_frequency").astype(float)[order]
+        groups[side] = list(zip(ids.tolist(), counts.tolist(),
+                                group_reduce(freqs, starts, counts).tolist()))
+    with open(os.path.join(run_dir, "metrics.jsonl"), "w") as fh:
+        fh.write(json.dumps({"groups": groups}) + "\n")
+        for tr in result.trajectory:
+            lam = {side: {"mean": getattr(tr, f"{side}_mean"), "var": getattr(tr, f"{side}_var"),
+                          "groups": [[g, mean, var] for g, _, mean, var
+                                     in getattr(tr, f"{side}_group_stats")]}
+                   for side in SIDES}
+            fh.write(json.dumps({"epoch": tr.step, "lambda": lam}) + "\n")
 
 
-def _load_trajectory(path):
-    """The arrays of a trajectory archive, by name. A file that is not one is
-    a ConfigError naming the first array it lacks, or the array that does
-    not fit: one that holds no real numbers, a per-epoch array not of the
-    length of ``epochs``, steps that are not whole numbers, a ``group_rows``
-    that is not N x 6, or a group id that its side's frequency array has no
-    slot for. So a malformed archive fails before any CSV is written."""
-    arrays = {}
-    with open(path, "rb") as fh:  # closed even where np.load fails part way
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _whole(v):
+    return _number(v) and (isinstance(v, int) or v.is_integer())
+
+
+def read_metrics(path):
+    """The rows of a ``metrics.jsonl``: per epoch line and side ``(epoch,
+    side, mean, var)``, and per group ``(epoch, side, id, mean, var, mean
+    train frequency)``. A line that is not JSON or does not fit the layout
+    ``write_metrics`` writes is a ConfigError naming the file and the line,
+    so a malformed file fails before any CSV is written. A statistic may be
+    infinite: a ``fix`` run at 1e307 has an infinite mean."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines() or [b"{}"]  # an empty file has no groups line
+
+    def check(holds, why):
+        if not holds:
+            raise ConfigError(f"{path}:{n}: {why}")
+
+    rows, group_rows, freqs = [], [], {}
+    for n, line in enumerate(lines, 1):
         try:
-            loaded = np.load(fh)
-            if isinstance(loaded, np.lib.npyio.NpzFile):  # not a bare .npy array
-                with loaded:
-                    arrays = {name: loaded[name] for name in loaded.files}
-        except (ValueError, EOFError, zipfile.BadZipFile):
-            pass  # pickled, empty or broken: no arrays at all
-
-    def refuse(why):
-        raise ConfigError(f"{path} is not a trajectory archive: {why}")
-
-    missing = [name for name in _TRAJECTORY_ARRAYS if name not in arrays]
-    if missing:
-        refuse(f"it has no array {missing[0]!r}")
-    for name in _TRAJECTORY_ARRAYS:
-        if arrays[name].dtype.kind not in "iuf":
-            refuse(f"its array {name!r} holds {arrays[name].dtype}, not real numbers")
-    epochs, rows = arrays["epochs"], arrays["group_rows"]
-    for name in _TRAJECTORY_ARRAYS[:5]:  # epochs, then the per-epoch statistics
-        if arrays[name].ndim != 1 or arrays[name].shape != epochs.shape:
-            refuse(f"its array {name!r} has shape {arrays[name].shape}, not one entry "
-                   f"per epoch")
-    if not np.isfinite(epochs).all() or (epochs % 1).any():
-        refuse("its array 'epochs' holds a step that is not a whole number")
-    if rows.ndim != 2 or rows.shape[1] != 6:
-        refuse(f"its array 'group_rows' has shape {rows.shape}, not N x 6")
-    ids = rows[:, :3]  # step, side (0 user, 1 item), group id
-    if not np.isfinite(ids).all() or (ids % 1).any() or not np.isin(ids[:, 1], (0, 1)).all():
-        refuse("its array 'group_rows' holds a step or group id that is not a whole "
-               "number, or a side other than 0 (user) or 1 (item)")
-    for kind, name in enumerate(("user_group_freq", "item_group_freq")):
-        groups = ids[ids[:, 1] == kind, 2]
-        beyond = groups[(groups < 0) | (groups >= len(arrays[name]))]
-        if arrays[name].ndim != 1 or len(beyond):
-            refuse(f"its array 'group_rows' names a group id that its array {name!r} "
-                   f"of shape {arrays[name].shape} has no slot for")
-    return arrays
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            check(False, "not a JSON line")
+        key = "groups" if n == 1 else "lambda"
+        sides = record.get(key) if isinstance(record, dict) else None
+        check(isinstance(sides, dict) and sorted(sides) == sorted(SIDES),
+              f"it has no {key!r} object of the sides 'user' and 'item' alone")
+        check(n == 1 or _whole(record.get("epoch")), "its epoch is not a whole number")
+        for side in SIDES:
+            value = sides[side]
+            if n > 1:  # the side's statistics, then its groups
+                check(isinstance(value, dict) and _number(value.get("mean"))
+                      and _number(value.get("var")), f"its {side} mean or var is not a number")
+                value = value.get("groups")
+            check(isinstance(value, list) and all(isinstance(e, list) and len(e) == 3
+                                                  for e in value),
+                  f"a {side} group entry is not a list of 3")
+            check(all(_whole(g) and (_whole(a) if n == 1 else _number(a)) and _number(b)
+                      for g, a, b in value), f"a {side} group entry holds an id that is not "
+                  f"a whole number, or a statistic that is not a number")
+            if n == 1:
+                freqs[side] = {int(g): freq for g, _, freq in value}
+                continue
+            check(all(g in freqs[side] for g, _, _ in value),
+                  f"it names a {side} group id that line 1 does not list")
+            epoch = int(record["epoch"])
+            rows.append((epoch, side, sides[side]["mean"], sides[side]["var"]))
+            group_rows += [(epoch, side, int(g), mean, var, freqs[side][g])
+                           for g, mean, var in value]
+    return rows, group_rows
 
 
 def export_trajectory_csv(run_dir, out_dir=None):
-    """Emit per-group time series and frequency-vs-coefficient tables.
+    """Emit per-group time series and frequency-vs-coefficient tables from
+    the run's ``metrics.jsonl`` into ``out_dir`` (the run directory by
+    default), which is made once the file has been read and checked.
 
     Returns (trajectory_csv, frequency_csv) paths. A zero-epoch run yields
     header-only files.
     """
     out_dir = out_dir or run_dir
-    data = _load_trajectory(os.path.join(run_dir, "trajectory.npz"))
-    epochs = data["epochs"]
-    user_mean, item_mean = data["user_mean"], data["item_mean"]
-    user_var, item_var = data["user_var"], data["item_var"]
-    group_rows = data["group_rows"]
-    ug_freq, ig_freq = data["user_group_freq"], data["item_group_freq"]
+    rows, group_rows = read_metrics(os.path.join(run_dir, "metrics.jsonl"))
+    os.makedirs(out_dir, exist_ok=True)
     tpath = os.path.join(out_dir, "trajectory.csv")
     with open(tpath, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "entity_kind", "entity_id_or_group", "lambda_mean", "lambda_var"])
-        for n, ep in enumerate(epochs):
-            w.writerow([int(ep), "user", "all", f"{user_mean[n]:.10g}", f"{user_var[n]:.10g}"])
-            w.writerow([int(ep), "item", "all", f"{item_mean[n]:.10g}", f"{item_var[n]:.10g}"])
-        for row in group_rows:
-            ep, kind, g, size, mean, var = row
-            w.writerow([int(ep), "user_group" if kind == 0 else "item_group",
-                        int(g), f"{mean:.10g}", f"{var:.10g}"])
+        w.writerows([ep, side, "all", f"{mean:.10g}", f"{var:.10g}"]
+                    for ep, side, mean, var in rows)
+        w.writerows([ep, f"{side}_group", g, f"{mean:.10g}", f"{var:.10g}"]
+                    for ep, side, g, mean, var, _ in group_rows)
     fpath = os.path.join(out_dir, "frequency_lambda.csv")
     with open(fpath, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "entity_kind", "group", "mean_frequency", "lambda_mean"])
-        for row in group_rows:
-            ep, kind, g, size, mean, var = row
-            freq = (ug_freq if kind == 0 else ig_freq)[int(g)]
-            w.writerow([int(ep), "user" if kind == 0 else "item", int(g),
-                        f"{freq:.6g}", f"{mean:.10g}"])
+        w.writerows([ep, side, g, f"{freq:.6g}", f"{mean:.10g}"]
+                    for ep, side, g, mean, _, freq in group_rows)
     return tpath, fpath

@@ -120,6 +120,29 @@ def test_per_layer_metrics_of_a_traced_run(ab):
     assert (row["parent_median"], row["change_median"]) == (86, 84)
 
 
+def test_direction_from_the_metrics_line(ab):
+    # a bench_kernels --case train_step line: BENCHMARK.json names none of
+    # its metrics, so the line's own "better" counts; where the two clash,
+    # BENCHMARK.json wins
+    step = "train_step.wide.adaptive-wide.step_ms"
+    line = json.dumps({"metrics": {
+        step: {"value": 5.0, "unit": "ms", "better": "lower"},
+        "wall_s": {"value": 2.0, "unit": "s", "better": "higher"},
+        "plain_ms": {"value": 1.0, "unit": "ms"},
+        "odd_ms": {"value": 1.0, "better": "sideways"}}})
+    reported = ab.last_json_directions(f"config  step  factor\n{line}\n")
+    assert reported == {step: "lower", "wall_s": "higher"}
+    better = ab.directions(reported)
+    assert (better[step], better["wall_s"]) == ("lower", "lower")
+    assert "plain_ms" not in better and "odd_ms" not in better
+    row = ab.summarize(pairs([5.0, 5.2, 4.9], [4.0, 5.3, 4.1], step), better)[step]
+    assert (row["better"], row["change_wins"], row["change_higher"]) == ("lower", 2, 1)
+    for stdout in ("", f"{line}\nwrote out\n", "[1, 2]", '{"metrics": [1]}',
+                   '{"metrics": {"a_ms": 3}}'):
+        assert ab.last_json_directions(stdout) == {}
+    assert ab.last_json_metrics('{"metrics": [1]}') is None
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
 def test_exports_hold_what_git_would_commit(ab, tmp_path):
     repo = tmp_path / "repo"

@@ -6,10 +6,12 @@ rows read each workload's generator and training overrides from
 ``perfbench/workloads.json``; the evaluation case reads
 ``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
 replaces ``adaptreg.data._plain_columns`` to force the row reader. So a
-rename there must fail here rather than in the script behind a claim.
+rename there must fail here rather than in the script behind a claim. ``--case train_step`` ends in a
+metrics line that ``benchmarks/ab.py`` reads.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -22,12 +24,16 @@ from _synth import SMALL_SPLIT, make_split
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
 
-@pytest.fixture(scope="module")
-def bench():
-    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _load(SCRIPT, "bench_kernels")
 
 
 def test_eval_case_on_a_tiny_catalog(bench):
@@ -79,3 +85,20 @@ def test_wide_case_on_a_shrunk_corpus(bench, name):
     learned = name == "adaptive-wide"
     assert row["counts"]["lambda_triplets"] == (2 * 1024 * steps if learned else 0)
     assert ("coverage" in row) == learned
+
+
+def test_train_step_metrics_line(bench, capsys):
+    # the tables on a tiny split and a shrunk wide corpus, one run each
+    tables = bench.train_step_tables({(40, 60): make_split(**SMALL_SPLIT)}, repeats=1,
+                                     num_users=300, num_items=200)
+    capsys.readouterr()
+    stdout = "train_step table\n" + json.dumps(bench.step_metrics(tables)) + "\n"
+    ab = _load(SCRIPT.parent / "ab.py", "ab")
+    names = {f"train_step.40x60.{name}.step_ms" for name in bench.TRAIN_CONFIGS} | {
+        f"train_step.wide.{name}.step_ms" for name in bench.WIDE_WORKLOADS}
+    values = ab.last_json_metrics(stdout)
+    assert set(values) == names
+    assert values["train_step.40x60.opt/full.step_ms"] == (
+        tables["synth"][0]["configs"]["opt/full"]["step_ms"])
+    assert all(v > 0 for v in values.values())
+    assert ab.last_json_directions(stdout) == dict.fromkeys(names, "lower")

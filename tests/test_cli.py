@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import runpy
 import sys
@@ -16,7 +17,7 @@ from adaptreg.mf import Embeddings, SparseGrad
 from adaptreg.adaptive import RegCoefficients, TrainResult, record_trajectory
 from adaptreg.data import frequency_groups, group_by, load_manifest
 from adaptreg.optim import make_optimizer
-from adaptreg.runs import save_trajectory
+from adaptreg.runs import write_metrics
 
 from _synth import make_log, write_raw_csv
 from conftest import oracle_group_mean_freq
@@ -125,8 +126,8 @@ class TestTrain:
         assert rc == 0
         run_dir = [l.split(" ", 1)[1] for l in out.splitlines()
                    if l.startswith("run_dir ")][0]
-        for name in ("config.yaml", "history.csv", "trajectory.npz", "checkpoint.npz"):
-            assert os.path.exists(os.path.join(run_dir, name)), name
+        assert sorted(os.listdir(run_dir)) == [
+            "checkpoint.npz", "config.yaml", "history.csv", "metrics.jsonl"]
         with open(os.path.join(run_dir, "history.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
@@ -156,6 +157,17 @@ class TestTrain:
         assert rc == 0
         assert "status aborted" in out
         assert any(l.startswith("abort_reason non-finite") for l in out)
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--set", "training.seed=-1"]],
+                             ids=["flag", "set"])
+    def test_negative_seed_rejected(self, corpus, tmp_path, capsys, flags):
+        # np.random.default_rng takes no negative seed
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path)] + FAST + flags)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR:CONFIG: training.seed must be")
+        assert not list(tmp_path.iterdir())
 
     def test_run_dir_encodes_seed(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -554,6 +566,12 @@ def _saved(save, *args, **kwargs):
     return buf.getvalue()
 
 
+# a two-epoch metrics.jsonl with one user and one item frequency group
+_GROUPS = '{"groups": {"user": [[0, 5, 3.0]], "item": [[0, 7, 4.0]]}}'
+_EPOCHS = ['{"epoch": %d, "lambda": {"user": {"mean": 0.1, "var": 0.0, "groups": [[0, 0.1, 0.0]]}, '
+           '"item": {"mean": 0.1, "var": 0.0, "groups": [[0, 0.1, 0.0]]}}}' % ep for ep in (1, 2)]
+
+
 class TestExportTrajectory:
     def test_fixed_run_rows_constant(self, corpus, tmp_path, capsys):
         manifest = str(corpus / "data" / "manifest.csv")
@@ -595,17 +613,14 @@ class TestExportTrajectory:
         assert rc == 0
         run_dir = [l.split(" ", 1)[1] for l in out.splitlines()
                    if l.startswith("run_dir ")][0]
-        with np.load(os.path.join(run_dir, "trajectory.npz")) as data:
-            for side in ("user", "item"):
-                freqs = getattr(split, f"{side}_frequency")
-                want = oracle_group_mean_freq(freqs.astype(float),
-                                              frequency_groups(freqs, bounds[side]))
-                assert data[f"{side}_group_freq"].tobytes() == want.tobytes()
-                assert len(want) == 4 and want[2] == 0.0
+        _check_groups_line(os.path.join(run_dir, "metrics.jsonl"), {
+            side: (getattr(split, f"{side}_frequency"),
+                   frequency_groups(getattr(split, f"{side}_frequency"), bounds[side]))
+            for side in ("user", "item")})
 
     def test_group_frequencies_equal_per_group_loop(self, small_split, tmp_path):
         # no frequency falls between the last two boundaries: that group is
-        # empty, and its slot reads 0.0
+        # empty, and line 1 does not list it
         cfg = RunConfig()
         for side in ("user", "item"):
             m = float(np.median(getattr(small_split, f"{side}_frequency")))
@@ -619,64 +634,125 @@ class TestExportTrajectory:
                              trajectory=trajectory, best_epoch=1,
                              user_groups=group_by(user_groups),
                              item_groups=group_by(item_groups))
-        save_trajectory(str(tmp_path), result, small_split)
-        with np.load(tmp_path / "trajectory.npz") as data:
-            for key, groups, freqs in (
-                    ("user_group_freq", user_groups, small_split.user_frequency),
-                    ("item_group_freq", item_groups, small_split.item_frequency)):
-                want = oracle_group_mean_freq(freqs.astype(float), groups)
-                assert data[key].tobytes() == want.tobytes()
-                assert len(want) == 4 and (want == 0.0).any()
+        write_metrics(str(tmp_path), result, small_split)
+        _check_groups_line(tmp_path / "metrics.jsonl", {
+            "user": (small_split.user_frequency, user_groups),
+            "item": (small_split.item_frequency, item_groups)})
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_run_aborted_in_its_first_epoch_exports_headers(self, corpus, tmp_path, capsys):
+        # with plain SGD a coefficient of 1e300 overflows the factors at step 1
+        manifest = str(corpus / "data" / "manifest.csv")
+        rc = main(["train", "--manifest", manifest, "--out", str(tmp_path),
+                   "--set", "optimizer.kind=sgd", "--set", "regularization.mode=fix",
+                   "--set", "regularization.fixed_value=1e300"] + FAST)
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0 and "status aborted" in out
+        run_dir = [l.split(" ", 1)[1] for l in out if l.startswith("run_dir ")][0]
+        with open(os.path.join(run_dir, "metrics.jsonl")) as fh:
+            assert [list(json.loads(line)) for line in fh] == [["groups"]]
+        assert main(["export-trajectory", "--run", run_dir]) == 0
+        capsys.readouterr()
+        for name, header in (
+                ("trajectory.csv", "step,entity_kind,entity_id_or_group,lambda_mean,lambda_var"),
+                ("frequency_lambda.csv", "epoch,entity_kind,group,mean_frequency,lambda_mean")):
+            with open(os.path.join(run_dir, name)) as fh:
+                assert fh.read().splitlines() == [header]
+
+    def test_out_to_a_new_directory(self, corpus, tmp_path, capsys):
+        manifest = str(corpus / "data" / "manifest.csv")
+        assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "r")] + FAST) == 0
+        run_dir = [l.split(" ", 1)[1] for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("run_dir ")][0]
+        out = tmp_path / "plots" / "run"
+        assert main(["export-trajectory", "--run", run_dir, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"trajectory_csv {out / 'trajectory.csv'}",
+            f"frequency_csv {out / 'frequency_lambda.csv'}"]
+        assert main(["export-trajectory", "--run", run_dir]) == 0
+        capsys.readouterr()
+        for name in ("trajectory.csv", "frequency_lambda.csv"):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read()
 
     def test_missing_run_rejected(self, capsys):
         rc = main(["export-trajectory", "--run", "/nonexistent"])
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content,missing", [
-        (b"step,lambda\n1,0.5\n", "epochs"),
-        (b"", "epochs"),
-        (_saved(np.save, np.arange(3)), "epochs"),
-        (_saved(np.savez, epochs=np.arange(3)), "user_mean"),
-        (b"PK\x03\x04 truncated", "epochs"),
-    ], ids=["text", "empty", "npy", "epochs-only", "broken-zip"])
-    def test_non_archive_rejected(self, tmp_path, capsys, content, missing):
-        path = tmp_path / "trajectory.npz"
-        path.write_bytes(content)
-        rc = main(["export-trajectory", "--run", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"ERROR:CONFIG: {path} is not a trajectory archive")
-        assert f"no array {missing!r}" in err
-        assert not (tmp_path / "trajectory.csv").exists()
-
-    @pytest.mark.parametrize("forged,name", [
-        ({"user_mean": np.array(["a", "b"])}, "user_mean"),
-        ({"user_mean": np.array([0.1])}, "user_mean"),
-        ({"group_rows": np.array([[1, 0, 0, 5, 0.1, 0.0], [1, 0, 2, 5, 0.1, 0.0]])},
-         "group_rows"),
-        ({"epochs": np.array([1.5, 2.0])}, "epochs"),
-        ({"group_rows": np.zeros((2, 5))}, "group_rows"),
-        ({"group_rows": np.array([[1, 2, 0, 5, 0.1, 0.0]])}, "group_rows"),
-    ], ids=["strings", "short", "group-beyond-frequencies", "fractional-epoch",
-            "five-columns", "side-2"])
-    def test_malformed_archive_rejected(self, tmp_path, capsys, forged, name):
-        # two epochs, one user and one item frequency group
-        arrays = dict(epochs=np.array([1, 2]), user_mean=np.array([0.1, 0.2]),
-                      item_mean=np.array([0.1, 0.2]), user_var=np.zeros(2),
-                      item_var=np.zeros(2), group_rows=np.zeros((0, 6)),
-                      user_group_freq=np.array([3.0]), item_group_freq=np.array([4.0]))
-        path = tmp_path / "trajectory.npz"
-        path.write_bytes(_saved(np.savez, **{**arrays, **forged}))
-        rc = main(["export-trajectory", "--run", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"ERROR:CONFIG: {path} is not a trajectory archive")
-        assert f"array {name!r}" in err
-        assert not list(tmp_path.glob("*.csv"))
-        # the unforged archive exports
-        path.write_bytes(_saved(np.savez, **arrays))
+    def test_infinite_statistic_exports(self, tmp_path, capsys):
+        # a fix run at 1e307 has an infinite mean, which JSON writes as Infinity
+        (tmp_path / "metrics.jsonl").write_text(
+            _GROUPS + "\n" + _EPOCHS[0].replace('"mean": 0.1', '"mean": Infinity', 1) + "\n")
         assert main(["export-trajectory", "--run", str(tmp_path)]) == 0
+        with open(tmp_path / "trajectory.csv") as fh:
+            assert fh.read().splitlines()[1:3] == ["1,user,all,inf,0", "1,item,all,0.1,0"]
+
+    @pytest.mark.parametrize("content,why", [
+        (b"step,lambda\n1,0.5\n", "not a JSON line"),
+        (b"", "no 'groups' object"),
+        (_saved(np.save, np.arange(3)), "not a JSON line"),
+        (_EPOCHS[0].encode() + b"\n", "no 'groups' object"),
+        (_GROUPS[:20].encode(), "not a JSON line"),
+    ], ids=["text", "empty", "npy", "epoch-only", "truncated"])
+    def test_unreadable_metrics_rejected(self, tmp_path, capsys, content, why):
+        # each refusal of a file that is no metrics record at all ends on line 1
+        _assert_refused(tmp_path, capsys, content, 1, why)
+
+    @pytest.mark.parametrize("line,forged,why", [
+        (2, ('"mean": 0.1', '"mean": "a"'), "user mean or var is not a number"),
+        (3, ('"var": 0.0, ', ''), "user mean or var is not a number"),
+        (2, ('[[0, 0.1', '[[2, 0.1'), "names a user group id that line 1 does not list"),
+        (3, ('"epoch": 2', '"epoch": 1.5'), "epoch is not a whole number"),
+        (2, ('[[0, 0.1, 0.0]]', '[[0, 0.1]]'), "user group entry is not a list of 3"),
+        (2, ('"item"', '"2"'), "sides 'user' and 'item' alone"),
+        (1, ('[[0, 5, 3.0]]', '[[0, 5.5, 3.0]]'), "not a whole number"),
+        (3, ('[[0, 0.1, 0.0]]', '[["0", 0.1, 0.0]]'), "id that is not a whole number"),
+        (2, (_EPOCHS[0], '[1, 2]'), "no 'lambda' object"),
+    ], ids=["strings", "short", "group-beyond-frequencies", "fractional-epoch",
+            "two-columns", "side-2", "fractional-size", "string-id", "not-an-object"])
+    def test_malformed_metrics_rejected(self, tmp_path, capsys, line, forged, why):
+        # one forged line of a two-epoch record, one user and one item group
+        lines = [_GROUPS] + _EPOCHS
+        lines[line - 1] = lines[line - 1].replace(*forged, 1)
+        assert lines[line - 1] != ([_GROUPS] + _EPOCHS)[line - 1]
+        _assert_refused(tmp_path, capsys, "\n".join(lines).encode() + b"\n", line, why)
+
+
+def _assert_refused(run_dir, capsys, content, line, why):
+    """``content`` as ``metrics.jsonl`` is one ERROR:CONFIG line naming the
+    file and ``line``, and no CSV nor the ``--out`` directory is written; the
+    unforged record exports."""
+    path, out = run_dir / "metrics.jsonl", run_dir / "out"
+    path.write_bytes(content)
+    rc = main(["export-trajectory", "--run", str(run_dir), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR:CONFIG: {path}:{line}: "), err
+    assert why in err[0]
+    assert not list(run_dir.glob("*.csv")) and not out.exists()
+    path.write_text("\n".join([_GROUPS] + _EPOCHS) + "\n")
+    assert main(["export-trajectory", "--run", str(run_dir), "--out", str(out)]) == 0
+    with open(out / "frequency_lambda.csv") as fh:
+        assert fh.read().splitlines()[1:] == [
+            "1,user,0,3,0.1", "1,item,0,4,0.1", "2,user,0,3,0.1", "2,item,0,4,0.1"]
+
+
+def _check_groups_line(path, sides):
+    """Line 1 of ``metrics.jsonl`` lists each side's nonempty frequency
+    groups, ``sides[side]`` being its frequencies and group labels, with
+    their sizes and the per-group loop's mean frequencies, bit for bit. Each
+    side has four groups, one of them empty and so not listed."""
+    with open(path) as fh:
+        groups = json.loads(fh.readline())["groups"]
+    assert list(groups) == ["user", "item"]
+    for side, (freqs, labels) in sides.items():
+        want = oracle_group_mean_freq(freqs.astype(float), labels)
+        ids, sizes, means = map(list, zip(*groups[side]))
+        assert ids == [g for g in range(len(want)) if (labels == g).any()]
+        assert sizes == [int((labels == g).sum()) for g in ids]
+        assert np.asarray(means).tobytes() == want[ids].tobytes()
+        assert len(want) == 4 and len(ids) == 3
 
 
 class TestCheckpointRoundTrip:
