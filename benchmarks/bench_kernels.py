@@ -32,6 +32,14 @@ and 100), on 200 users with 40 random events each, K=32, over a 3k and a 50k
 item catalog. It also records how many users ``corpus_auc`` could not
 certify from its block product and scored one at a time instead.
 
+``--case evaluation`` runs only the evaluation table, builds no train-step
+split and writes no file. Its last stdout line holds the median milliseconds
+per user of each function on each catalog, such as
+``evaluation.3000.corpus_auc_ms``, in the same metrics form::
+
+    python3 benchmarks/ab.py HEAD~1 --pairs 10 -- \\
+        python3 benchmarks/bench_kernels.py --case evaluation
+
 The ingest case writes a ``u<id>,i<id>,<time>`` file shaped like the
 pipeline-small corpus (``tests/_synth.write_plain_log``: about 190k rows over
 4k users and 3k items, 2% of them repeating an earlier pair) and times
@@ -89,6 +97,7 @@ TRAIN_BASE = ["optimizer.kind=adam", "model.dim=32", "training.epochs=2",
 WIDE_SEED, WIDE_WORKLOADS = 7, ("fixed-wide", "adaptive-wide")
 STEP_PHASES = tuple(k for k in PHASE_SECONDS if k != "eval")  # eval is stubbed
 EVAL_ITEMS = (3_000, 50_000)
+EVAL_FUNCTIONS = ("user_auc", "corpus_auc", "corpus_metrics")
 INGEST_ROWS = 190_000
 
 
@@ -233,6 +242,28 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
         corpus_auc_fallback_users=fallback_users(emb, split, "validation"))
 
 
+def evaluation_table(catalogs=EVAL_ITEMS, users=200, events=40, dim=32, repeats=3):
+    """Print and return the evaluation rows: ``eval_ms`` on each catalog size
+    of ``catalogs``."""
+    print(f"evaluation: dim={dim}, {users} users, ms per user")
+    rows = []
+    for items in catalogs:
+        rows.append(dict(items=items, **eval_ms(items, users, events, dim, repeats)))
+        print(f"{items:>7} items" + "".join(
+            f"  {fn} {rows[-1][f'{fn}_ms']['min']:>7.3f}" for fn in EVAL_FUNCTIONS)
+            + f"  fallback users {rows[-1]['corpus_auc_fallback_users']}")
+    return dict(dim=dim, users=users, events_per_user=events, catalogs=rows)
+
+
+def eval_metrics(evaluation):
+    """The last stdout line of ``--case evaluation``: each function's median
+    milliseconds per user on each catalog, as ``evaluation.<items>.<fn>_ms``,
+    in the ``{"metrics": ...}`` form that ``benchmarks/ab.py`` reads."""
+    return {"metrics": {f"evaluation.{row['items']}.{fn}_ms": dict(
+        value=row[f"{fn}_ms"]["median"], unit="ms", better="lower")
+        for row in evaluation["catalogs"] for fn in EVAL_FUNCTIONS}}
+
+
 def traced_peak(fn):
     """The ``tracemalloc`` peak, in bytes, of one ``fn()`` call."""
     tracemalloc.start()
@@ -285,9 +316,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3, help="runs per train-step config")
     ap.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
-    ap.add_argument("--case", choices=["train_step"], default=None,
+    ap.add_argument("--case", choices=["train_step", "evaluation"], default=None,
                     help="run only this case, write no file, and end with its metrics line")
     args = ap.parse_args()
+    if args.case == "evaluation":
+        print(json.dumps(eval_metrics(evaluation_table())))
+        return
     splits = {size: make_split(num_users=size[0], num_items=size[1], seed=3)
               for size in SYNTH_SIZES}
     train_step = train_step_tables(splits, args.repeats)
@@ -297,15 +331,7 @@ def main():
     result = {"environment": environment(), "train_step": train_step}
 
     print()
-    print("evaluation: dim=32, 200 users, ms per user")
-    rows = []
-    for items in EVAL_ITEMS:
-        rows.append(dict(items=items, **eval_ms(items)))
-        print(f"{items:>7} items  user_auc {rows[-1]['user_auc_ms']['min']:>7.3f}  "
-              f"corpus_auc {rows[-1]['corpus_auc_ms']['min']:>7.3f}  "
-              f"corpus_metrics {rows[-1]['corpus_metrics_ms']['min']:>7.3f}  "
-              f"fallback users {rows[-1]['corpus_auc_fallback_users']}")
-    result["evaluation"] = dict(dim=32, users=200, events_per_user=40, catalogs=rows)
+    result["evaluation"] = evaluation_table()
 
     print()
     ingest = ingest_case()

@@ -266,29 +266,48 @@ class TrajectoryRow:
     item_group_stats: list
 
 
+def _var_about_first(values, axis=None):
+    """``np.var`` of ``values`` less their first value (per row for ``axis=1``):
+    the same variance, and exactly 0 for equal values, whose rounded mean
+    near the float range would leave deviations whose squares overflow."""
+    return np.var(values - (values[:, :1] if axis else values[:1]), axis=axis)
+
+
 def record_trajectory(lam, step, user_groups, item_groups):
     """Per-entity mean coefficient over dims plus per-frequency-group mean/variance;
     the groups are ``data.group_by`` of each side's labels, made once per run."""
+    views = (lam.user_dense(), lam.item_dense())
+    # every sum here has at most n terms, so it can overflow only when n times
+    # the largest coefficient does. Then the statistics are taken of the
+    # coefficients times a power of two, which is exact, and scaled back, and
+    # the variances about a first value; every other run keeps its bits
+    n = max(views[0].shape + views[1].shape)
+    scale, var = 1.0, np.var
+    if not max(view.max(initial=0.0) for view in views) <= np.finfo(np.float64).max / n:
+        scale, var = 2.0 ** -math.ceil(math.log2(n)), _var_about_first
     # a C-ordered copy, so each mean sums its row in the same order as over
-    # a dense (n,K) array (copying a broadcast view may give another layout)
-    u_means = np.ascontiguousarray(lam.user_dense()).mean(axis=1)
-    i_means = np.ascontiguousarray(lam.item_dense()).mean(axis=1)
-    rows = []
-    for (ids, order, starts, counts), means in ((user_groups, u_means),
-                                                (item_groups, i_means)):
-        members = means[order]
-        rows.append(list(zip(ids.tolist(), counts.tolist(),
-                             group_reduce(members, starts, counts).tolist(),
-                             group_reduce(members, starts, counts, np.var).tolist())))
-    return TrajectoryRow(
-        step=step,
-        user_mean=float(u_means.mean()),
-        item_mean=float(i_means.mean()),
-        user_var=float(u_means.var()),
-        item_var=float(i_means.var()),
-        user_group_stats=rows[0],
-        item_group_stats=rows[1],
-    )
+    # a dense (n,K) array (copying a broadcast view may give another layout);
+    # one side's copy at a time
+    u_means, i_means = (np.ascontiguousarray(view if scale == 1.0 else view * scale).mean(axis=1)
+                        for view in views)
+    with np.errstate(over="ignore"):  # a variance past the float range is inf
+        rows = []
+        for (ids, order, starts, counts), means in ((user_groups, u_means),
+                                                    (item_groups, i_means)):
+            members = means[order]
+            rows.append(list(zip(
+                ids.tolist(), counts.tolist(),
+                (group_reduce(members, starts, counts) / scale).tolist(),
+                (group_reduce(members, starts, counts, var) / scale**2).tolist())))
+        return TrajectoryRow(
+            step=step,
+            user_mean=float(u_means.mean() / scale),
+            item_mean=float(i_means.mean() / scale),
+            user_var=float(var(u_means) / scale**2),
+            item_var=float(var(i_means) / scale**2),
+            user_group_stats=rows[0],
+            item_group_stats=rows[1],
+        )
 
 
 # ---------------------------------------------------------------------------

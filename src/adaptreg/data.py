@@ -605,7 +605,16 @@ def frequency_groups(frequencies, boundaries):
 def group_by(labels):
     """Stable group-by: ``(ids, order, starts, counts)``. Group ``ids[n]`` is
     ``values[order][starts[n]:starts[n] + counts[n]]``, in input order."""
-    order = np.argsort(labels, kind="stable")
+    # integer labels sort as the narrowest integer type that holds them,
+    # which keeps their order; numpy sorts 1- and 2-byte keys stably by radix.
+    # Negative labels with a maximum past 2**32 meet in float64: they keep their type.
+    keys = labels
+    if labels.dtype.kind in "iu" and len(labels):
+        narrow = np.result_type(np.min_scalar_type(labels.min()),
+                                np.min_scalar_type(labels.max()))
+        if narrow.kind in "iu":
+            keys = labels.astype(narrow, copy=False)
+    order = np.argsort(keys, kind="stable")
     ids, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
     return ids, order, starts, counts
 

@@ -199,20 +199,28 @@ def _score_corpus(emb, split, stage):
         n_neg = I - sum(n_exc) - n_pos
         rows = np.arange(b - a)
         prow = np.repeat(rows, n_pos)
-        items = positives.flat[cuts[a]:cuts[b]]
+        # each positive's and each excluded item's entry of the C-ordered block
+        start = prow * I
+        at = start + positives.flat[cuts[a]:cuts[b]]
         with np.errstate(invalid="ignore"):
             scores = np.matmul(emb.user[a:b], emb.item.T, out=block[:b - a])
-            g = scores[prow, items]
-            scores[prow, items] = np.inf
+            flat = scores.reshape(-1)
+            g = np.take(flat, at)
+            flat[at] = np.inf
             for p, n in zip(excluded, n_exc):
-                scores[np.repeat(rows, n), p.flat[p.offsets[a]:p.offsets[b]]] = np.inf
+                flat[np.repeat(rows * I, n) + p.flat[p.offsets[a]:p.offsets[b]]] = np.inf
             scores.sort(axis=1)
             lo_t, hi_t = g - bands[a + prow], g + bands[a + prow]
         # a finite band bounds every partial sum of the user's dot products
         # (``_bands``), so its scores, lo_t and hi_t are finite too
         ok = np.isfinite(bands[a:b]) & (n_pos > 0)
-        # each positive must clear the band of its user's next lower one
-        order = np.lexsort((g, prow))
+        # each positive must clear the band of its user's next lower one. The
+        # positives in score order, then stably by row: a 1- or 2-byte key
+        # for up to 65,536 rows, which numpy sorts by radix. A user with tied
+        # or NaN scores fails the check, so only certified users' order counts.
+        order = np.argsort(g)
+        order = order[np.argsort(prow[order].astype(np.min_scalar_type(b - a - 1)),
+                                 kind="stable")]
         rs = prow[order]
         ok[rs[1:][(rs[1:] == rs[:-1]) & ~(g[order][1:] > hi_t[order][:-1])]] = False
         pos_hi = np.empty_like(prow)
@@ -221,13 +229,13 @@ def _score_corpus(emb, split, stage):
         # binary search of all rows at once. A row ends in a +inf mask or NaN,
         # so flat[lo] stays in it; for a certified user it is the next negative
         # or a mask, which exceeds hi_t iff no negative lies in [lo_t, hi_t].
-        flat, lo, n = scores.reshape(-1), prow * I, I
+        lo, n = start.copy(), I
         while n > 1:
-            lo += n // 2 * (flat[lo + n // 2] < lo_t)
+            lo += n // 2 * (np.take(flat, lo + n // 2) < lo_t)
             n -= n // 2
-        lo += flat[lo] < lo_t
-        ok[prow[~(flat[lo] > hi_t)]] = False
-        lo -= prow * I
+        lo += np.take(flat, lo) < lo_t
+        ok[prow[~(np.take(flat, lo) > hi_t)]] = False
+        lo -= start
         ranks[cuts[a]:cuts[b]] = 1 + n_neg[prow] + n_pos[prow] - lo - pos_hi
         # an exact integer over an exact integer: _score_user's one division
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,11 +260,16 @@ def user_topk_ranks(emb, split, u, stage="test"):
     return None if scored is None else scored[1]
 
 
-def _hits_gains(ranks, k):
+def _discounts(ranks):
+    """Per positive, the gain ``1 / log2(rank + 1)`` it earns within a cutoff."""
+    return 1.0 / np.log2(ranks + 1.0)
+
+
+def _hits_gains(ranks, k, discounts):
     """Per positive: whether its rank is within ``k``, and its discounted gain
-    ``1 / log2(rank + 1)`` there (0 beyond)."""
+    there (0 beyond)."""
     hits = ranks <= k
-    return hits, np.where(hits, 1.0 / np.log2(ranks + 1.0), 0.0)
+    return hits, np.where(hits, discounts, 0.0)
 
 
 def _check_ks(ks):
@@ -278,7 +291,7 @@ def user_topk(emb, split, u, k, stage="test"):
     ranks = user_topk_ranks(emb, split, u, stage)
     if ranks is None:
         return None
-    hits, gains = _hits_gains(ranks, k)
+    hits, gains = _hits_gains(ranks, k, _discounts(ranks))
     return float(hits.mean()), float(gains.mean())
 
 
@@ -324,18 +337,23 @@ def corpus_metrics(emb, split, ks=(50, 100), stage="test",
     keep = np.repeat(scored, counts)
     user_ids, aucs, counts = np.flatnonzero(scored), aucs[scored], counts[scored]
     starts = np.cumsum(counts) - counts
+    user_of = np.repeat(np.arange(len(counts)), counts)
     items, ranks = positives.flat[keep], ranks[keep]
     item_ids, order, item_starts, item_counts = group_by(items)
     item_ids = item_ids.astype(np.int64)
+    discounts = _discounts(ranks)
+    # a hit rate is a count of hits over a count of positives: a sum of 0s and
+    # 1s is exact in any order, so this is np.mean's division, bit for bit
     user_hr, user_ndcg, item_hr, item_ndcg = {}, {}, {}, {}
     for k in ks:
-        hits, gains = _hits_gains(ranks, k)
-        hits = hits.astype(np.float64)
-        user_hr[k] = group_reduce(hits, starts, counts)
+        hits, gains = _hits_gains(ranks, k, discounts)
+        user_hr[k] = np.bincount(user_of, hits, len(counts)) / counts
         user_ndcg[k] = group_reduce(gains, starts, counts)
-        if item_metric_mode != "item-specific":
+        if item_metric_mode == "item-specific":
+            item_hr[k] = np.bincount(items, hits, split.num_items)[item_ids] / item_counts
+        else:
             hits, gains = np.repeat(user_hr[k], counts), np.repeat(user_ndcg[k], counts)
-        item_hr[k] = group_reduce(hits[order], item_starts, item_counts)
+            item_hr[k] = group_reduce(hits[order], item_starts, item_counts)
         item_ndcg[k] = group_reduce(gains[order], item_starts, item_counts)
     mean = lambda v: float(v.mean()) if len(v) else float("nan")  # NaN over no users
     return MetricReport(

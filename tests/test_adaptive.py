@@ -338,6 +338,39 @@ class TestRecordTrajectory:
         assert row == oracle_record_trajectory(lam, 4, user_groups, item_groups)
         assert (6, 1) in [s[:2] for s in row.user_group_stats]
 
+    @pytest.mark.parametrize("gran", ["global", "user", "full"])
+    def test_finite_statistics_near_the_float_range(self, gran):
+        # 32 dimensions, 12 users and 16 items of 1e307: every row, group and
+        # side sum overflows unscaled. At these counts a mean of equal values
+        # comes out exact, so the variances are exactly zero.
+        U, I, K = 12, 16, 32
+        lam = RegCoefficients.create(gran, U, I, K, init=1e307)
+        row = record_labels(lam, 0, np.arange(U) // 8, np.arange(I) // 10)
+        assert row.user_mean == row.item_mean == 1e307
+        assert row.user_var == row.item_var == 0.0
+        assert [s[:2] for s in row.user_group_stats] == [(0, 8), (1, 4)]
+        assert [s[:2] for s in row.item_group_stats] == [(0, 10), (1, 6)]
+        for _, _, mean, var in row.user_group_stats + row.item_group_stats:
+            assert mean == 1e307 and var == 0.0
+
+    def test_rounded_means_near_the_float_range_keep_zero_variances(self):
+        # a mean of 112 values of 1e307 rounds, and deviations from it would
+        # square past the float range; 8 users of small values share the run
+        U, I, K = 120, 200, 8
+        lam = RegCoefficients.create("user", U, I, K, init=1e307)
+        small = 0.1 * np.arange(1, 9)
+        lam.values[112:U] = small
+        row = record_labels(lam, 0, np.arange(U) >= 112, np.arange(I) % 3)
+        (g0, n0, mean0, var0), (g1, n1, mean1, var1) = row.user_group_stats
+        assert (g0, n0, g1, n1) == (0, 112, 1, 8)
+        assert mean0 == pytest.approx(1e307, rel=1e-15) and var0 == 0.0
+        assert mean1 == small.mean() and var1 == pytest.approx(small.var(), rel=1e-12)
+        # across both groups the variance is about 6e612, past the float range
+        assert row.user_mean == pytest.approx(112 / 120 * 1e307, rel=1e-15)
+        assert row.user_var == np.inf
+        assert row.item_mean == pytest.approx(1e307, rel=1e-15) and row.item_var == 0.0
+        assert all(var == 0.0 for *_, var in row.item_group_stats)
+
 
 def quick_cfg(**kw):
     cfg = RunConfig()

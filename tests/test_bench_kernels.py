@@ -6,8 +6,9 @@ rows read each workload's generator and training overrides from
 ``perfbench/workloads.json``; the evaluation case reads
 ``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
 replaces ``adaptreg.data._plain_columns`` to force the row reader. So a
-rename there must fail here rather than in the script behind a claim. ``--case train_step`` ends in a
-metrics line that ``benchmarks/ab.py`` reads.
+rename there must fail here rather than in the script behind a claim.
+``--case train_step`` and ``--case evaluation`` each end in a metrics line
+that ``benchmarks/ab.py`` reads.
 """
 
 import importlib.util
@@ -100,5 +101,20 @@ def test_train_step_metrics_line(bench, capsys):
     assert set(values) == names
     assert values["train_step.40x60.opt/full.step_ms"] == (
         tables["synth"][0]["configs"]["opt/full"]["step_ms"])
+    assert all(v > 0 for v in values.values())
+    assert ab.last_json_directions(stdout) == dict.fromkeys(names, "lower")
+
+
+def test_evaluation_metrics_line(bench, capsys):
+    # the evaluation table on two tiny catalogs, one repeat each
+    table = bench.evaluation_table((60, 90), users=8, events=10, dim=4, repeats=1)
+    assert "fallback users" in capsys.readouterr().out
+    stdout = "evaluation table\n" + json.dumps(bench.eval_metrics(table)) + "\n"
+    ab = _load(SCRIPT.parent / "ab.py", "ab")
+    names = {f"evaluation.{items}.{fn}_ms" for items in (60, 90) for fn in bench.EVAL_FUNCTIONS}
+    values = ab.last_json_metrics(stdout)
+    assert set(values) == names
+    assert values["evaluation.90.corpus_auc_ms"] == (
+        table["catalogs"][1]["corpus_auc_ms"]["median"])
     assert all(v > 0 for v in values.values())
     assert ab.last_json_directions(stdout) == dict.fromkeys(names, "lower")

@@ -463,7 +463,8 @@ class TestGridSearch:
         assert rc == 0
         assert "best_lambda " in out
         grid_dirs = [d for d in tmp_path.iterdir() if d.name.endswith("-grid")]
-        rows = list(csv.DictReader(open(grid_dirs[0] / "grid.csv")))
+        with open(grid_dirs[0] / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["lambda"] for r in rows} == {"0.01", "0.0001"}
         assert all(r["status"] == "ok" for r in rows)
         assert (grid_dirs[0] / "lambda_0.01" / "checkpoint.npz").exists()
@@ -479,7 +480,8 @@ class TestGridSearch:
         assert rc == 0
         assert "best_lambda 0.01" in capsys.readouterr().out
         grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
-        rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
+        with open(grid_dir / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert [(r["lambda"], r["status"]) for r in rows] == [
             ("0.01", "ok"), ("1e+300", "failed")]
         assert rows[1]["val_auc"] == "nan"
@@ -503,7 +505,8 @@ class TestGridSearch:
         assert rc == 0
         assert "best_lambda 0.0001" in capsys.readouterr().out
         grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
-        rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
+        with open(grid_dir / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert [(r["lambda"], r["status"]) for r in rows] == [("0.01", "failed"), ("0.0001", "ok")]
         assert rows[0]["val_auc"] == "nan"
 
@@ -525,7 +528,8 @@ class TestGridSearch:
         assert rc == 1
         assert "ERROR:GENERIC: every grid candidate failed" in capsys.readouterr().err
         grid_dir = next(d for d in tmp_path.iterdir() if d.name.endswith("-grid"))
-        rows = list(csv.DictReader(open(grid_dir / "grid.csv")))
+        with open(grid_dir / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["failed"]
 
     def test_negative_candidate_rejected_up_front(self, corpus, tmp_path, capsys):

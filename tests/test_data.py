@@ -415,6 +415,32 @@ class TestGroupReduce:
         assert len(ids) == len(order) == 0
         assert group_reduce(np.empty(0), starts, counts).shape == (0,)
 
+    @pytest.mark.parametrize("low, high, key", [
+        (0, 256, np.uint8), (0, 65_536, np.uint16), (0, 70_000, np.uint32),
+        (-3, 200, np.int16), (-(2**62), 2**62, np.float64)])
+    def test_narrow_keys_keep_the_int64_stable_order(self, low, high, key):
+        # the labels' range needs ``key`` (no integer type at all for the
+        # last, whose top labels a float would tie); many repeats of each
+        # label test the stability, and both ends of the range are present
+        labels = np.random.default_rng(3).integers(low, high, 5_000)
+        labels[:4] = low, high - 1, high - 2, high - 1
+        assert np.result_type(np.min_scalar_type(labels.min()),
+                              np.min_scalar_type(labels.max())) == key
+        for dtype in (np.int64,) if high > 2**31 else (np.int64, np.int32):
+            ids, order, starts, counts = group_by(labels.astype(dtype))
+            assert order.dtype == np.int64
+            assert order.tobytes() == np.argsort(labels, kind="stable").tobytes()
+            assert ids.dtype == dtype
+            assert ids.tolist() == np.unique(labels).tolist()
+            assert counts.tolist() == np.unique(labels, return_counts=True)[1].tolist()
+            assert starts.tolist() == (np.cumsum(counts) - counts).tolist()
+
+    def test_empty_labels_keep_their_dtype(self):
+        for dtype in (np.int64, np.uint8, np.float64):
+            ids, order, starts, counts = group_by(np.empty(0, dtype=dtype))
+            assert ids.dtype == dtype and order.dtype == np.int64
+            assert len(ids) == len(order) == len(starts) == len(counts) == 0
+
 
 class TestPersistence:
     def test_manifest_round_trip(self, tmp_path, small_split):

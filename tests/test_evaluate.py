@@ -9,7 +9,7 @@ from adaptreg import evaluate
 from adaptreg.data import _build_split, chronological_split, frequency_groups
 from adaptreg.errors import AdaptRegError, ConfigError
 from adaptreg.evaluate import (
-    BLOCK_ELEMENTS, MetricReport, auc_from_scores, corpus_auc, corpus_metrics,
+    BLOCK_ELEMENTS, ITEM_METRIC_MODES, MetricReport, auc_from_scores, corpus_auc, corpus_metrics,
     group_improvement_report, user_auc, user_topk, user_topk_ranks,
 )
 from adaptreg.mf import Embeddings
@@ -575,6 +575,49 @@ class TestCertifiedBlocks:
         assert same_bytes(corpus_auc(emb, split, stage), oracle_corpus_auc(emb, split, stage))
         assert_same_report(corpus_metrics(emb, split, ks=(1, 3), stage=stage),
                            oracle_corpus_metrics(emb, split, ks=(1, 3), stage=stage))
+
+
+def block_rows_instance(U, active, I=8, dim=4):
+    """``U`` users on an ``I``-item catalog. Each has 2 train items, and the
+    ``active`` ones 2 validation and 2 test items too, drawn from items 2
+    on. Items 0 and 1 share one row; every fifth active user has both as its
+    validation positives, and every fifth from the third on as its test
+    positives, so each such user's two positives tie."""
+    rng = np.random.default_rng(U)
+    perms = rng.permuted(np.tile(np.arange(2, I), (U, 1)), axis=1)
+    val, test = [[] for _ in range(U)], [[] for _ in range(U)]
+    for n, u in enumerate(active):
+        val[u] = [0, 1] if n % 5 == 0 else perms[u, 2:4].tolist()
+        test[u] = [0, 1] if n % 5 == 2 else perms[u, 4:6].tolist()
+    emb, _ = random_instance(U, U, I, dim)
+    emb.item[1] = emb.item[0]
+    return emb, make_split(I, np.sort(perms[:, :2]).tolist(), val, test)
+
+
+class TestSortKeyWidths:
+    """One block of each width of ``_score_corpus``'s row key: 1 byte up to
+    256 rows and 2 bytes up to 65,536, both sorted by radix, then 4 bytes.
+    Users whose tied positives must be rescored share the block with
+    certified ones."""
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    @pytest.mark.parametrize("U, key", [(200, np.uint8), (1_000, np.uint16),
+                                        (65_600, np.uint32)])
+    def test_one_block_matches_the_oracle(self, monkeypatch, U, key, stage):
+        # past 65,536 rows only the first and last 100 users have positives,
+        # which keeps the per-user oracle short; rows 65,536 on would alias
+        # rows 0 to 63 in a 2-byte key
+        active = list(range(U)) if U < 2**16 else list(range(100)) + list(range(U - 100, U))
+        emb, split = block_rows_instance(U, active)
+        monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", U * split.num_items)
+        assert np.min_scalar_type(U - 1) == key
+        tied = [u for n, u in enumerate(active) if n % 5 == (0 if stage == "validation" else 2)]
+        assert fallback_users(monkeypatch, emb, split, stage) == tied
+        assert same_bytes(corpus_auc(emb, split, stage), oracle_corpus_auc(emb, split, stage))
+        for mode in ITEM_METRIC_MODES:
+            assert_same_report(
+                corpus_metrics(emb, split, ks=(1, 3), stage=stage, item_metric_mode=mode),
+                oracle_corpus_metrics(emb, split, ks=(1, 3), stage=stage, item_metric_mode=mode))
 
 
 class TestKs:
