@@ -3,60 +3,47 @@
 Run with ``python3 benchmarks/bench_kernels.py``. The train-step case makes
 short ``adaptive.train_model`` runs, evaluation stubbed, and reads each
 step's phase seconds and counts from ``TrainResult.phases``: per phase the
-milliseconds per step (median of ``--repeats`` runs), the counts, each run's
-CPU seconds, and the cost factor, milliseconds per step over ``fix``'s. It
-runs ``tests/_synth.make_split(seed=3)`` at 4k x 3k and 20k x 5k with
-``fix``, ``opt/full``, ``opt/user`` and ``opt/full`` + ``adam_on_lambda``
-(Adam, K=32, batch and lambda batch 1024, 2 epochs), and perfbench's seed-7
-wide corpus under the ``fixed-wide`` and ``adaptive-wide`` training
-overrides of ``perfbench/workloads.json``. Its phase seconds are wall time
-(``time.perf_counter`` in the step). For each ``opt`` config it also records
-the hypergradient's coverage: the share of the coefficient entries that one
-``adaptive.sparse_hypergradient`` call reaches, ``len(entries) /
-lam.num_entries``, averaged over the runs' λ steps.
+milliseconds per step (wall time, median of ``--repeats`` runs), the counts,
+each run's CPU seconds, and the cost factor over ``fix``. It runs
+``tests/_synth.make_split(seed=3)`` at 4k x 3k and 20k x 5k with ``fix``,
+``opt/full``, ``opt/user`` and ``opt/full`` + ``adam_on_lambda`` (Adam, K=32,
+batch and lambda batch 1024, 2 epochs), and perfbench's seed-7 wide corpus
+under the ``fixed-wide`` and ``adaptive-wide`` overrides of
+``perfbench/workloads.json``. Each ``opt`` row also records the
+hypergradient's coverage: ``len(entries) / lam.num_entries`` of one
+``adaptive.sparse_hypergradient`` call, averaged over the runs' λ steps.
 
-``--case train_step`` runs only the train-step tables and writes no file. Its
-last stdout line is ``{"metrics": {name: {"value": ms, "unit": "ms",
-"better": "lower"}}}``, one ``step_ms`` per row (for example
-``train_step.4000x3000.opt/full.step_ms`` and
-``train_step.wide.adaptive-wide.step_ms``), so that ``benchmarks/ab.py`` can
-pair and interleave it against a parent commit::
+The evaluation case times, in milliseconds per user, ``evaluate.user_auc``
+over every user and ``evaluate.corpus_auc`` at the validation stage, and
+``evaluate.corpus_metrics`` (HR/NDCG at 50 and 100), on 200 users with 40
+random events each, K=32, over a 3k and a 50k item catalog. It also counts
+the users ``corpus_auc`` could not certify from its block product.
+
+The ingest case times ``data.load_interactions`` through the plain (array)
+reader and, forced, through the row reader, which quoted CSVs take and no
+perfbench workload runs, on perfbench's seed-7 ``pipeline-small`` CSV.
+
+Every timing but the phase seconds is CPU time (``time.process_time``), which
+moves less with the load of other processes. The BLAS is pinned to one thread
+before numpy is imported, as in ``perfbench/run.py``.
+
+Every run ends in one line ``{"metrics": {name: {"value": ms, "unit": "ms",
+"better": "lower"}}}``: each train-step row's ``step_ms``
+(``train_step.4000x3000.opt/full.step_ms``, ``train_step.wide.fixed-wide.step_ms``),
+each evaluation function's median milliseconds per user on each catalog
+(``evaluation.3000.corpus_auc_ms``) and each reader's median milliseconds
+(``ingest.load_rows_ms``).
+``--case train_step`` or ``--case evaluation`` runs one case and writes no
+file, so that ``benchmarks/ab.py`` can pair it against a parent commit::
 
     python3 benchmarks/ab.py HEAD~1 --pairs 10 -- \\
         python3 benchmarks/bench_kernels.py --case train_step --repeats 1
 
-The evaluation case times full-catalog evaluation in milliseconds per user:
-``evaluate.user_auc`` over every user and ``evaluate.corpus_auc`` (both at the
-validation stage), and ``evaluate.corpus_metrics`` (test stage, HR/NDCG at 50
-and 100), on 200 users with 40 random events each, K=32, over a 3k and a 50k
-item catalog. It also records how many users ``corpus_auc`` could not
-certify from its block product and scored one at a time instead.
-
-``--case evaluation`` runs only the evaluation table, builds no train-step
-split and writes no file. Its last stdout line holds the median milliseconds
-per user of each function on each catalog, such as
-``evaluation.3000.corpus_auc_ms``, in the same metrics form::
-
-    python3 benchmarks/ab.py HEAD~1 --pairs 10 -- \\
-        python3 benchmarks/bench_kernels.py --case evaluation
-
-The ingest case writes a ``u<id>,i<id>,<time>`` file shaped like the
-pipeline-small corpus (``tests/_synth.write_plain_log``: about 190k rows over
-4k users and 3k items, 2% of them repeating an earlier pair) and times
-``data.load_interactions`` on it through the plain (array) reader and, forced,
-through the row reader, and ``data.filter_min_count`` (20/20) on the loaded
-log. Each row also records its ``tracemalloc`` peak per input byte.
-
-Every other timing is CPU time of this process (``time.process_time``), so
-that a figure moves less with the load other processes put on the host. The
-BLAS is pinned to one thread before numpy is imported, as in
-``perfbench/run.py``, so that CPU time does not sum BLAS threads.
-
-Every table printed is also written to ``--out`` (``BENCH_kernels.json`` at
-the repository root by default), with the numpy version, the BLAS build and
-the CPU model the timings were taken on. The other tables print the best
-repeat; the file records each of their timings as the min, median and max
-over its repeats plus every repeat in run order, its own noise band.
+With no ``--case``, every case runs, and every table is also written to
+``--out`` (``BENCH_kernels.json`` at the repository root by default) with the
+Python and numpy versions, BLAS build and CPU model. The train-step tables
+print medians, the others their best repeat; the file records each of their
+timings as the min, median and max plus every repeat in run order.
 """
 
 import argparse
@@ -66,7 +53,6 @@ import platform
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -83,7 +69,8 @@ from adaptreg.config import load_config  # noqa: E402
 from adaptreg.data import InteractionLog, chronological_split  # noqa: E402
 from adaptreg.mf import Embeddings  # noqa: E402
 import corpus  # noqa: E402  perfbench's corpus generators
-from _synth import make_split, write_plain_log  # noqa: E402
+import golden  # noqa: E402
+from _synth import make_split  # noqa: E402
 
 SYNTH_SIZES = ((4_000, 3_000), (20_000, 5_000))  # users x items
 TRAIN_CONFIGS = {  # --set overrides of each train-step config on the synthetic splits
@@ -94,11 +81,11 @@ TRAIN_CONFIGS = {  # --set overrides of each train-step config on the synthetic 
 }
 TRAIN_BASE = ["optimizer.kind=adam", "model.dim=32", "training.epochs=2",
               "training.batch_size=1024", "training.lambda_batch_size=1024"]
-WIDE_SEED, WIDE_WORKLOADS = 7, ("fixed-wide", "adaptive-wide")
+WORKLOAD_SEED, WIDE_WORKLOADS = 7, ("fixed-wide", "adaptive-wide")
 STEP_PHASES = tuple(k for k in PHASE_SECONDS if k != "eval")  # eval is stubbed
 EVAL_ITEMS = (3_000, 50_000)
 EVAL_FUNCTIONS = ("user_auc", "corpus_auc", "corpus_metrics")
-INGEST_ROWS = 190_000
+INGEST_READERS = ("load_plain", "load_rows")
 
 
 def time_call(fn, repeats, scale=1e3):
@@ -173,43 +160,42 @@ def train_step_tables(splits, repeats, **generator):
         sizes.append(dict(users=users, items=items, configs=rows))
     print()
     wide = {name: wide_case(name, repeats, **generator) for name in WIDE_WORKLOADS}
-    train_step_table(f"train_step, perfbench wide corpus (seed {WIDE_SEED})", wide, "fixed-wide")
+    train_step_table(f"train_step, perfbench wide corpus (seed {WORKLOAD_SEED})", wide,
+                     "fixed-wide")
     return dict(eval="stubbed", repeats=repeats, synth_seed=3, synth=sizes,
-                wide_seed=WIDE_SEED, wide=wide)
+                wide_seed=WORKLOAD_SEED, wide=wide)
 
 
 def step_metrics(train_step):
-    """The last stdout line of ``--case train_step``: each row's ``step_ms``,
-    as ``train_step.<users>x<items>.<config>.step_ms`` and
-    ``train_step.wide.<workload>.step_ms``, in the ``{"metrics": ...}`` form
-    that ``benchmarks/ab.py`` reads."""
+    """Each train-step row's ``step_ms``, by the names
+    ``train_step.<users>x<items>.<config>.step_ms`` and
+    ``train_step.wide.<workload>.step_ms``."""
     rows = {f"{size['users']}x{size['items']}.{name}": row
             for size in train_step["synth"] for name, row in size["configs"].items()}
     rows.update((f"wide.{name}", row) for name, row in train_step["wide"].items())
-    return {"metrics": {f"train_step.{key}.step_ms": dict(
-        value=row["step_ms"], unit="ms", better="lower") for key, row in rows.items()}}
+    return {f"train_step.{key}.step_ms": row["step_ms"] for key, row in rows.items()}
 
 
-def wide_split(generator):
-    """The split of perfbench's seed-7 ``wide_log`` corpus of a workload's generator."""
-    gen = {k: v for k, v in generator.items() if k != "kind"}
-    users, items, times = corpus.wide_log(WIDE_SEED, **gen)
-    return chronological_split(InteractionLog(users, items, times,
-                                              gen["num_users"], gen["num_items"]))
+def workload(name, **generator):
+    """The training overrides and generator fields (less ``kind``) of perfbench
+    workload ``name``; ``generator`` replaces generator fields."""
+    spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"][name]
+    return spec["train"], {k: v for k, v in {**spec["generator"], **generator}.items()
+                           if k != "kind"}
 
 
 def wide_case(name, repeats, **generator):
-    """``train_step_case`` on the seed-7 corpus of the perfbench workload
-    ``name`` under its training overrides, both read from
-    ``perfbench/workloads.json``; ``generator`` replaces generator fields."""
-    spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"][name]
-    return train_step_case(wide_split({**spec["generator"], **generator}),
-                           spec["train"] + [f"training.seed={WIDE_SEED}"], repeats)
+    """``train_step_case`` on perfbench workload ``name``'s seed-7 ``wide_log``
+    corpus under its training overrides; ``generator`` replaces generator fields."""
+    train, gen = workload(name, **generator)
+    users, items, times = corpus.wide_log(WORKLOAD_SEED, **gen)
+    split = chronological_split(InteractionLog(users, items, times,
+                                               gen["num_users"], gen["num_items"]))
+    return train_step_case(split, train + [f"training.seed={WORKLOAD_SEED}"], repeats)
 
 
 def fallback_users(emb, split, stage):
-    """How many users one ``corpus_auc`` call scores through the per-user
-    ``_score_user``."""
+    """How many users one ``corpus_auc`` call scores through ``_score_user``."""
     real, calls = evaluate._score_user, []
     evaluate._score_user = lambda *args: calls.append(args[2]) or real(*args)
     try:
@@ -256,29 +242,17 @@ def evaluation_table(catalogs=EVAL_ITEMS, users=200, events=40, dim=32, repeats=
 
 
 def eval_metrics(evaluation):
-    """The last stdout line of ``--case evaluation``: each function's median
-    milliseconds per user on each catalog, as ``evaluation.<items>.<fn>_ms``,
-    in the ``{"metrics": ...}`` form that ``benchmarks/ab.py`` reads."""
-    return {"metrics": {f"evaluation.{row['items']}.{fn}_ms": dict(
-        value=row[f"{fn}_ms"]["median"], unit="ms", better="lower")
-        for row in evaluation["catalogs"] for fn in EVAL_FUNCTIONS}}
+    """Each evaluation function's median milliseconds per user on each
+    catalog, by the name ``evaluation.<items>.<fn>_ms``."""
+    return {f"evaluation.{row['items']}.{fn}_ms": row[f"{fn}_ms"]["median"]
+            for row in evaluation["catalogs"] for fn in EVAL_FUNCTIONS}
 
 
-def traced_peak(fn):
-    """The ``tracemalloc`` peak, in bytes, of one ``fn()`` call."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def ingest_case(rows=INGEST_ROWS, repeats=5, **catalog):
-    """Milliseconds per repeat, and the traced peak per input byte, for
-    ``load_interactions`` through the plain reader and through the row
-    reader, and for ``filter_min_count`` (20/20), on a ``write_plain_log``
-    file of about ``rows`` rows (``catalog`` sets its users and items)."""
+def ingest_table(repeats=3, **generator):
+    """Print and return the size of the seed-7 CSV of perfbench's
+    ``pipeline-small`` generator and the milliseconds per repeat of
+    ``load_interactions`` on it through the plain reader and, forced, through
+    the row reader; ``generator`` replaces generator fields."""
     def rows_load():
         real, data._plain_columns = data._plain_columns, lambda *args: None
         try:
@@ -287,64 +261,59 @@ def ingest_case(rows=INGEST_ROWS, repeats=5, **catalog):
             data._plain_columns = real
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_plain_log(Path(tmp) / "raw.csv", rows, **catalog)
-        size = path.stat().st_size
-        log = data.load_interactions(path)
-        cases = dict(load_plain=lambda: data.load_interactions(path), load_rows=rows_load,
-                     filter_min_count=lambda: data.filter_min_count(log, 20, 20))
-        out = dict(rows=len(log), bytes=size)
-        for name, fn in cases.items():
-            out[name] = dict(ms=time_call(fn, repeats), peak_per_byte=traced_peak(fn) / size)
+        path = Path(tmp) / "raw.csv"
+        rows = corpus.write_small_csv(path, WORKLOAD_SEED,
+                                      **workload("pipeline-small", **generator)[1])
+        out = dict(seed=WORKLOAD_SEED, rows=rows, bytes=path.stat().st_size)
+        out.update(load_plain_ms=time_call(lambda: data.load_interactions(path), repeats),
+                   load_rows_ms=time_call(rows_load, repeats))
+    print(f"ingest: pipeline-small seed {WORKLOAD_SEED}, {out['bytes'] / 2**20:.2f} MiB, "
+          f"{rows} rows, ms" + "".join(f"  {name} {out[f'{name}_ms']['min']:.1f}"
+                                       for name in INGEST_READERS))
     return out
 
 
-def environment():
-    """The numeric stack and CPU the timings were taken on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return dict(python=platform.python_version(), numpy=np.__version__,
-                blas=blas.get("openblas configuration", blas.get("name", "")), cpu=cpu)
+def ingest_metrics(ingest):
+    """Each reader's median milliseconds, by the name ``ingest.<reader>_ms``."""
+    return {f"ingest.{name}_ms": ingest[f"{name}_ms"]["median"] for name in INGEST_READERS}
+
+
+def metrics_line(metrics):
+    """``{name: ms}`` as the ``{"metrics": ...}`` line that ``benchmarks/ab.py`` reads."""
+    return json.dumps({"metrics": {name: dict(value=ms, unit="ms", better="lower")
+                                   for name, ms in metrics.items()}})
+
+
+CASES = {  # name: (print and return the case's table, the table's {metric: ms})
+    "train_step": (lambda repeats: train_step_tables(
+        {size: make_split(num_users=size[0], num_items=size[1], seed=3)
+         for size in SYNTH_SIZES}, repeats), step_metrics),
+    "evaluation": (lambda repeats: evaluation_table(repeats=repeats), eval_metrics),
+    "ingest": (ingest_table, ingest_metrics),
+}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=3, help="runs per train-step config")
+    ap.add_argument("--repeats", type=int, default=3,
+                    help="runs per train-step config, and repeats of every other timing")
     ap.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
     ap.add_argument("--case", choices=["train_step", "evaluation"], default=None,
-                    help="run only this case, write no file, and end with its metrics line")
+                    help="run only this case and write no file")
     args = ap.parse_args()
-    if args.case == "evaluation":
-        print(json.dumps(eval_metrics(evaluation_table())))
-        return
-    splits = {size: make_split(num_users=size[0], num_items=size[1], seed=3)
-              for size in SYNTH_SIZES}
-    train_step = train_step_tables(splits, args.repeats)
-    if args.case == "train_step":
-        print(json.dumps(step_metrics(train_step)))
-        return
-    result = {"environment": environment(), "train_step": train_step}
-
-    print()
-    result["evaluation"] = evaluation_table()
-
-    print()
-    ingest = ingest_case()
-    print(f"ingest: {ingest['bytes'] / 2**20:.2f} MiB, {ingest['rows']} events after dedupe")
-    for name in ("load_plain", "load_rows", "filter_min_count"):
-        print(f"{name:<17} {ingest[name]['ms']['min']:>8.1f} ms  "
-              f"peak {ingest[name]['peak_per_byte']:.2f} B/input byte")
-    result["ingest"] = ingest
-
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    result = {"environment": dict(python=platform.python_version(), **golden.environment())}
+    metrics = {}
+    for name in [args.case] if args.case else CASES:
+        table, to_metrics = CASES[name]
+        print()
+        result[name] = table(args.repeats)
+        metrics.update(to_metrics(result[name]))
+    if args.case is None:
+        with open(args.out, "w") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {args.out}")
+    print(metrics_line(metrics))
 
 
 if __name__ == "__main__":

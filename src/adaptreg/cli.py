@@ -20,13 +20,17 @@ def _common_flags(p):
     p.add_argument("--config", default=None, help="YAML run config")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="config override (flags win)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
+
+
+def _seed_flag(p):
+    """``--seed``, for the subcommands that train and so read ``training.seed``."""
+    p.add_argument("--seed", type=int, default=None, help="shorthand for --set training.seed=N")
 
 
 def _load(args):
     overrides = list(args.overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides.append(f"training.seed={args.seed}")
     if args.out is not None:
         overrides.append(f"output={args.out}")
@@ -190,11 +194,13 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one configuration")
     _common_flags(p)
+    _seed_flag(p)
     p.add_argument("--manifest", default=None, help="split manifest path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid-search", help="fixed-coefficient grid search")
     _common_flags(p)
+    _seed_flag(p)
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_grid_search)
 

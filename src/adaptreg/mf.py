@@ -79,23 +79,24 @@ def bpr_gradient(emb, batch):
                       loss=loss)
 
 
-def penalty(emb, lam):
-    """Fine-grained L2 penalty: sum of broadcast(lambda) * theta^2 over all entries."""
+def _dense_coefficients(emb, lam):
+    """``lam``'s user and item coefficients broadcast to the embeddings' shapes."""
     lu = lam.user_dense()
     li = lam.item_dense()
     if lu.shape != emb.user.shape or li.shape != emb.item.shape:
         raise ShapeMismatchError(
             f"coefficient shapes {lu.shape}/{li.shape} incompatible with "
             f"embeddings {emb.user.shape}/{emb.item.shape}")
+    return lu, li
+
+
+def penalty(emb, lam):
+    """Fine-grained L2 penalty: sum of broadcast(lambda) * theta^2 over all entries."""
+    lu, li = _dense_coefficients(emb, lam)
     return float(np.sum(lu * emb.user ** 2) + np.sum(li * emb.item ** 2))
 
 
 def penalty_gradient(emb, lam):
     """Dense gradient of the penalty: elementwise 2 * broadcast(lambda) * theta."""
-    lu = lam.user_dense()
-    li = lam.item_dense()
-    if lu.shape != emb.user.shape or li.shape != emb.item.shape:
-        raise ShapeMismatchError(
-            f"coefficient shapes {lu.shape}/{li.shape} incompatible with "
-            f"embeddings {emb.user.shape}/{emb.item.shape}")
+    lu, li = _dense_coefficients(emb, lam)
     return 2.0 * lu * emb.user, 2.0 * li * emb.item

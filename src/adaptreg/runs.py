@@ -3,6 +3,7 @@ record ``metrics.jsonl``, and its CSV exports."""
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -12,6 +13,8 @@ from .data import group_reduce
 from .errors import ConfigError
 
 SIDES = ("user", "item")
+# how metrics.jsonl spells a non-finite statistic: strict JSON has no token for one
+_NON_FINITE = {"inf": math.inf, "nan": math.nan}
 
 
 def write_resolved_config(run_dir, cfg):
@@ -36,7 +39,9 @@ def write_metrics(run_dir, result, split):
     frequency groups in ``result``, as ``train_model`` built them. Then each
     ``TrajectoryRow`` is one line ``{"epoch": step, "lambda": {side: {"mean",
     "var", "groups": [[id, mean, var], ...]}}}``. JSON floats round-trip
-    exactly, so the exports read the statistics bit for bit."""
+    exactly, so the exports read the statistics bit for bit. The file is
+    strict JSON: a non-finite statistic, such as the variance of coefficients
+    0 and 1e200, is the string ``"inf"`` or ``"nan"``."""
     groups = {}
     for side, (ids, order, starts, counts) in zip(SIDES, (result.user_groups,
                                                            result.item_groups)):
@@ -44,13 +49,26 @@ def write_metrics(run_dir, result, split):
         groups[side] = list(zip(ids.tolist(), counts.tolist(),
                                 group_reduce(freqs, starts, counts).tolist()))
     with open(os.path.join(run_dir, "metrics.jsonl"), "w") as fh:
-        fh.write(json.dumps({"groups": groups}) + "\n")
+        fh.write(json.dumps({"groups": groups}, allow_nan=False) + "\n")
         for tr in result.trajectory:
-            lam = {side: {"mean": getattr(tr, f"{side}_mean"), "var": getattr(tr, f"{side}_var"),
-                          "groups": [[g, mean, var] for g, _, mean, var
+            lam = {side: {"mean": _written(getattr(tr, f"{side}_mean")),
+                          "var": _written(getattr(tr, f"{side}_var")),
+                          "groups": [[g, _written(mean), _written(var)] for g, _, mean, var
                                      in getattr(tr, f"{side}_group_stats")]}
                    for side in SIDES}
-            fh.write(json.dumps({"epoch": tr.step, "lambda": lam}) + "\n")
+            fh.write(json.dumps({"epoch": tr.step, "lambda": lam}, allow_nan=False) + "\n")
+
+
+def _written(stat):
+    """``stat`` as ``metrics.jsonl`` holds it: a finite one as itself, a
+    non-finite one as its ``_NON_FINITE`` string."""
+    return stat if math.isfinite(stat) else str(stat)
+
+
+def _read(stat):
+    """A statistic as ``read_metrics`` reads it: a ``_NON_FINITE`` string as
+    its float, anything else as it is, to be checked as a number."""
+    return _NON_FINITE.get(stat, stat) if isinstance(stat, str) else stat
 
 
 def _number(v):
@@ -67,7 +85,8 @@ def read_metrics(path):
     train frequency)``. A line that is not JSON or does not fit the layout
     ``write_metrics`` writes is a ConfigError naming the file and the line,
     so a malformed file fails before any CSV is written. A statistic may be
-    infinite: a ``fix`` run at 1e307 has an infinite mean."""
+    ``"inf"`` or ``"nan"``, which read as floats; any other string is
+    refused."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines() or [b"{}"]  # an empty file has no groups line
 
@@ -89,12 +108,15 @@ def read_metrics(path):
         for side in SIDES:
             value = sides[side]
             if n > 1:  # the side's statistics, then its groups
-                check(isinstance(value, dict) and _number(value.get("mean"))
-                      and _number(value.get("var")), f"its {side} mean or var is not a number")
+                check(isinstance(value, dict), f"its {side} mean or var is not a number")
+                mean, var = _read(value.get("mean")), _read(value.get("var"))
+                check(_number(mean) and _number(var), f"its {side} mean or var is not a number")
                 value = value.get("groups")
             check(isinstance(value, list) and all(isinstance(e, list) and len(e) == 3
                                                   for e in value),
                   f"a {side} group entry is not a list of 3")
+            if n > 1:
+                value = [[g, _read(a), _read(b)] for g, a, b in value]
             check(all(_whole(g) and (_whole(a) if n == 1 else _number(a)) and _number(b)
                       for g, a, b in value), f"a {side} group entry holds an id that is not "
                   f"a whole number, or a statistic that is not a number")
@@ -104,7 +126,7 @@ def read_metrics(path):
             check(all(g in freqs[side] for g, _, _ in value),
                   f"it names a {side} group id that line 1 does not list")
             epoch = int(record["epoch"])
-            rows.append((epoch, side, sides[side]["mean"], sides[side]["var"]))
+            rows.append((epoch, side, mean, var))
             group_rows += [(epoch, side, int(g), mean, var, freqs[side][g])
                            for g, mean, var in value]
     return rows, group_rows

@@ -26,6 +26,12 @@ def toy_log(events, num_users=None, num_items=None):
     )
 
 
+def same_bytes(a, b):
+    """Whether ``a`` and ``b`` have the same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_instance(seed, num_users=5, num_items=8, dim=4, scale=0.3):
     rng = np.random.default_rng(seed)
     emb = Embeddings.init(num_users, num_items, dim, scale, rng)

@@ -7,12 +7,11 @@ rows read each workload's generator and training overrides from
 ``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
 replaces ``adaptreg.data._plain_columns`` to force the row reader. So a
 rename there must fail here rather than in the script behind a claim.
-``--case train_step`` and ``--case evaluation`` each end in a metrics line
-that ``benchmarks/ab.py`` reads.
+Every run ends in one metrics line that ``benchmarks/ab.py`` reads, and the
+ingest case reads pipeline-small's generator from ``perfbench/workloads.json``.
 """
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -45,12 +44,15 @@ def test_eval_case_on_a_tiny_catalog(bench):
 
 
 def test_ingest_case_on_a_small_file(bench):
+    # pipeline-small's own generator, on 40 users and 30 items
     real = data._plain_columns
-    row = bench.ingest_case(rows=2_000, repeats=1, num_users=40, num_items=30)
+    row = bench.ingest_table(repeats=1, num_users=40, num_items=30)
     assert data._plain_columns is real
-    assert 0 < row["rows"] <= 2_000 * 1.02 and row["bytes"] > 0
-    for key in ("load_plain", "load_rows", "filter_min_count"):
-        assert len(row[key]["ms"]["repeats"]) == 1 and row[key]["peak_per_byte"] > 0
+    assert 0 < row["rows"] <= 40 * 30 * 1.1 and row["bytes"] > 0
+    for key in ("load_plain_ms", "load_rows_ms"):
+        assert len(row[key]["repeats"]) == 1 and row[key]["min"] > 0
+    assert bench.ingest_metrics(row) == {
+        f"ingest.{key}": row[key]["median"] for key in ("load_plain_ms", "load_rows_ms")}
 
 
 def test_train_step_case_on_a_tiny_split(bench, capsys):
@@ -93,7 +95,7 @@ def test_train_step_metrics_line(bench, capsys):
     tables = bench.train_step_tables({(40, 60): make_split(**SMALL_SPLIT)}, repeats=1,
                                      num_users=300, num_items=200)
     capsys.readouterr()
-    stdout = "train_step table\n" + json.dumps(bench.step_metrics(tables)) + "\n"
+    stdout = "train_step table\n" + bench.metrics_line(bench.step_metrics(tables)) + "\n"
     ab = _load(SCRIPT.parent / "ab.py", "ab")
     names = {f"train_step.40x60.{name}.step_ms" for name in bench.TRAIN_CONFIGS} | {
         f"train_step.wide.{name}.step_ms" for name in bench.WIDE_WORKLOADS}
@@ -109,7 +111,7 @@ def test_evaluation_metrics_line(bench, capsys):
     # the evaluation table on two tiny catalogs, one repeat each
     table = bench.evaluation_table((60, 90), users=8, events=10, dim=4, repeats=1)
     assert "fallback users" in capsys.readouterr().out
-    stdout = "evaluation table\n" + json.dumps(bench.eval_metrics(table)) + "\n"
+    stdout = "evaluation table\n" + bench.metrics_line(bench.eval_metrics(table)) + "\n"
     ab = _load(SCRIPT.parent / "ab.py", "ab")
     names = {f"evaluation.{items}.{fn}_ms" for items in (60, 90) for fn in bench.EVAL_FUNCTIONS}
     values = ab.last_json_metrics(stdout)

@@ -5,6 +5,7 @@ import os
 import runpy
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ def test_module_entry_point_exits_with_mains_code(monkeypatch, capsys):
             runpy.run_module("adaptreg.cli", run_name="__main__")
     assert exc.value.code == 1
     assert "ERROR:CONFIG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "--input", "raw.csv"], ["evaluate", "--checkpoint", "checkpoint.npz"]],
+    ids=["ingest", "evaluate"])
+def test_seed_flag_only_where_a_run_trains(command, capsys):
+    # neither subcommand reads training.seed, so --seed is not theirs
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -684,8 +696,41 @@ class TestExportTrajectory:
         assert rc == 1
         assert "ERROR:CONFIG" in capsys.readouterr().err
 
+    def test_non_finite_statistics_are_strict_json(self, tmp_path, capsys):
+        # user coefficients 0 and 1e200: a finite mean, an infinite variance
+        lam = RegCoefficients.create("user", 4, 3, 2, init=0.1)
+        lam.values[:4] = [0.0, 1e200, 0.0, 1e200]
+        groups = group_by(np.zeros(4, dtype=np.int64)), group_by(np.zeros(3, dtype=np.int64))
+        result = TrainResult(emb=None, lam=lam, optimizer=None, history=[],
+                             trajectory=[record_trajectory(lam, 1, *groups)], best_epoch=1,
+                             user_groups=groups[0], item_groups=groups[1])
+        # write_metrics reads only the split's frequencies
+        split = SimpleNamespace(user_frequency=np.full(4, 5), item_frequency=np.full(3, 7))
+        write_metrics(str(tmp_path), result, split)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with open(tmp_path / "metrics.jsonl") as fh:
+            lines = [json.loads(line, parse_constant=refuse) for line in fh]
+        assert lines[1]["lambda"]["user"] == {"mean": 5e199, "var": "inf",
+                                              "groups": [[0, 5e199, "inf"]]}
+        assert main(["export-trajectory", "--run", str(tmp_path)]) == 0
+        with open(tmp_path / "trajectory.csv") as fh:
+            assert fh.read().splitlines()[1:4:2] == ["1,user,all,5e+199,inf",
+                                                     "1,user_group,0,5e+199,inf"]
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_strings_export(self, tmp_path, capsys, token):
+        (tmp_path / "metrics.jsonl").write_text(
+            _GROUPS + "\n" + _EPOCHS[0].replace('"var": 0.0', f'"var": "{token}"', 1) + "\n")
+        assert main(["export-trajectory", "--run", str(tmp_path)]) == 0
+        with open(tmp_path / "trajectory.csv") as fh:
+            assert fh.read().splitlines()[1] == f"1,user,all,0.1,{token}"
+
     def test_infinite_statistic_exports(self, tmp_path, capsys):
-        # a fix run at 1e307 has an infinite mean, which JSON writes as Infinity
+        # a file written before metrics.jsonl was strict JSON holds the bare
+        # token Infinity, which Python's json module reads
         (tmp_path / "metrics.jsonl").write_text(
             _GROUPS + "\n" + _EPOCHS[0].replace('"mean": 0.1', '"mean": Infinity', 1) + "\n")
         assert main(["export-trajectory", "--run", str(tmp_path)]) == 0
@@ -713,8 +758,11 @@ class TestExportTrajectory:
         (1, ('[[0, 5, 3.0]]', '[[0, 5.5, 3.0]]'), "not a whole number"),
         (3, ('[[0, 0.1, 0.0]]', '[["0", 0.1, 0.0]]'), "id that is not a whole number"),
         (2, (_EPOCHS[0], '[1, 2]'), "no 'lambda' object"),
+        (3, ('"var": 0.0', '"var": "Infinity"'), "user mean or var is not a number"),
+        (2, ('[[0, 0.1, 0.0]]', '[[0, 0.1, "NaN"]]'), "a statistic that is not a number"),
     ], ids=["strings", "short", "group-beyond-frequencies", "fractional-epoch",
-            "two-columns", "side-2", "fractional-size", "string-id", "not-an-object"])
+            "two-columns", "side-2", "fractional-size", "string-id", "not-an-object",
+            "other-infinity-string", "other-nan-string"])
     def test_malformed_metrics_rejected(self, tmp_path, capsys, line, forged, why):
         # one forged line of a two-epoch record, one user and one item group
         lines = [_GROUPS] + _EPOCHS

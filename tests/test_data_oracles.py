@@ -29,17 +29,12 @@ from adaptreg.errors import ParseError
 from _synth import make_log
 from conftest import (
     oracle_build_split, oracle_chronological_split, oracle_load_interactions,
-    oracle_load_manifest, oracle_member, oracle_redensify, toy_log,
+    oracle_load_manifest, oracle_member, oracle_redensify, same_bytes, toy_log,
 )
 
 each_ratio = pytest.mark.parametrize(
     "ratios", [(0.6, 0.2, 0.2), (0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3)],
     ids=["60-20-20", "80-10-10", "50-25-25", "thirds"])
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_same_split(got, want):

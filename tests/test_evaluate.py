@@ -18,7 +18,7 @@ from _synth import make_log
 from conftest import (
     average_ranks, oracle_corpus_auc, oracle_corpus_metrics,
     oracle_group_improvement_report, oracle_user_auc, oracle_user_topk_ranks,
-    random_instance,
+    random_instance, same_bytes,
 )
 
 
@@ -439,11 +439,6 @@ INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
 WIDE_INSTANCES = {"wide": wide_instance, "wide-infinite": wide_infinite_instance,
                   "wide-float32": wide_float32_instance, "wide-heavy": wide_heavy_instance}
 INSTANCES.update(WIDE_INSTANCES)
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_same_report(got, want):

@@ -19,14 +19,9 @@ from adaptreg.adaptive import train_model
 from adaptreg.config import RunConfig, resolve
 from adaptreg.mf import Embeddings, TripletBatch, bpr_gradient, bpr_loss
 
-from conftest import oracle_adam_step, oracle_bpr_grad_batch
+from conftest import oracle_adam_step, oracle_bpr_grad_batch, same_bytes
 
 K = 32
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def triplet_case(kind, seed):
