@@ -9,9 +9,8 @@ each run's CPU seconds, and the cost factor over ``fix``. It runs
 ``opt/full``, ``opt/user`` and ``opt/full`` + ``adam_on_lambda`` (Adam, K=32,
 batch and lambda batch 1024, 2 epochs), and perfbench's seed-7 wide corpus
 under the ``fixed-wide`` and ``adaptive-wide`` overrides of
-``perfbench/workloads.json``. Each ``opt`` row also records the
-hypergradient's coverage: ``len(entries) / lam.num_entries`` of one
-``adaptive.sparse_hypergradient`` call, averaged over the runs' λ steps.
+``perfbench/workloads.json``. Each ``opt`` row also records the coverage of
+the same runs: ``lambda_entries / (lambda_steps * lam.num_entries)``.
 
 The evaluation case times, in milliseconds per user, ``evaluate.user_auc``
 over every user and ``evaluate.corpus_auc`` at the validation stage, and
@@ -19,12 +18,13 @@ over every user and ``evaluate.corpus_auc`` at the validation stage, and
 random events each, K=32, over a 3k and a 50k item catalog. It also counts
 the users ``corpus_auc`` could not certify from its block product.
 
-The ingest case times ``data.load_interactions`` through the plain (array)
-reader and, forced, through the row reader, which quoted CSVs take and no
-perfbench workload runs, on perfbench's seed-7 ``pipeline-small`` CSV.
+The ingest case times ``data.load_interactions`` on perfbench's seed-7
+``pipeline-small`` CSV (the plain reader) and on a copy with every field
+quoted (the row reader, which no perfbench workload runs).
 
-Every timing but the phase seconds is CPU time (``time.process_time``), which
-moves less with the load of other processes. The BLAS is pinned to one thread
+No timed run replaces a library function. Every timing but the phase seconds
+is CPU time (``time.process_time``), which moves less with the load of other
+processes, and so is the cost factor. The BLAS is pinned to one thread
 before numpy is imported, as in ``perfbench/run.py``.
 
 Every run ends in one line ``{"metrics": {name: {"value": ms, "unit": "ms",
@@ -63,7 +63,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 # this checkout's library, so that each side of an ab.py pair runs its own
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
-from adaptreg import adaptive, data, evaluate  # noqa: E402
+from adaptreg import data, evaluate  # noqa: E402
 from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS, train_model  # noqa: E402
 from adaptreg.config import load_config  # noqa: E402
 from adaptreg.data import InteractionLog, chronological_split  # noqa: E402
@@ -105,43 +105,37 @@ def train_step_case(split, overrides, repeats):
     """``repeats`` runs of the config ``overrides`` give, evaluation stubbed:
     median ms per step of each phase and of their sum (``step_ms``), the
     phase counts, each run's CPU seconds and, when the runs take λ steps,
-    ``coverage``: the mean share of the coefficient entries that one
-    ``adaptive.sparse_hypergradient`` call reaches."""
+    ``coverage``: the share of the coefficient entries that a λ step's
+    hypergradient reaches, ``lambda_entries / (lambda_steps * num_entries)``."""
     cfg = load_config(None, overrides)
-    real, shares = adaptive.sparse_hypergradient, []
-
-    def counted(lam, *args):
-        entries, values = real(lam, *args)
-        shares.append(len(entries) / lam.num_entries)
-        return entries, values
-
     runs, cpu_s = [], []
-    adaptive.sparse_hypergradient = counted
-    try:
-        for _ in range(repeats):
-            t0 = time.process_time()
-            runs.append(train_model(split, cfg, eval_fn=lambda emb: 0.5).phases)
-            cpu_s.append(time.process_time() - t0)
-    finally:
-        adaptive.sparse_hypergradient = real
+    for _ in range(repeats):
+        t0 = time.process_time()
+        result = train_model(split, cfg, eval_fn=lambda emb: 0.5)
+        cpu_s.append(time.process_time() - t0)
+        runs.append(result.phases)
     per_step = 1e3 / runs[0]["steps"]
     median = lambda fn: float(np.median([fn(p) for p in runs])) * per_step
+    counts = {k: runs[0][k] for k in PHASE_COUNTS}  # seeded: every run's
     row = dict(overrides=overrides,
                ms_per_step={k: median(lambda p: p[k]) for k in PHASE_SECONDS},
                step_ms=median(lambda p: sum(p[k] for k in STEP_PHASES)),
-               counts={k: runs[0][k] for k in PHASE_COUNTS}, cpu_s=cpu_s)
-    if shares:
-        row["coverage"] = float(np.mean(shares))
+               counts=counts, cpu_s=cpu_s)
+    if counts["lambda_steps"]:
+        row["coverage"] = counts["lambda_entries"] / (
+            counts["lambda_steps"] * result.lam.num_entries)
     return row
 
 
 def train_step_table(title, rows, base):
-    """Print ``train_step_case`` rows by name, each with its cost factor over row ``base``."""
-    print(f"{title}: ms per step")
+    """Print ``train_step_case`` rows by name, each with its cost factor over
+    row ``base``: the ratio of their median CPU seconds per step."""
+    cpu_per_step = lambda row: float(np.median(row["cpu_s"])) / row["counts"]["steps"]
+    print(f"{title}: ms per step (wall), cost factor in CPU time")
     print(f"{'config':<24}" + "".join(f"{k:>10}" for k in STEP_PHASES)
           + f"{'step':>10}  factor  coverage")
     for name, row in rows.items():
-        row["cost_factor"] = row["step_ms"] / rows[base]["step_ms"]
+        row["cost_factor"] = cpu_per_step(row) / cpu_per_step(rows[base])
         coverage = f"{row['coverage']:>10.4f}" if "coverage" in row else ""
         print(f"{name:<24}" + "".join(f"{row['ms_per_step'][k]:>10.2f}" for k in STEP_PHASES)
               + f"{row['step_ms']:>10.2f}  {row['cost_factor']:>5.2f}x{coverage}")
@@ -195,7 +189,8 @@ def wide_case(name, repeats, **generator):
 
 
 def fallback_users(emb, split, stage):
-    """How many users one ``corpus_auc`` call scores through ``_score_user``."""
+    """How many users one ``corpus_auc`` call scores through ``_score_user``.
+    It swaps a counting wrapper in for that one call, which no timing includes."""
     real, calls = evaluate._score_user, []
     evaluate._score_user = lambda *args: calls.append(args[2]) or real(*args)
     try:
@@ -249,27 +244,29 @@ def eval_metrics(evaluation):
 
 
 def ingest_table(repeats=3, **generator):
-    """Print and return the size of the seed-7 CSV of perfbench's
-    ``pipeline-small`` generator and the milliseconds per repeat of
-    ``load_interactions`` on it through the plain reader and, forced, through
-    the row reader; ``generator`` replaces generator fields."""
-    def rows_load():
-        real, data._plain_columns = data._plain_columns, lambda *args: None
-        try:
-            return data.load_interactions(path)
-        finally:
-            data._plain_columns = real
-
+    """Print and return the sizes of perfbench's seed-7 ``pipeline-small`` CSV
+    and of a copy with every field quoted, and the milliseconds per repeat of
+    ``load_interactions`` on each (``load_plain``, and ``load_rows`` through
+    the row reader); raises unless both load to the same log. ``generator``
+    replaces generator fields."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "raw.csv"
-        rows = corpus.write_small_csv(path, WORKLOAD_SEED,
+        plain, quoted = Path(tmp) / "raw.csv", Path(tmp) / "quoted.csv"
+        rows = corpus.write_small_csv(plain, WORKLOAD_SEED,
                                       **workload("pipeline-small", **generator)[1])
-        out = dict(seed=WORKLOAD_SEED, rows=rows, bytes=path.stat().st_size)
-        out.update(load_plain_ms=time_call(lambda: data.load_interactions(path), repeats),
-                   load_rows_ms=time_call(rows_load, repeats))
-    print(f"ingest: pipeline-small seed {WORKLOAD_SEED}, {out['bytes'] / 2**20:.2f} MiB, "
-          f"{rows} rows, ms" + "".join(f"  {name} {out[f'{name}_ms']['min']:.1f}"
-                                       for name in INGEST_READERS))
+        quoted.write_text("".join(f'"{line}"\n'.replace(",", '","')
+                                  for line in plain.read_text().splitlines()))
+        logs = [data.load_interactions(path) for path in (plain, quoted)]
+        if not all(np.array_equal(getattr(logs[0], k), getattr(logs[1], k))
+                   for k in ("users", "items", "times", "user_tokens", "item_tokens")):
+            raise RuntimeError("the quoted copy loads to another log than the plain file")
+        out = dict(seed=WORKLOAD_SEED, rows=rows, bytes=plain.stat().st_size,
+                   quoted_bytes=quoted.stat().st_size,
+                   load_plain_ms=time_call(lambda: data.load_interactions(plain), repeats),
+                   load_rows_ms=time_call(lambda: data.load_interactions(quoted), repeats))
+    print(f"ingest: pipeline-small seed {WORKLOAD_SEED}, {rows} rows, "
+          f"{out['bytes'] / 2**20:.2f} MiB plain, {out['quoted_bytes'] / 2**20:.2f} MiB "
+          "quoted, ms" + "".join(f"  {name} {out[f'{name}_ms']['min']:.1f}"
+                                 for name in INGEST_READERS))
     return out
 
 

@@ -214,16 +214,19 @@ def project_and_step(lam, G, step_size, clip):
 
 
 def lambda_step(lam, emb, optimizer, train_batch, val_batch, step_size, clip,
-                lam_opt=None):
+                lam_opt=None, phases=None):
     """One clip, step and projection of the coefficients, in place; returns them.
 
     Without ``lam_opt`` only the entries with a hypergradient move: every
     other one has G = 0, which the dense update leaves unchanged. With
     ``lam_opt`` (Adam on lambda) every entry's moments decay on every step,
     so the clipped G is scattered into a dense vector for Adam's direction,
-    which is clipped again.
+    which is clipped again. The entries with a hypergradient, counted before
+    that scatter, are added to ``phases["lambda_entries"]`` when given.
     """
     entries, G = sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch)
+    if phases is not None:
+        phases["lambda_entries"] += len(entries)
     G = np.clip(G, -clip, clip)
     if lam_opt is not None:
         dense = np.zeros(lam.num_entries)
@@ -316,7 +319,7 @@ def record_trajectory(lam, step, user_groups, item_groups):
 
 # phase keys (seconds, then counts); kept out of history, trajectory and checkpoint
 PHASE_SECONDS = ("sample", "gradient", "compose", "optimizer", "lambda", "eval")
-PHASE_COUNTS = ("steps", "lambda_steps", "triplets", "lambda_triplets", "rows")
+PHASE_COUNTS = ("steps", "lambda_steps", "triplets", "lambda_triplets", "rows", "lambda_entries")
 
 
 @dataclass
@@ -382,7 +385,7 @@ def train_step(split, cfg, rng, emb, lam, optimizer, lam_opt, step, phases):
         tb = sample_triplets(split, rng, tr.lambda_batch_size, "train")
         vb = sample_triplets(split, rng, tr.lambda_batch_size, "validation")
         t5 = clock()
-        lam = lambda_step(lam, emb, optimizer, tb, vb, reg.step_size, reg.clip, lam_opt)
+        lam = lambda_step(lam, emb, optimizer, tb, vb, reg.step_size, reg.clip, lam_opt, phases)
         t6 = clock()
         phases["lambda_steps"] += 1
         phases["lambda_triplets"] += len(tb) + len(vb)

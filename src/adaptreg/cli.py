@@ -111,7 +111,7 @@ def cmd_grid_search(args):
         raise ConfigError("grid search requires regularization.grid candidates")
     candidates = {}  # run directory name -> candidate
     for cand in cfg.regularization.grid:
-        name = f"lambda_{cand:g}"
+        name = f"lambda_{cand + 0.0:g}"  # + 0.0 names -0.0 as the equal 0.0
         if name in candidates:
             raise ConfigError(f"grid candidates {candidates[name]!r} and {cand!r} "
                               f"share the run directory {name}")

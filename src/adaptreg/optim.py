@@ -109,16 +109,19 @@ class AdamOptimizer(_Optimizer):
         self.s_user = self.r_user = self.s_item = self.r_item = None
 
     def _sides(self, emb, grad):
-        # (param, s, r, rows, g) of the user side, then of the item side; the
-        # moments start at zero, allocated on first use
-        if self.s_user is None:
-            self.s_user, self.r_user = np.zeros_like(emb.user), np.zeros_like(emb.user)
-            self.s_item, self.r_item = np.zeros_like(emb.item), np.zeros_like(emb.item)
-        return ((emb.user, self.s_user, self.r_user, grad.user_rows, grad.user_vals),
-                (emb.item, self.s_item, self.r_item, grad.item_rows, grad.item_vals))
+        # (param, s, r, rows, g) of the user side, then of the item side; a
+        # fresh optimizer's moments read as zero, and only step stores them
+        zu, zi = (np.broadcast_to(0.0, theta.shape) for theta in (emb.user, emb.item))
+        su, ru, si, ri = ((zu, zu, zi, zi) if self.s_user is None
+                          else (self.s_user, self.r_user, self.s_item, self.r_item))
+        return ((emb.user, su, ru, grad.user_rows, grad.user_vals),
+                (emb.item, si, ri, grad.item_rows, grad.item_vals))
 
     def step(self, emb, grad, step_index=None):
         check_finite(grad, step_index)
+        if self.s_user is None:
+            self.s_user, self.r_user = np.zeros_like(emb.user), np.zeros_like(emb.user)
+            self.s_item, self.r_item = np.zeros_like(emb.item), np.zeros_like(emb.item)
         self.t += 1
         c = _kernels.adam_correction(self.t, self.beta1, self.beta2)
         for side in self._sides(emb, grad):

@@ -637,3 +637,27 @@ class TestStepCost:
         touched = sum(len(np.unique(b.users)) + len(np.unique(np.concatenate([b.pos, b.neg])))
                       for b in theta)
         assert 0 < ph["rows"] <= touched
+
+    @pytest.mark.parametrize("mode,granularity,adam_on_lambda", [
+        ("fix", "full", False), ("opt", "full", False), ("opt", "dim", False),
+        ("opt", "user", False), ("opt", "full", True),
+    ])
+    def test_lambda_entries_count_the_hypergradient(self, split, monkeypatch, mode,
+                                                    granularity, adam_on_lambda):
+        # the entries each λ step's hypergradient reaches, recorded where
+        # sparse_hypergradient returns them, before any λ-Adam scatter
+        from adaptreg import adaptive
+        lengths, real = [], adaptive.sparse_hypergradient
+
+        def recorded(*args):
+            entries, values = real(*args)
+            lengths.append(len(entries))
+            return entries, values
+
+        monkeypatch.setattr(adaptive, "sparse_hypergradient", recorded)
+        cfg = quick_cfg(mode=mode, granularity=granularity, epochs=2)
+        cfg.regularization.adam_on_lambda = adam_on_lambda
+        ph = train_model(split, cfg, eval_fn=lambda e: 0.5).phases
+        assert len(lengths) == ph["lambda_steps"] == (0 if mode == "fix" else ph["steps"])
+        assert ph["lambda_entries"] == sum(lengths)
+        assert (ph["lambda_entries"] > 0) == (mode != "fix")

@@ -1,12 +1,10 @@
 """``benchmarks/bench_kernels.py`` still runs against the library.
 
-The train-step case reads ``TrainResult.phases`` and wraps
-``adaptreg.adaptive.sparse_hypergradient`` to measure coverage, and its wide
-rows read each workload's generator and training overrides from
+The train-step case reads ``TrainResult.phases``, coverage from its
+``lambda_entries``, and its wide rows read each workload's generator and training overrides from
 ``perfbench/workloads.json``; the evaluation case reads
-``adaptreg.evaluate._score_user`` to count fallbacks, and the ingest case
-replaces ``adaptreg.data._plain_columns`` to force the row reader. So a
-rename there must fail here rather than in the script behind a claim.
+``adaptreg.evaluate._score_user`` to count fallbacks in one untimed call. So
+a rename there must fail here rather than in the script behind a claim.
 Every run ends in one metrics line that ``benchmarks/ab.py`` reads, and the
 ingest case reads pipeline-small's generator from ``perfbench/workloads.json``.
 """
@@ -16,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from adaptreg import adaptive, data
 from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS
 
 from _synth import SMALL_SPLIT, make_split
@@ -45,10 +42,8 @@ def test_eval_case_on_a_tiny_catalog(bench):
 
 def test_ingest_case_on_a_small_file(bench):
     # pipeline-small's own generator, on 40 users and 30 items
-    real = data._plain_columns
     row = bench.ingest_table(repeats=1, num_users=40, num_items=30)
-    assert data._plain_columns is real
-    assert 0 < row["rows"] <= 40 * 30 * 1.1 and row["bytes"] > 0
+    assert 0 < row["rows"] <= 40 * 30 * 1.1 and row["quoted_bytes"] > row["bytes"] > 0
     for key in ("load_plain_ms", "load_rows_ms"):
         assert len(row[key]["repeats"]) == 1 and row[key]["min"] > 0
     assert bench.ingest_metrics(row) == {
@@ -56,7 +51,6 @@ def test_ingest_case_on_a_small_file(bench):
 
 
 def test_train_step_case_on_a_tiny_split(bench, capsys):
-    real = adaptive.sparse_hypergradient
     split = make_split(**SMALL_SPLIT)
     base = ["model.dim=4", "training.epochs=1", "training.batch_size=64",
             "training.lambda_batch_size=32"]
@@ -64,7 +58,6 @@ def test_train_step_case_on_a_tiny_split(bench, capsys):
             for name, overrides in bench.TRAIN_CONFIGS.items()}
     bench.train_step_table("tiny", rows, "fix")
     assert "opt/full+adam_on_lambda" in capsys.readouterr().out
-    assert adaptive.sparse_hypergradient is real
     for name, row in rows.items():
         assert set(row["ms_per_step"]) == set(PHASE_SECONDS)
         assert set(row["counts"]) == set(PHASE_COUNTS) and len(row["cpu_s"]) == 2

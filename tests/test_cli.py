@@ -556,7 +556,8 @@ class TestGridSearch:
         ("[0.1,0.1000001]", "0.1 and 0.1000001 share the run directory lambda_0.1"),
         ("[1e-5,1.000001e-5]", "1e-05 and 1.000001e-05 share the run directory lambda_1e-05"),
         ("[0.01,0.0001,0.01]", "0.01 and 0.01 share the run directory lambda_0.01"),
-    ], ids=["close", "close-small", "repeated"])
+        ("[0.0,-0.0,1e-3]", "0.0 and -0.0 share the run directory lambda_0"),
+    ], ids=["close", "close-small", "repeated", "signed-zero"])
     def test_candidates_sharing_a_run_directory_rejected_up_front(self, corpus, tmp_path,
                                                                   capsys, grid, message):
         manifest = str(corpus / "data" / "manifest.csv")

@@ -129,7 +129,7 @@ def oracle_error(G):
 
 
 def oracle_lambda_step(lam, emb, opt, train_batch, val_batch, step_size, clip,
-                       lam_opt=None):
+                       lam_opt=None, phases=None):
     G = oracle_hypergradient(lam, emb, opt, train_batch, val_batch)
     if not np.isfinite(G).all():
         raise AdaptRegError(oracle_error(G))

@@ -143,6 +143,24 @@ class TestAssumedUpdate:
                                   (clone.r_item, grad.item_rows, ri)):
             assert state[rows].tobytes() == want.tobytes()
 
+    def test_fresh_adam_assumed_step_stores_nothing(self):
+        # before its first real step an Adam optimizer has no moments; the
+        # assumed step reads them as zero and leaves the state as it was
+        emb, rng = random_instance(4)
+        opt = AdamOptimizer()
+        grad = bpr_gradient(emb, random_batch(rng, 5, 8, 16))
+        digest, keys = opt.state_digest(), set(opt.state_arrays())
+        assumed = opt.assumed_step(emb, grad)
+        user, item, _ = opt.assumed(emb, grad)
+        opt.lambda_jacobian(emb, grad)
+        assert opt.state_digest() == digest and set(opt.state_arrays()) == keys
+        clone, real = opt.clone(), emb.copy()
+        clone.step(real, grad)
+        assert assumed.user.tobytes() == real.user.tobytes()
+        assert assumed.item.tobytes() == real.item.tobytes()
+        assert user.tobytes() == real.user[grad.user_rows].tobytes()
+        assert item.tobytes() == real.item[grad.item_rows].tobytes()
+
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_idempotent_and_side_effect_free(self, kind):
         emb, rng = random_instance(3)
