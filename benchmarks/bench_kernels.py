@@ -4,7 +4,10 @@ Run with ``python3 benchmarks/bench_kernels.py``. The train-step case makes
 short ``adaptive.train_model`` runs, evaluation stubbed, and reads each
 step's phase seconds and counts from ``TrainResult.phases``: per phase the
 milliseconds per step (wall time, median of ``--repeats`` runs), the counts,
-each run's CPU seconds, and the cost factor over ``fix``. It runs
+each run's CPU seconds, and the cost factor over ``fix``: the median over the
+repeats of one repeat's ratio of CPU seconds per step. The configs of a table
+take turns within each repeat, so that a change in host load falls on all of
+them alike. It runs
 ``tests/_synth.make_split(seed=3)`` at 4k x 3k and 20k x 5k with ``fix``,
 ``opt/full``, ``opt/user`` and ``opt/full`` + ``adam_on_lambda`` (Adam, K=32,
 batch and lambda batch 1024, 2 epochs), and perfbench's seed-7 wide corpus
@@ -16,7 +19,8 @@ The evaluation case times, in milliseconds per user, ``evaluate.user_auc``
 over every user and ``evaluate.corpus_auc`` at the validation stage, and
 ``evaluate.corpus_metrics`` (HR/NDCG at 50 and 100), on 200 users with 40
 random events each, K=32, over a 3k and a 50k item catalog. It also counts
-the users ``corpus_auc`` could not certify from its block product.
+the users that the validation ``corpus_auc`` call and the test
+``corpus_metrics`` call could not certify from their block products.
 
 The ingest case times ``data.load_interactions`` on perfbench's seed-7
 ``pipeline-small`` CSV (the plain reader) and on a copy with every field
@@ -85,6 +89,7 @@ WORKLOAD_SEED, WIDE_WORKLOADS = 7, ("fixed-wide", "adaptive-wide")
 STEP_PHASES = tuple(k for k in PHASE_SECONDS if k != "eval")  # eval is stubbed
 EVAL_ITEMS = (3_000, 50_000)
 EVAL_FUNCTIONS = ("user_auc", "corpus_auc", "corpus_metrics")
+EVAL_FALLBACKS = EVAL_FUNCTIONS[1:]  # the calls that score users in blocks
 INGEST_READERS = ("load_plain", "load_rows")
 
 
@@ -101,41 +106,48 @@ def time_call(fn, repeats, scale=1e3):
                 repeats=times)
 
 
-def train_step_case(split, overrides, repeats):
-    """``repeats`` runs of the config ``overrides`` give, evaluation stubbed:
+def train_step_rows(cases, repeats):
+    """``repeats`` runs of each of ``cases`` (``{name: (split, overrides)}``),
+    evaluation stubbed, the cases taking turns within each repeat so that a
+    change in host load falls on all of them alike. Per case, a row of the
     median ms per step of each phase and of their sum (``step_ms``), the
     phase counts, each run's CPU seconds and, when the runs take λ steps,
     ``coverage``: the share of the coefficient entries that a λ step's
     hypergradient reaches, ``lambda_entries / (lambda_steps * num_entries)``."""
-    cfg = load_config(None, overrides)
-    runs, cpu_s = [], []
+    configs = {name: load_config(None, overrides) for name, (_, overrides) in cases.items()}
+    runs = {name: [] for name in cases}
     for _ in range(repeats):
-        t0 = time.process_time()
-        result = train_model(split, cfg, eval_fn=lambda emb: 0.5)
-        cpu_s.append(time.process_time() - t0)
-        runs.append(result.phases)
-    per_step = 1e3 / runs[0]["steps"]
-    median = lambda fn: float(np.median([fn(p) for p in runs])) * per_step
-    counts = {k: runs[0][k] for k in PHASE_COUNTS}  # seeded: every run's
-    row = dict(overrides=overrides,
-               ms_per_step={k: median(lambda p: p[k]) for k in PHASE_SECONDS},
-               step_ms=median(lambda p: sum(p[k] for k in STEP_PHASES)),
-               counts=counts, cpu_s=cpu_s)
-    if counts["lambda_steps"]:
-        row["coverage"] = counts["lambda_entries"] / (
-            counts["lambda_steps"] * result.lam.num_entries)
-    return row
+        for name, (split, _) in cases.items():
+            t0 = time.process_time()
+            result = train_model(split, configs[name], eval_fn=lambda emb: 0.5)
+            runs[name].append((result.phases, time.process_time() - t0, result.lam.num_entries))
+    rows = {}
+    for name, (_, overrides) in cases.items():
+        phases = [p for p, _, _ in runs[name]]
+        per_step = 1e3 / phases[0]["steps"]
+        median = lambda fn: float(np.median([fn(p) for p in phases])) * per_step
+        counts = {k: phases[0][k] for k in PHASE_COUNTS}  # seeded: every run's
+        row = rows[name] = dict(
+            overrides=overrides,
+            ms_per_step={k: median(lambda p: p[k]) for k in PHASE_SECONDS},
+            step_ms=median(lambda p: sum(p[k] for k in STEP_PHASES)),
+            counts=counts, cpu_s=[cpu for _, cpu, _ in runs[name]])
+        if counts["lambda_steps"]:
+            row["coverage"] = counts["lambda_entries"] / (
+                counts["lambda_steps"] * runs[name][0][2])
+    return rows
 
 
 def train_step_table(title, rows, base):
-    """Print ``train_step_case`` rows by name, each with its cost factor over
-    row ``base``: the ratio of their median CPU seconds per step."""
-    cpu_per_step = lambda row: float(np.median(row["cpu_s"])) / row["counts"]["steps"]
+    """Print ``train_step_rows`` rows by name, each with its cost factor over
+    row ``base``: the median over the repeats of the ratio of their CPU
+    seconds per step in that repeat."""
+    cpu_per_step = lambda row: np.array(row["cpu_s"]) / row["counts"]["steps"]
     print(f"{title}: ms per step (wall), cost factor in CPU time")
     print(f"{'config':<24}" + "".join(f"{k:>10}" for k in STEP_PHASES)
           + f"{'step':>10}  factor  coverage")
     for name, row in rows.items():
-        row["cost_factor"] = cpu_per_step(row) / cpu_per_step(rows[base])
+        row["cost_factor"] = float(np.median(cpu_per_step(row) / cpu_per_step(rows[base])))
         coverage = f"{row['coverage']:>10.4f}" if "coverage" in row else ""
         print(f"{name:<24}" + "".join(f"{row['ms_per_step'][k]:>10.2f}" for k in STEP_PHASES)
               + f"{row['step_ms']:>10.2f}  {row['cost_factor']:>5.2f}x{coverage}")
@@ -148,12 +160,12 @@ def train_step_tables(splits, repeats, **generator):
     sizes = []
     for (users, items), split in splits.items():
         print()
-        rows = {name: train_step_case(split, TRAIN_BASE + overrides, repeats)
-                for name, overrides in TRAIN_CONFIGS.items()}
+        rows = train_step_rows({name: (split, TRAIN_BASE + overrides)
+                                for name, overrides in TRAIN_CONFIGS.items()}, repeats)
         train_step_table(f"train_step, make_split({users} x {items}, seed=3)", rows, "fix")
         sizes.append(dict(users=users, items=items, configs=rows))
     print()
-    wide = {name: wide_case(name, repeats, **generator) for name in WIDE_WORKLOADS}
+    wide = train_step_rows(wide_cases(**generator), repeats)
     train_step_table(f"train_step, perfbench wide corpus (seed {WORKLOAD_SEED})", wide,
                      "fixed-wide")
     return dict(eval="stubbed", repeats=repeats, synth_seed=3, synth=sizes,
@@ -178,23 +190,29 @@ def workload(name, **generator):
                            if k != "kind"}
 
 
-def wide_case(name, repeats, **generator):
-    """``train_step_case`` on perfbench workload ``name``'s seed-7 ``wide_log``
-    corpus under its training overrides; ``generator`` replaces generator fields."""
-    train, gen = workload(name, **generator)
-    users, items, times = corpus.wide_log(WORKLOAD_SEED, **gen)
-    split = chronological_split(InteractionLog(users, items, times,
-                                               gen["num_users"], gen["num_items"]))
-    return train_step_case(split, train + [f"training.seed={WORKLOAD_SEED}"], repeats)
+def wide_cases(**generator):
+    """``{name: (split, overrides)}`` of the wide workloads: the seed-7
+    ``wide_log`` corpus of each, one split per distinct generator, and its
+    training overrides; ``generator`` replaces generator fields."""
+    splits, cases = {}, {}
+    for name in WIDE_WORKLOADS:
+        train, gen = workload(name, **generator)
+        key = json.dumps(gen, sort_keys=True)
+        if key not in splits:
+            users, items, times = corpus.wide_log(WORKLOAD_SEED, **gen)
+            splits[key] = chronological_split(InteractionLog(
+                users, items, times, gen["num_users"], gen["num_items"]))
+        cases[name] = (splits[key], train + [f"training.seed={WORKLOAD_SEED}"])
+    return cases
 
 
-def fallback_users(emb, split, stage):
-    """How many users one ``corpus_auc`` call scores through ``_score_user``.
-    It swaps a counting wrapper in for that one call, which no timing includes."""
+def fallback_users(call):
+    """How many users ``call()`` scores through ``evaluate._score_user``. It
+    swaps a counting wrapper in for that one call, which no timing includes."""
     real, calls = evaluate._score_user, []
     evaluate._score_user = lambda *args: calls.append(args[2]) or real(*args)
     try:
-        evaluate.corpus_auc(emb, split, stage)
+        call()
     finally:
         evaluate._score_user = real
     return len(calls)
@@ -202,8 +220,8 @@ def fallback_users(emb, split, stage):
 
 def eval_ms(items, users=200, events=40, dim=32, repeats=3):
     """Milliseconds per user, per repeat, for ``user_auc`` over every user, for
-    one ``corpus_auc`` and one ``corpus_metrics`` call, and the users that
-    ``corpus_auc`` scores one at a time."""
+    one validation ``corpus_auc`` and one test ``corpus_metrics`` call, and the
+    users that each of those two calls scores one at a time."""
     rng = np.random.default_rng(0)
     log = InteractionLog(
         users=np.repeat(np.arange(users), events),
@@ -213,14 +231,13 @@ def eval_ms(items, users=200, events=40, dim=32, repeats=3):
         num_users=users, num_items=items)
     split = chronological_split(log)
     emb = Embeddings.init(users, items, dim, 0.1, rng)
+    calls = dict(corpus_auc=lambda: evaluate.corpus_auc(emb, split, "validation"),
+                 corpus_metrics=lambda: evaluate.corpus_metrics(emb, split))
     return dict(
         user_auc_ms=time_call(lambda: [evaluate.user_auc(emb, split, u, "validation")
                                        for u in range(users)], repeats, 1e3 / users),
-        corpus_auc_ms=time_call(lambda: evaluate.corpus_auc(emb, split, "validation"),
-                                repeats, 1e3 / users),
-        corpus_metrics_ms=time_call(lambda: evaluate.corpus_metrics(emb, split),
-                                    repeats, 1e3 / users),
-        corpus_auc_fallback_users=fallback_users(emb, split, "validation"))
+        **{f"{fn}_ms": time_call(call, repeats, 1e3 / users) for fn, call in calls.items()},
+        **{f"{fn}_fallback_users": fallback_users(call) for fn, call in calls.items()})
 
 
 def evaluation_table(catalogs=EVAL_ITEMS, users=200, events=40, dim=32, repeats=3):
@@ -232,7 +249,8 @@ def evaluation_table(catalogs=EVAL_ITEMS, users=200, events=40, dim=32, repeats=
         rows.append(dict(items=items, **eval_ms(items, users, events, dim, repeats)))
         print(f"{items:>7} items" + "".join(
             f"  {fn} {rows[-1][f'{fn}_ms']['min']:>7.3f}" for fn in EVAL_FUNCTIONS)
-            + f"  fallback users {rows[-1]['corpus_auc_fallback_users']}")
+            + "  fallback users" + "".join(f" {fn} {rows[-1][f'{fn}_fallback_users']}"
+                                          for fn in EVAL_FALLBACKS))
     return dict(dim=dim, users=users, events_per_user=events, catalogs=rows)
 
 

@@ -221,18 +221,24 @@ def lambda_step(lam, emb, optimizer, train_batch, val_batch, step_size, clip,
     other one has G = 0, which the dense update leaves unchanged. With
     ``lam_opt`` (Adam on lambda) every entry's moments decay on every step,
     so the clipped G is scattered into a dense vector for Adam's direction,
-    which is clipped again. The entries with a hypergradient, counted before
-    that scatter, are added to ``phases["lambda_entries"]`` when given.
+    which is clipped again. When ``phases`` is given, three counts are added
+    to it: ``lambda_entries``, the entries with a hypergradient, and
+    ``lambda_clipped``, those of them with ``|G| > clip``, both before that
+    scatter; and ``lambda_zeroed``, the updated entries that the projection
+    raised to 0.
     """
     entries, G = sparse_hypergradient(lam, emb, optimizer, train_batch, val_batch)
     if phases is not None:
         phases["lambda_entries"] += len(entries)
+        phases["lambda_clipped"] += int(np.count_nonzero(np.abs(G) > clip))
     G = np.clip(G, -clip, clip)
     if lam_opt is not None:
         dense = np.zeros(lam.num_entries)
         dense[entries] = G
         entries, G = slice(None), np.clip(lam_opt.direction(dense), -clip, clip)
     values = lam.values[entries] - step_size * G
+    if phases is not None:
+        phases["lambda_zeroed"] += int(np.count_nonzero(values < 0.0))
     np.maximum(values, 0.0, out=values)
     lam.values[entries] = values
     return lam
@@ -319,7 +325,8 @@ def record_trajectory(lam, step, user_groups, item_groups):
 
 # phase keys (seconds, then counts); kept out of history, trajectory and checkpoint
 PHASE_SECONDS = ("sample", "gradient", "compose", "optimizer", "lambda", "eval")
-PHASE_COUNTS = ("steps", "lambda_steps", "triplets", "lambda_triplets", "rows", "lambda_entries")
+PHASE_COUNTS = ("steps", "lambda_steps", "triplets", "lambda_triplets", "rows",
+                "lambda_entries", "lambda_clipped", "lambda_zeroed")
 
 
 @dataclass

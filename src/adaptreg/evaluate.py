@@ -7,12 +7,14 @@ directly. It places the user's positives by exact counts of the candidates
 below each, from two comparison passes over its scores per positive.
 
 ``corpus_auc`` and ``corpus_metrics`` read ``_score_corpus`` instead: flat
-arrays of every positive's rank and every user's AUC, from one matrix product
-and one row sort per block of users. Its scores differ from the matrix-vector
-product's in the last bits, so it keeps only the users whose order no such
-difference can flip (``_bands``). ``_score_user`` scores every other user
-again, including every user with a non-finite score, so the results are
-bit-identical to the per-user loop and a NaN is reported the same way.
+arrays of every positive's rank and every user's AUC, from one float64 matrix
+product per block of users and one row sort of its scores rounded to float32.
+Its scores differ from the matrix-vector product's in the last bits, so it
+keeps only the users whose order no such difference can flip (``_bands``),
+and whose counts the rounding to float32 cannot change. ``_score_user``
+scores every other user again, including every user with a non-finite
+score, so the results are bit-identical to the per-user loop and a NaN is
+reported the same way.
 """
 
 import csv
@@ -24,7 +26,7 @@ from .data import group_by, group_reduce
 from .errors import AdaptRegError, ConfigError
 
 # Scores per block of users in ``_score_corpus``: a block's float64 score
-# matrix is at most 4 MB.
+# matrix is at most 4 MB, and its float32 sort keys take its first half.
 BLOCK_ELEMENTS = 1 << 19
 
 
@@ -161,17 +163,46 @@ def _bands(emb):
                         np.inf)
 
 
+def _float32_keys(scores):
+    """The C-ordered float64 ``scores`` rounded to float32, written over the
+    first half of their own buffer and returned as an array of their shape.
+
+    Row 0 is rounded into a one-row copy first. Then rows ``[n, 2n)`` for
+    n = 1, 2, 4, ... land in the bytes of rows ``[n/2, n)``, which lie wholly
+    before them and were read already, so no run overlaps what it reads and
+    numpy makes no copy. Row 0 is written last, from its copy."""
+    keys = scores.reshape(-1).view(np.float32)[:scores.size].reshape(scores.shape)
+    head = scores[0].astype(np.float32)
+    n = 1
+    while n < len(scores):
+        keys[n:2 * n] = scores[n:2 * n]
+        n *= 2
+    keys[0] = head
+    return keys
+
+
 def _score_corpus(emb, split, stage):
     """Every user's ``_score_user`` results, bit for bit, as ``ranks``
     aligned with the stage's ``positives.flat`` and one AUC per user in
     ``aucs``, NaN where ``_score_user`` gives None.
 
-    A block of ``BLOCK_ELEMENTS // num_items`` users is one matrix product
-    and one sort of its rows, in which each user's excluded items and
-    positives are +inf. A user is certified when its band is finite, no
-    negative lies within the band of a positive and its positives lie more
-    than the band apart; then exact counts give its ranks and AUC.
-    ``_score_user`` scores every other user, in ascending order."""
+    A block of ``BLOCK_ELEMENTS // num_items`` users is one float64 matrix
+    product, from which each positive's score ``g`` is read. The block is
+    then rounded to float32 keys in place (``_float32_keys``), and each row
+    of keys is sorted with the user's excluded items and positives at +inf.
+    A user is certified when its band is finite, its positives lie more than
+    the band apart in float64, and no negative's key lies in
+    ``[f32(g - b), f32(g + b)]`` for a positive's band ``b``; then exact
+    counts give its ranks and AUC. ``_score_user`` scores every other user,
+    in ascending order.
+
+    The keys give the float64 scores' counts because rounding to nearest
+    is monotone: ``f32(s) < f32(t)`` implies ``s < t``, and ``f32(s) > f32(t)``
+    implies ``s > t``, also where a finite score past the float32 range
+    rounds to ±inf. So for a certified user every negative's score lies
+    below ``g - b`` or above ``g + b``, and its count of keys below
+    ``f32(g - b)`` is its count of scores below ``g - b``. A user with a key
+    inside that interval falls back, as a near-tied user does."""
     excluded, positives = _stage_lists(split, stage)
     U, I = split.num_users, split.num_items
     ranks, aucs = np.empty(len(positives.flat), np.int64), np.full(U, np.nan)
@@ -199,18 +230,22 @@ def _score_corpus(emb, split, stage):
         n_neg = I - sum(n_exc) - n_pos
         rows = np.arange(b - a)
         prow = np.repeat(rows, n_pos)
-        # each positive's and each excluded item's entry of the C-ordered block
+        # each positive's and each excluded item's entry of the C-ordered
+        # block and of its keys
         start = prow * I
         at = start + positives.flat[cuts[a]:cuts[b]]
-        with np.errstate(invalid="ignore"):
+        # a score past the float32 range rounds to an infinite key
+        with np.errstate(invalid="ignore", over="ignore"):
             scores = np.matmul(emb.user[a:b], emb.item.T, out=block[:b - a])
-            flat = scores.reshape(-1)
-            g = np.take(flat, at)
+            g = np.take(scores.reshape(-1), at)
+            keys = _float32_keys(scores)
+            flat = keys.reshape(-1)
             flat[at] = np.inf
             for p, n in zip(excluded, n_exc):
                 flat[np.repeat(rows * I, n) + p.flat[p.offsets[a]:p.offsets[b]]] = np.inf
-            scores.sort(axis=1)
+            keys.sort(axis=1)
             lo_t, hi_t = g - bands[a + prow], g + bands[a + prow]
+            lo_k, hi_k = lo_t.astype(np.float32), hi_t.astype(np.float32)
         # a finite band bounds every partial sum of the user's dot products
         # (``_bands``), so its scores, lo_t and hi_t are finite too
         ok = np.isfinite(bands[a:b]) & (n_pos > 0)
@@ -225,16 +260,16 @@ def _score_corpus(emb, split, stage):
         ok[rs[1:][(rs[1:] == rs[:-1]) & ~(g[order][1:] > hi_t[order][:-1])]] = False
         pos_hi = np.empty_like(prow)
         pos_hi[order] = np.arange(cuts[a] + 1, cuts[b] + 1) - positives.offsets[a + rs]
-        # lo: each positive's count of row entries below lo_t, by a branchless
+        # lo: each positive's count of row keys below lo_k, by a branchless
         # binary search of all rows at once. A row ends in a +inf mask or NaN,
         # so flat[lo] stays in it; for a certified user it is the next negative
-        # or a mask, which exceeds hi_t iff no negative lies in [lo_t, hi_t].
+        # or a mask, which exceeds hi_k iff no negative key lies in [lo_k, hi_k].
         lo, n = start.copy(), I
         while n > 1:
-            lo += n // 2 * (np.take(flat, lo + n // 2) < lo_t)
+            lo += n // 2 * (np.take(flat, lo + n // 2) < lo_k)
             n -= n // 2
-        lo += np.take(flat, lo) < lo_t
-        ok[prow[~(np.take(flat, lo) > hi_t)]] = False
+        lo += np.take(flat, lo) < lo_k
+        ok[prow[~(np.take(flat, lo) > hi_k)]] = False
         lo -= start
         ranks[cuts[a]:cuts[b]] = 1 + n_neg[prow] + n_pos[prow] - lo - pos_hi
         # an exact integer over an exact integer: _score_user's one division

@@ -17,7 +17,7 @@ from adaptreg.optim import make_optimizer
 
 from _synth import make_split
 from conftest import (
-    oracle_index_maps, oracle_record_trajectory, random_batch, random_instance,
+    oracle_index_maps, oracle_record_trajectory, random_batch, random_instance, same_bytes,
 )
 
 
@@ -661,3 +661,47 @@ class TestStepCost:
         assert len(lengths) == ph["lambda_steps"] == (0 if mode == "fix" else ph["steps"])
         assert ph["lambda_entries"] == sum(lengths)
         assert (ph["lambda_entries"] > 0) == (mode != "fix")
+
+    @pytest.mark.parametrize("mode,granularity,adam_on_lambda", [
+        ("fix", "full", False), ("opt", "full", False), ("opt", "dim", False),
+        ("opt", "full", True),
+    ])
+    def test_clipped_and_zeroed_counts(self, split, monkeypatch, mode, granularity,
+                                       adam_on_lambda):
+        # each λ step's hypergradient and the coefficients before it, recorded
+        # where sparse_hypergradient returns them, and λ-Adam's directions;
+        # the counts are taken again from them. A clip of 1e-3 lies inside
+        # the range of |G| on both splits
+        from adaptreg import adaptive
+        steps, directions = [], []
+        real, real_direction = adaptive.sparse_hypergradient, adaptive.LambdaAdam.direction
+
+        def recorded(lam, *args):
+            entries, values = real(lam, *args)
+            steps.append((lam.values.copy(), entries, values))
+            return entries, values
+
+        def direction(self, g):
+            directions.append(real_direction(self, g))
+            return directions[-1]
+
+        monkeypatch.setattr(adaptive, "sparse_hypergradient", recorded)
+        monkeypatch.setattr(adaptive.LambdaAdam, "direction", direction)
+        cfg = quick_cfg(mode=mode, granularity=granularity, epochs=2)
+        cfg.regularization.adam_on_lambda = adam_on_lambda
+        cfg.regularization.clip = clip = 1e-3
+        res = train_model(split, cfg, eval_fn=lambda e: 0.5)
+        assert len(directions) == (len(steps) if adam_on_lambda else 0)
+        clipped = zeroed = 0
+        afters = [before for before, _, _ in steps[1:]] + [res.lam.values]
+        for n, ((before, entries, G), after) in enumerate(zip(steps, afters)):
+            clipped += np.count_nonzero(np.abs(G) > clip)
+            if adam_on_lambda:
+                entries, G = slice(None), directions[n]
+            unprojected = before[entries] - cfg.regularization.step_size * np.clip(G, -clip, clip)
+            zeroed += np.count_nonzero(unprojected < 0)
+            assert same_bytes(np.maximum(unprojected, 0.0), after[entries])
+        ph = res.phases
+        assert (ph["lambda_clipped"], ph["lambda_zeroed"]) == (clipped, zeroed)
+        assert (0 < clipped < ph["lambda_entries"]) == (mode != "fix")
+        assert (zeroed > 0) == (mode != "fix")

@@ -3,7 +3,7 @@
 The train-step case reads ``TrainResult.phases``, coverage from its
 ``lambda_entries``, and its wide rows read each workload's generator and training overrides from
 ``perfbench/workloads.json``; the evaluation case reads
-``adaptreg.evaluate._score_user`` to count fallbacks in one untimed call. So
+``adaptreg.evaluate._score_user`` to count fallbacks in untimed calls. So
 a rename there must fail here rather than in the script behind a claim.
 Every run ends in one metrics line that ``benchmarks/ab.py`` reads, and the
 ingest case reads pipeline-small's generator from ``perfbench/workloads.json``.
@@ -12,6 +12,7 @@ ingest case reads pipeline-small's generator from ``perfbench/workloads.json``.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adaptreg.adaptive import PHASE_COUNTS, PHASE_SECONDS
@@ -37,7 +38,27 @@ def test_eval_case_on_a_tiny_catalog(bench):
     row = bench.eval_ms(60, users=8, events=10, dim=4, repeats=1)
     for key in ("user_auc_ms", "corpus_auc_ms", "corpus_metrics_ms"):
         assert len(row[key]["repeats"]) == 1 and row[key]["min"] > 0
-    assert 0 <= row["corpus_auc_fallback_users"] <= 8
+    # the validation corpus_auc call and the test corpus_metrics call
+    for key in ("corpus_auc_fallback_users", "corpus_metrics_fallback_users"):
+        assert 0 <= row[key] <= 8
+
+
+def test_fallbacks_counted_per_call(bench):
+    # every user falls back where every band is infinite; the count covers
+    # the one call and restores the scorer
+    from adaptreg import evaluate
+    from adaptreg.mf import Embeddings
+    split = make_split(**SMALL_SPLIT)
+    emb = Embeddings(user=np.full((split.num_users, 2), np.inf),
+                     item=np.ones((split.num_items, 2)))
+    real = evaluate._score_user
+    with np.errstate(invalid="ignore"):
+        for stage in ("validation", "test"):
+            _, positives = evaluate._stage_lists(split, stage)
+            want = sum(1 for u in range(split.num_users) if len(positives[u]))
+            got = bench.fallback_users(lambda: evaluate.corpus_metrics(emb, split, stage=stage))
+            assert got == want > 0
+    assert evaluate._score_user is real
 
 
 def test_ingest_case_on_a_small_file(bench):
@@ -54,8 +75,9 @@ def test_train_step_case_on_a_tiny_split(bench, capsys):
     split = make_split(**SMALL_SPLIT)
     base = ["model.dim=4", "training.epochs=1", "training.batch_size=64",
             "training.lambda_batch_size=32"]
-    rows = {name: bench.train_step_case(split, base + overrides, repeats=2)
-            for name, overrides in bench.TRAIN_CONFIGS.items()}
+    rows = bench.train_step_rows({name: (split, base + overrides)
+                                  for name, overrides in bench.TRAIN_CONFIGS.items()},
+                                 repeats=2)
     bench.train_step_table("tiny", rows, "fix")
     assert "opt/full+adam_on_lambda" in capsys.readouterr().out
     for name, row in rows.items():
@@ -65,22 +87,28 @@ def test_train_step_case_on_a_tiny_split(bench, capsys):
         assert steps > 0 and row["counts"]["triplets"] == 64 * steps
         assert row["counts"]["lambda_triplets"] == (0 if name == "fix" else 64 * steps)
         assert row["step_ms"] > 0 and row["cost_factor"] > 0
+        # the median of the two repeats' ratios of CPU seconds per step
+        ratios = [cpu / fix for cpu, fix in zip(row["cpu_s"], rows["fix"]["cpu_s"])]
+        assert row["cost_factor"] == pytest.approx(float(np.median(ratios)), rel=1e-12)
         # the share of the coefficient entries a λ step's hypergradient reaches
         assert ("coverage" in row) == (name != "fix")
         assert name == "fix" or 0 < row["coverage"] <= 1
     assert rows["fix"]["cost_factor"] == 1.0 and rows["fix"]["ms_per_step"]["lambda"] == 0.0
 
 
-@pytest.mark.parametrize("name", ["fixed-wide", "adaptive-wide"])
-def test_wide_case_on_a_shrunk_corpus(bench, name):
-    # the workload's own generator, on 300 users and 200 items, and its
+def test_wide_cases_on_a_shrunk_corpus(bench):
+    # the workloads' own generator, on 300 users and 200 items, and their
     # training overrides: one epoch of 8192-triplet batches, λ batches of 1024
-    row = bench.wide_case(name, repeats=1, num_users=300, num_items=200)
-    steps = row["counts"]["steps"]
-    assert steps > 0 and row["counts"]["triplets"] == 8192 * steps
-    learned = name == "adaptive-wide"
-    assert row["counts"]["lambda_triplets"] == (2 * 1024 * steps if learned else 0)
-    assert ("coverage" in row) == learned
+    cases = bench.wide_cases(num_users=300, num_items=200)
+    assert list(cases) == ["fixed-wide", "adaptive-wide"]
+    assert cases["fixed-wide"][0] is cases["adaptive-wide"][0]  # one generator, one split
+    rows = bench.train_step_rows(cases, repeats=1)
+    for name, row in rows.items():
+        steps = row["counts"]["steps"]
+        assert steps > 0 and row["counts"]["triplets"] == 8192 * steps
+        learned = name == "adaptive-wide"
+        assert row["counts"]["lambda_triplets"] == (2 * 1024 * steps if learned else 0)
+        assert ("coverage" in row) == learned
 
 
 def test_train_step_metrics_line(bench, capsys):

@@ -423,6 +423,33 @@ def wide_heavy_instance(seed=28, U=12, I=8192, dim=8):
     return emb, make_split(I, train, val, test)
 
 
+def float32_ties_instance():
+    """For user 0, the validation and the test positive each get a negative
+    whose item row is the positive's scaled by 1 ± 2^-30: its score lies
+    above the positive's band in float64 but rounds to the positive's
+    float32 value."""
+    emb, split = tie_base(29)
+    taken = np.concatenate([split.train[0], split.val[0], split.test[0]])
+    free = np.setdiff1d(np.arange(split.num_items), taken)
+    for pos, neg in ((split.val[0][0], free[0]), (split.test[0][0], free[1])):
+        emb.item[neg] = emb.item[pos] * (1 + np.sign(emb.item[pos] @ emb.user[0]) * 2.0**-30)
+    return emb, split
+
+
+def float32_range_instance():
+    """Random factors scaled by powers of two, so that users 9 to 12 and 23
+    score some items past the float32 range (3.4e38), finite in float64:
+    among them users 11 and 12 a validation positive, and user 12 a test
+    positive."""
+    emb, split = tie_base(30)
+    emb.user *= 2.0 ** (56 + np.arange(split.num_users) % 13)[:, None]
+    emb.item *= 2.0**64
+    return emb, split
+
+
+FLOAT32_INSTANCES = {"float32-ties": float32_ties_instance,
+                     "float32-range": float32_range_instance}
+
 TIE_INSTANCES = {"zero-rows": zero_rows_instance,
                  "duplicate-negative": duplicate_negative_instance,
                  "duplicate-positives": duplicate_positives_instance,
@@ -433,7 +460,7 @@ TIE_INSTANCES = {"zero-rows": zero_rows_instance,
 INSTANCES = {"integer": integer_instance, "infinite": infinite_instance,
              "synthetic": synthetic_instance, "popular": popular_instance,
              "seed3": seed3_instance, "subnormal": subnormal_instance,
-             **TIE_INSTANCES}
+             **TIE_INSTANCES, **FLOAT32_INSTANCES}
 
 # 8192-item catalogs, one with heavy users
 WIDE_INSTANCES = {"wide": wide_instance, "wide-infinite": wide_infinite_instance,
@@ -540,6 +567,15 @@ class TestCertifiedBlocks:
         emb, split = INSTANCES[name]()
         affected = affected_users(emb, split, stage)
         assert affected
+        assert affected <= set(fallback_users(monkeypatch, emb, split, stage))
+
+    @pytest.mark.parametrize("stage", ["validation", "test"])
+    def test_float32_ties_fall_back(self, monkeypatch, stage):
+        # user 0's negative clears its positive's band in float64, where the
+        # scores alone would certify it, but not in the float32 sort keys
+        emb, split = float32_ties_instance()
+        affected = affected_users(emb, split, stage)
+        assert 0 in affected
         assert affected <= set(fallback_users(monkeypatch, emb, split, stage))
 
     def test_non_float64_factors_use_the_per_user_path(self, monkeypatch):
@@ -811,6 +847,32 @@ def test_wide_instances_hold_ties_and_non_finite_scores():
     assert not np.isin([1, 2, I - 3, I - 2], taken).any()
     assert len(split.train[2]) + len(split.val[2]) == I - 1
     assert sum(len(p[3]) for p in (split.train, split.val, split.test)) == I - 1
+
+
+@pytest.mark.parametrize("stage", ["validation", "test"])
+def test_float32_keys_certify_the_other_users(monkeypatch, stage):
+    # what each float32 instance is built to hold, and that only the users
+    # whose float32 keys cannot certify them fall back: a positive past the
+    # float32 range has a band edge that rounds to an infinite key
+    emb, split = float32_ties_instance()
+    band = evaluate._bands(emb)[0]
+    for positives in (split.val, split.test):
+        pos = positives[0][0]
+        neg = next(i for i in range(split.num_items) if i != pos
+                   and (emb.item[i] != emb.item[pos]).any()
+                   and np.allclose(emb.item[i], emb.item[pos], rtol=1e-8, atol=0))
+        s = emb.item[[pos, neg]] @ emb.user[0]
+        assert s[1] - s[0] > 1e3 * band and s.astype(np.float32)[0] == s.astype(np.float32)[1]
+    assert fallback_users(monkeypatch, emb, split, stage) == sorted(
+        affected_users(emb, split, stage))
+    emb, split = float32_range_instance()
+    _, positives = evaluate._stage_lists(split, stage)
+    scores = emb.user @ emb.item.T
+    assert np.isfinite(scores).all() and np.isfinite(evaluate._bands(emb)).all()
+    past = np.abs(scores) > np.finfo(np.float32).max
+    users = [u for u in range(split.num_users) if past[u, positives[u]].any()]
+    assert fallback_users(monkeypatch, emb, split, stage) == users
+    assert set(np.flatnonzero(past.any(axis=1))) - set(users)  # certified with infinite keys
 
 
 @pytest.fixture(params=["one-user-blocks", "per-user"])
